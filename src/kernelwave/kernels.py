@@ -12,16 +12,20 @@ Two evaluation geometries are implemented:
 * SADDLE -- crossed steepest descent/ascent paths through the phase
   saddles, parameterized analytically by branch paths (see
   :mod:`kernelwave.phase`), reducing the oscillatory double integral to
-  four Gaussian blocks in real coordinates.  The block through coincident
-  saddles carries an integrable ``1/(zeta-omega)`` singularity handled by a
-  polar substitution; the kernel is then (segment variant) + (block sum).
-  Stable for arbitrarily large rescaling parameters.
+  four Gaussian blocks in real coordinates.  The four block maps of each
+  transition come from one table of (branch path, reflection) specs.  The
+  blocks through coincident saddles carry an integrable ``1/(zeta-omega)``
+  singularity handled by a polar substitution (the polar cell shared with
+  :mod:`kernelwave.quadrature`); the kernel is then (segment variant) +
+  (block sum).  Stable for arbitrarily large rescaling parameters.
 
 Keeping both backends gives an internal cross-validation oracle: they share
 no geometry, yet must agree to quadrature accuracy.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from dataclasses import dataclass, field
@@ -31,8 +35,10 @@ from .quadrature import (
     Contour,
     GeometryError,
     QuadOptions,
+    gl_unit,
     integrate_double,
     integrate_single,
+    polar_cell,
     refine_panels,
     truncate_rays,
 )
@@ -74,6 +80,10 @@ class KernelQuery:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}")
         if self.backend not in ("direct", "saddle"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        for name in ("tau1", "tau2", "u", "v", "a_param"):
+            x = getattr(self, name)
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x!r}")
         if self.kernel == "transition-a":
             if self.a_param is None or self.a_param < 0:
                 raise ValueError("transition-a requires a_param >= 0")
@@ -235,14 +245,9 @@ def _graded_boundaries(X: float, s: float, *, first: float = 0.7,
     return np.asarray(bs)
 
 
-def _gl_unit(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _grid_from_boundaries(bounds: np.ndarray, n: int):
     """Concatenated GL nodes/weights on each panel [b_k, b_{k+1}]."""
-    xu, wu = _gl_unit(n)
+    xu, wu = gl_unit(n)
     a = bounds[:-1]
     h = np.diff(bounds)
     nodes = (a[:, None] + h[:, None] * xu[None, :]).ravel()
@@ -267,24 +272,11 @@ def _tensor_block(amp, s: float, X: float, n: int) -> complex:
 
 def _polar_block(amp, s: float, X: float, n: int) -> complex:
     """Same integral when ``amp`` has an integrable ``1/(x - c y)``-type
-    singularity at the origin: polar substitution over the square, octant
-    by octant, with the Jacobian rho regularizing the singularity."""
-    xg, wg = np.polynomial.legendre.leggauss(n)
-    rho_b = _graded_boundaries(1.0, s * X * X)
-    rho_u, rho_w = _grid_from_boundaries(rho_b, n)
-    total = 0.0 + 0.0j
-    for k in range(8):
-        th0, th1 = k * np.pi / 4.0, (k + 1) * np.pi / 4.0
-        th = th0 + (xg + 1.0) * 0.5 * (th1 - th0)
-        wth = wg * 0.5 * (th1 - th0)
-        R = X / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
-        rho = rho_u[:, None] * R[None, :]
-        x = rho * np.cos(th)[None, :]
-        y = rho * np.sin(th)[None, :]
-        vals = np.asarray(amp(x, y)) * rho * np.exp(-s * rho * rho)
-        radial = np.einsum("i,ij->j", rho_w, vals)
-        total += np.sum(wth * R * radial)
-    return complex(total)
+    singularity at the origin: one polar cell over the square, with its
+    radial panels graded for the Gaussian weight."""
+    radial = _grid_from_boundaries(_graded_boundaries(1.0, s * X * X), n)
+    return polar_cell(lambda x, y: amp(x, y) * np.exp(-s * (x * x + y * y)),
+                      X, n, radial)
 
 
 def _truncation_halfwidth(s: float, budget: float, growth_bound) -> float:
@@ -300,129 +292,77 @@ def _truncation_halfwidth(s: float, budget: float, growth_bound) -> float:
     return float(min(X, 38.0))
 
 
+# Block maps per transition: the Gaussian scale is ``s = a**p``, the
+# oscillation phase ``theta = c * s`` enters the (+,-) block as
+# ``exp(i * sign * theta)`` and the (-,+) block conjugated, and the four maps
+# zeta+, zeta-, omega+, omega- are (branch path, reflection) pairs.  A plus
+# map is ``x -> P(x)``; a minus map is ``x -> R(P(-x))`` for the reflection
+# ``R`` (negation or conjugation), with derivative ``-R(P'(-x))``.
+_SADDLE_SPECS = {
+    "airy": (1.5, 4.0 / 3.0, +1,
+             (("S", None), ("T", np.negative), ("T", None), ("S", np.negative))),
+    "pearcey": (4.0 / 3.0, 3.0 * np.sqrt(3.0) / 4.0, -1,
+                (("S", None), ("S", np.conj), ("T", None), ("T", np.conj))),
+}
+
+
+def _block_map(path, reflect):
+    """``x -> (zeta, zeta')`` of one block map, in one branch-path pass."""
+    if reflect is None:
+        return lambda x: path.zeta(x, with_derivative=True)
+
+    def reflected(x):
+        z, dz = path.zeta(-x, with_derivative=True)
+        return reflect(z), -reflect(dz)
+    return reflected
+
+
 def _saddle_J(kind: str, a: float, tau1: float, tau2: float, u: float, v: float,
               opts: QuadOptions) -> tuple[complex, float]:
     """The four-block steepest-path double integral J for either transition.
 
     ``kind="airy"``: Gaussian scale ``s = a**1.5``, oscillation phase
     ``4/3 a**1.5``; ``kind="pearcey"``: ``s = a**(4/3)``, phase
-    ``3 sqrt(3)/4 a**(4/3)`` with opposite sign pairing.  Blocks through
-    coincident saddles are polar cells; mixed-saddle blocks are plain
-    tensor Gaussians (the paths stay a distance ~2 / ~sqrt(3) apart).
+    ``3 sqrt(3)/4 a**(4/3)`` with opposite sign pairing (see
+    ``_SADDLE_SPECS``).  Blocks through coincident saddles are polar cells;
+    mixed-saddle blocks are plain tensor Gaussians (the paths stay a distance
+    ~2 / ~sqrt(3) apart).
     """
-    if kind == "airy":
-        paths = airy_branch_paths()
-        P_S, P_T = paths["S"], paths["T"]
-        s = a ** 1.5
-        theta = (4.0 / 3.0) * a ** 1.5
-
-        def zeta_p(x):
-            return P_S.zeta(x)
-
-        def dzeta_p(x):
-            return P_S.dzeta(x)
-
-        def zeta_m(x):
-            return -P_T.zeta(-x)
-
-        def dzeta_m(x):
-            return P_T.dzeta(-x)
-
-        def omega_p(y):
-            return P_T.zeta(y)
-
-        def domega_p(y):
-            return P_T.dzeta(y)
-
-        def omega_m(y):
-            return -P_S.zeta(-y)
-
-        def domega_m(y):
-            return P_S.dzeta(-y)
-
-        # (plus,minus)-block phase factor e^{+i theta}; (minus,plus) e^{-i theta}
-        phase_pm = np.exp(1j * theta)
-        phase_mp = np.exp(-1j * theta)
-
-        def mod_bound(X):
-            return max(abs(P_S.zeta(X)), abs(P_S.zeta(-X)),
-                       abs(P_T.zeta(X)), abs(P_T.zeta(-X)))
-    elif kind == "pearcey":
-        paths = pearcey_branch_paths()
-        P_S, P_T = paths["S"], paths["T"]
-        s = a ** (4.0 / 3.0)
-        theta = (3.0 * np.sqrt(3.0) / 4.0) * a ** (4.0 / 3.0)
-
-        def zeta_p(x):
-            return P_S.zeta(x)
-
-        def dzeta_p(x):
-            return P_S.dzeta(x)
-
-        def zeta_m(x):
-            return np.conj(P_S.zeta(-x))
-
-        def dzeta_m(x):
-            return -np.conj(P_S.dzeta(-x))
-
-        def omega_p(y):
-            return P_T.zeta(y)
-
-        def domega_p(y):
-            return P_T.dzeta(y)
-
-        def omega_m(y):
-            return np.conj(P_T.zeta(-y))
-
-        def domega_m(y):
-            return -np.conj(P_T.dzeta(-y))
-
-        phase_pm = np.exp(-1j * theta)
-        phase_mp = np.exp(1j * theta)
-
-        def mod_bound(X):
-            return max(abs(P_S.zeta(X)), abs(P_S.zeta(-X)),
-                       abs(P_T.zeta(X)), abs(P_T.zeta(-X)))
-    else:
+    if kind not in _SADDLE_SPECS:
         raise ValueError(kind)
-
-    def amp_exponent(z, w):
-        return -v * z - tau2 * z * z + u * w + tau1 * w * w
+    power, theta_per_s, sign, specs = _SADDLE_SPECS[kind]
+    paths = airy_branch_paths() if kind == "airy" else pearcey_branch_paths()
+    s = a ** power
+    phase_pm = np.exp(1j * sign * theta_per_s * s)
+    zeta_p, zeta_m, omega_p, omega_m = (_block_map(paths[name], reflect)
+                                        for name, reflect in specs)
 
     def growth(X):
-        m = mod_bound(X)
+        m = max(float(np.max(np.abs(p.zeta(np.array([X, -X]))))) for p in paths.values())
         return abs(v) * m + abs(tau2) * m * m + abs(u) * m + abs(tau1) * m * m
 
     X = _truncation_halfwidth(s, opts.ray_truncation_budget, growth)
 
-    def block_fn(zf, dzf, wf, dwf):
+    def block(zeta_map, omega_map):
         def amp(x, y):
-            z = zf(x)
-            w = wf(y)
-            return dzf(x) * dwf(y) * np.exp(amp_exponent(z, w)) / (z - w)
+            z, dz = zeta_map(x)
+            w, dw = omega_map(y)
+            return dz * dw * np.exp(-v * z - tau2 * z * z + u * w + tau1 * w * w) / (z - w)
         return amp
 
     n = max(12, opts.nodes_per_panel // 2)
     n_hi = n + n // 2 + 1
-
-    amp_pp = block_fn(zeta_p, dzeta_p, omega_p, domega_p)
-    amp_mm = block_fn(zeta_m, dzeta_m, omega_m, domega_m)
-    amp_pm = block_fn(zeta_p, dzeta_p, omega_m, domega_m)
-    amp_mp = block_fn(zeta_m, dzeta_m, omega_p, domega_p)
-
-    def both(fn, amp):
-        lo = fn(amp, s, X, n)
-        hi = fn(amp, s, X, n_hi)
-        return hi, abs(hi - lo)
-
-    v_pp, e_pp = both(_polar_block, amp_pp)
-    v_mm, e_mm = both(_polar_block, amp_mm)
-    v_pm, e_pm = both(_tensor_block, amp_pm)
-    v_mp, e_mp = both(_tensor_block, amp_mp)
-
-    total = (v_pp + v_mm + phase_pm * v_pm + phase_mp * v_mp) / _TWO_PI_I_SQ
-    err = (e_pp + e_mm + e_pm + e_mp) / (4.0 * np.pi ** 2)
-    return total, err
+    total, err = 0.0 + 0.0j, 0.0
+    for rule, zeta_map, omega_map, factor in (
+            (_polar_block, zeta_p, omega_p, 1.0),
+            (_polar_block, zeta_m, omega_m, 1.0),
+            (_tensor_block, zeta_p, omega_m, phase_pm),
+            (_tensor_block, zeta_m, omega_p, np.conj(phase_pm))):
+        amp = block(zeta_map, omega_map)
+        lo, hi = rule(amp, s, X, n), rule(amp, s, X, n_hi)
+        total += factor * hi
+        err += abs(hi - lo)
+    return total / _TWO_PI_I_SQ, err / (4.0 * np.pi ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +487,8 @@ def transition_interpolation_check(a: float, tau1: float, tau2: float,
     a**(1/3) v), K_airy(tau; u, v))`` -- the pair converges as ``a`` grows.
     For ``a = 0`` the prefactor and argument rescalings degenerate, so the
     unrescaled pair ``(K_0(tau; u, v), K_pearcey(tau; u, v))`` is returned
-    instead; these must agree identically.
+    instead; these must agree identically.  The quartic side comes from the
+    saddle backend, so the pair compares two independent geometries.
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
@@ -555,8 +496,8 @@ def transition_interpolation_check(a: float, tau1: float, tau2: float,
     if a == 0:
         val0, err0 = _direct_quartic(tau1, tau2, u, v, 0.0, opts)
         lhs = KernelValue.wrap(val0, err0, "direct")
-        valp, errp = _direct_quartic(tau1, tau2, u, v, 0.0, opts)
-        return lhs, KernelValue.wrap(valp, errp, "direct")
+        return lhs, eval_kernel(KernelQuery("pearcey-ext", tau1, tau2, u, v,
+                                            backend="saddle", opts=opts))
     c = a ** (1.0 / 3.0)
     val, err = _direct_quartic(2.0 * c ** 2 * tau1, 2.0 * c ** 2 * tau2,
                                c * u, c * v, a, opts)

@@ -12,7 +12,10 @@ to
 * construct *branch paths*: analytic reparameterizations ``x -> zeta(x)`` of
   a descent curve defined by ``f(zeta(x)) - f(saddle) = sigma * x**2``,
   continued globally in the real parameter ``x`` by dense Newton marching
-  seeded from a truncated power series at the saddle.
+  seeded from a truncated power series at the saddle.  The march runs in
+  Python scalar arithmetic: Horner on derivative coefficients that each
+  :class:`PhaseSpec` derives once.  Evaluation returns ``zeta`` and, in the
+  same pass, ``zeta'``.
 
 The branch paths are what the saddle-point integrators consume: they turn
 oscillatory contour integrals into real-line Gaussian integrals with smooth
@@ -50,6 +53,22 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _horner(c, z):
+    """``sum(c[k] * z**k)`` by the recurrence of numpy's ``polyval``.
+
+    Python scalars stay Python scalars, which keeps scalar loops cheap."""
+    if not isinstance(z, (int, float, complex)):
+        z = np.asarray(z)
+    acc = c[-1] + 0 * z
+    for a in c[-2::-1]:
+        acc = a + acc * z
+    return acc
+
+
+def _derivative(c: tuple) -> tuple:
+    return tuple(k * c[k] for k in range(1, len(c))) or (0.0,)
+
+
 @dataclass(frozen=True)
 class PhaseSpec:
     """A polynomial phase together with its saddle data.
@@ -64,23 +83,30 @@ class PhaseSpec:
         Roots of ``f'`` relevant to the steepest-descent decomposition.
     levels:
         ``f(saddle)`` for each saddle, in matching order.
+
+    The coefficients of ``f'`` and ``f''`` are derived once, so ``f``,
+    ``df`` and ``ddf`` are plain Horner evaluations.
     """
 
     kind: str
     coeffs: tuple[complex, ...]
     saddles: tuple[complex, ...]
     levels: tuple[complex, ...]
+    dcoeffs: tuple = field(init=False, repr=False, compare=False)
+    ddcoeffs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "dcoeffs", _derivative(self.coeffs))
+        object.__setattr__(self, "ddcoeffs", _derivative(self.dcoeffs))
 
     def f(self, z):
-        return np.polynomial.polynomial.polyval(z, np.asarray(self.coeffs))
+        return _horner(self.coeffs, z)
 
     def df(self, z):
-        der = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
-        return np.polynomial.polynomial.polyval(z, der)
+        return _horner(self.dcoeffs, z)
 
     def ddf(self, z):
-        der2 = np.polynomial.polynomial.polyder(np.asarray(self.coeffs), 2)
-        return np.polynomial.polynomial.polyval(z, der2)
+        return _horner(self.ddcoeffs, z)
 
 
 def make_phase(kind: str, coeffs=None) -> PhaseSpec:
@@ -101,13 +127,10 @@ def make_phase(kind: str, coeffs=None) -> PhaseSpec:
         if coeffs is None:
             raise ValueError("custom-polynomial requires explicit coeffs")
         c = tuple(complex(x) for x in coeffs)
-        der = np.polynomial.polynomial.polyder(np.asarray(c))
-        saddles = tuple(np.roots(der[::-1]).astype(complex))
+        saddles = tuple(np.roots(_derivative(c)[::-1]).astype(complex))
     else:
         raise ValueError(f"unknown phase kind {kind!r}")
-    levels = tuple(
-        complex(np.polynomial.polynomial.polyval(s, np.asarray(c))) for s in saddles
-    )
+    levels = tuple(complex(_horner(c, s)) for s in saddles)
     return PhaseSpec(kind=kind, coeffs=c, saddles=tuple(map(complex, saddles)), levels=levels)
 
 
@@ -248,13 +271,16 @@ class BranchPath:
     prescribed first derivative ``first_coeff`` fixing the branch.  Near the
     saddle the map is evaluated from a truncated power series; beyond a small
     switch radius it is continued by dense Newton marching along the real
-    axis and evaluated from the cached table by one Newton step off the
-    nearest node (the quadratic defining equation makes each step
-    contractive far from coincident saddles).
+    axis (a tangent predictor and four Newton steps per node, in Python
+    scalar Horner arithmetic on the phase's cached derivative coefficients)
+    and evaluated from the cached table by Newton steps off the nearest node
+    (the quadratic defining equation makes each step contractive far from
+    coincident saddles).
 
-    Vectorized evaluation is provided by :meth:`zeta` and :meth:`dzeta`;
-    ``dzeta`` uses ``zeta'(x) = 2*sigma*x / f'(zeta(x))`` away from the
-    saddle and the series derivative near it.
+    :meth:`zeta` evaluates the map, and with ``with_derivative=True`` also
+    ``zeta'(x)`` in the same pass: ``2*sigma*x / f'(zeta(x))`` away from the
+    saddle and the series derivative near it.  :meth:`dzeta` returns the
+    derivative alone.
     """
 
     phase: PhaseSpec
@@ -276,7 +302,7 @@ class BranchPath:
 
     # -- construction ------------------------------------------------------
 
-    def _newton_refine(self, x: np.ndarray, z: np.ndarray, iters: int = 4) -> np.ndarray:
+    def _newton_refine(self, x, z, iters: int = 4):
         target = self.level + self.sigma * x**2
         for _ in range(iters):
             fz = self.phase.f(z)
@@ -287,19 +313,16 @@ class BranchPath:
     def _march(self, direction: int) -> np.ndarray:
         """March from the series edge outwards in steps of ``dx``."""
         n = int(np.ceil((self.x_max - self.x_switch) / self.dx))
-        xs = self.x_switch * direction + direction * self.dx * np.arange(n + 1)
-        z = complex(self.series.eval(np.array([xs[0]]))[0])
-        z = complex(self._newton_refine(np.array([xs[0]]), np.array([z]))[0])
-        out = np.empty(n + 1, dtype=complex)
-        out[0] = z
-        for k in range(1, n + 1):
-            x = xs[k]
+        xs = (self.x_switch * direction + direction * self.dx * np.arange(n + 1)).tolist()
+        df = self.phase.df
+        z = self._newton_refine(xs[0], complex(self.series.eval(xs[0])))
+        out = [z]
+        for x_prev, x in zip(xs[:-1], xs[1:]):
             # Predictor: tangent step using zeta' = 2 sigma x / f'(zeta).
-            d = self.phase.df(z)
-            pred = z + (2.0 * self.sigma * xs[k - 1] / d) * (x - xs[k - 1])
-            z = complex(self._newton_refine(np.array([x]), np.array([pred]))[0])
-            out[k] = z
-        return out
+            pred = z + (2.0 * self.sigma * x_prev / df(z)) * (x - x_prev)
+            z = self._newton_refine(x, pred)
+            out.append(z)
+        return np.asarray(out, dtype=complex)
 
     def _build_table(self) -> None:
         n = int(np.ceil((self.x_max - self.x_switch) / self.dx))
@@ -309,18 +332,23 @@ class BranchPath:
 
     # -- evaluation --------------------------------------------------------
 
-    def zeta(self, x) -> np.ndarray:
-        """Evaluate ``zeta(x)`` for real array ``x`` (vectorized)."""
+    def zeta(self, x, with_derivative: bool = False):
+        """Evaluate ``zeta(x)`` for real array ``x`` (vectorized); with
+        ``with_derivative`` return ``(zeta(x), zeta'(x))`` from one pass."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = np.empty(x.shape, dtype=complex)
+        z = np.empty(x.shape, dtype=complex)
+        dz = np.empty(x.shape, dtype=complex) if with_derivative else None
         inner = np.abs(x) <= self.x_switch
         if inner.any():
             # The truncated series is contractive well inside its radius of
             # convergence, so it is already at machine accuracy here; Newton
             # would divide by f'(center) = 0 at the saddle itself.
-            out[inner] = self.series.eval(x[inner])
+            xi = x[inner]
+            z[inner] = self.series.eval(xi)
+            if with_derivative:
+                dz[inner] = np.polynomial.polynomial.polyval(xi, self._dseries)
         outer = ~inner
         if outer.any():
             xo = x[outer]
@@ -335,8 +363,13 @@ class BranchPath:
                 len(self._table_x) - 1,
             )
             seed = np.where(xo >= 0, self._table_pos[idx], self._table_neg[idx])
-            out[outer] = self._newton_refine(xo, seed, iters=3)
-        return out[0] if scalar else out
+            zo = self._newton_refine(xo, seed, iters=3)
+            z[outer] = zo
+            if with_derivative:
+                dz[outer] = 2.0 * self.sigma * xo / self.phase.df(zo)
+        if scalar:
+            z, dz = z[0], dz if dz is None else dz[0]
+        return (z, dz) if with_derivative else z
 
     def dzeta(self, x) -> np.ndarray:
         """Evaluate ``zeta'(x)`` (vectorized).
@@ -345,18 +378,7 @@ class BranchPath:
         series radius the differentiated series is used (regular limit
         ``zeta'(0) = first_coeff``).
         """
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        out = np.empty(x.shape, dtype=complex)
-        z = self.zeta(x)
-        near = np.abs(x) <= self.x_switch
-        if near.any():
-            out[near] = np.polynomial.polynomial.polyval(x[near], self._dseries)
-        far = ~near
-        if far.any():
-            out[far] = 2.0 * self.sigma * x[far] / self.phase.df(z[far])
-        return out[0] if scalar else out
+        return self.zeta(x, with_derivative=True)[1]
 
     def residual(self, x) -> np.ndarray:
         """Defining-equation residual ``f(zeta(x)) - level - sigma x**2``."""

@@ -7,8 +7,9 @@ refinement.  Double integrals additionally support declared *crossings*:
 points where the two contours intersect transversally and the integrand
 carries an integrable ``1/(zeta - omega)``-type singularity.  A polar
 substitution centered at each crossing (a Duffy-type cell) removes the
-singularity analytically; all remaining panel pairs are regular tensor
-products.
+singularity analytically (:func:`polar_cell`, which the saddle backend's
+coincident-saddle blocks share); all remaining panel pairs are regular
+tensor products.
 
 Integrands must be numpy-vectorized: they are called with broadcasted
 complex arrays and must evaluate elementwise.
@@ -33,6 +34,8 @@ __all__ = [
     "refine_panels",
     "integrate_single",
     "integrate_double",
+    "gl_unit",
+    "polar_cell",
 ]
 
 
@@ -293,6 +296,13 @@ def _gl_nodes(n: int):
     return x, w
 
 
+@lru_cache(maxsize=32)
+def gl_unit(n: int):
+    """The ``n``-node Gauss-Legendre rule on [0, 1]."""
+    x, w = _gl_nodes(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
 def _gl_arc(f, arc: StraightArc, n: int) -> complex:
     x, w = _gl_nodes(n)
     d = arc.zb - arc.za
@@ -456,36 +466,39 @@ def _adapt_pair(F, pa, pb, tol, depth, opts, sink) -> tuple[complex, float]:
     return total, esum
 
 
-def _duffy_cell(F, zc, ea, eb, r, n: int) -> complex:
-    """Polar integral of F over the local square s,t in [-r,r]^2 where
-    zeta = zc + s*ea, omega = zc + t*eb; returns the contour-measure value
-    (already includes the ea*eb direction factors and the polar Jacobian).
+def polar_cell(g, r: float, n: int, radial=None) -> complex:
+    """Integral of ``g(s, t)`` over the square ``[-r, r]**2`` by the polar
+    substitution ``s = rho*cos(theta)``, ``t = rho*sin(theta)``.
 
-    The substitution s = rho*cos(theta), t = rho*sin(theta) turns an
-    integrable 1/(s*ea - t*eb)-type singularity at the crossing into a
-    bounded smooth integrand; theta is integrated per octant so the radial
-    limit R(theta) is smooth on each piece.
+    The Jacobian ``rho`` turns an integrable ``1/(s - c*t)``-type
+    singularity at the origin into a bounded smooth integrand.  ``theta`` is
+    integrated per octant with ``n`` Gauss-Legendre nodes, so the radial
+    limit ``R(theta)`` is smooth on each piece, and all eight octants go to
+    ``g`` in one vectorized call.  ``radial`` gives nodes and weights for
+    ``rho / R(theta)`` on [0, 1]; the default is one ``n``-node panel.
     """
-    x, w = _gl_nodes(n)
-    total = 0.0 + 0.0j
-    for k in range(8):
-        th0, th1 = k * np.pi / 4, (k + 1) * np.pi / 4
-        th = th0 + (x + 1.0) * 0.5 * (th1 - th0)
-        wth = w * 0.5 * (th1 - th0)
-        R = r / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
-        # radial nodes: rho = R(theta) * unit nodes (columns: theta)
-        u = (x + 1.0) * 0.5  # unit interval nodes
-        wu = w * 0.5
-        rho = u[:, None] * R[None, :]
-        s = rho * np.cos(th)[None, :]
-        t = rho * np.sin(th)[None, :]
+    xu, wu = gl_unit(n)
+    th = ((np.arange(8)[:, None] + xu[None, :]) * (np.pi / 4)).ravel()
+    wth = np.tile(wu * (np.pi / 4), 8)
+    R = r / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
+    ru, rw = radial if radial is not None else (xu, wu)
+    rho = ru[:, None] * R[None, :]
+    vals = np.asarray(g(rho * np.cos(th), rho * np.sin(th)))
+    return complex(np.sum(wth * R * (rw @ (vals * rho))))
+
+
+def _duffy_cell(F, zc, ea, eb, r, n: int) -> complex:
+    """Polar cell of F over the local square s,t in [-r,r]^2 where
+    zeta = zc + s*ea, omega = zc + t*eb; returns the contour-measure value
+    (already includes the ea*eb direction factors)."""
+
+    def g(s, t):
         vals = np.asarray(F(zc + s * ea, zc + t * eb))
         if not np.all(np.isfinite(vals)):
             raise GeometryError("non-finite integrand inside a crossing cell")
-        # integral = sum_theta wth * R * sum_u wu * rho * F
-        radial = np.einsum("i,ij->j", wu, vals * rho)
-        total += np.sum(wth * R * radial)
-    return complex(total * ea * eb)
+        return vals
+
+    return complex(polar_cell(g, r, n) * ea * eb)
 
 
 def _split_near_crossing(panels, zc: complex, r: float):

@@ -434,8 +434,8 @@ def cross_validate(
     With ``include_identity_checks`` the report also carries, for every
     distinct point appearing in the queries, the kernel-family identities
     (the pi-rescaled s1 versus extended-sine relation, the gauged s2 versus
-    s1 relation, and the a=0 transition kernel versus the quartic kernel),
-    each evaluated as an independent left/right pair.
+    s1 relation, and the a=0 transition kernel versus the saddle-backend
+    quartic kernel), each evaluated as an independent left/right pair.
     """
     rows: list[CrossCheckRow] = []
     for q in queries:
@@ -468,7 +468,7 @@ def cross_validate(
             )
             kvp = eval_kernel(
                 KernelQuery(kernel="pearcey-ext", tau1=t1, tau2=t2, u=u, v=v,
-                            opts=q.opts)
+                            backend="saddle", opts=q.opts)
             )
             rows.append(_pair_row("identity transition0-vs-quartic", pt, 0.0, kv0, kvp))
     return CrossCheckReport(rows=tuple(rows))

@@ -71,6 +71,21 @@ def test_eval_malformed_inputs_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("kernel,value", [("s1", "nan"), ("airy-ext", "nan"),
+                                          ("airy-ext", "inf")])
+def test_eval_non_finite_input_exits_1(capsys, kernel, value):
+    code, out, err = run(capsys, "eval", "--kernel", kernel, "--u", value)
+    assert code == 1 and "u must be finite" in err
+    assert out == ""
+
+
+def test_eval_batch_with_non_finite_input_exits_1(capsys, tmp_path):
+    batch = tmp_path / "nan.jsonl"
+    batch.write_text('{"kernel": "s1", "u": 0.1}\n{"kernel": "s1", "v": NaN}\n')
+    code, _, err = run(capsys, "eval", "--input", str(batch))
+    assert code == 1 and "line 2" in err and "v must be finite" in err
+
+
 def test_eval_accuracy_warning_exits_2(capsys):
     code, out, err = run(
         capsys, "eval", "--kernel", "airy-ext",

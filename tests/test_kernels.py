@@ -202,6 +202,8 @@ def test_relation_connSS_holds():
 
 def test_transition_zero_matches_quartic_kernel():
     lhs, rhs = transition_interpolation_check(0.0, 0.2, -0.1, 0.3, -0.4)
+    # the two sides come from independent geometries
+    assert (lhs.backend_used, rhs.backend_used) == ("direct", "saddle")
     assert abs(lhs.value - rhs.value) < 1e-10
 
 
@@ -224,6 +226,13 @@ def test_query_validation():
         KernelQuery("s1", a_param=2.0)  # a_param is transition-only
     with pytest.raises(ValueError):
         KernelQuery("s1", backend="magic")
+
+
+@pytest.mark.parametrize("field", ["tau1", "tau2", "u", "v", "a_param"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_query_rejects_non_finite_inputs(field, bad):
+    with pytest.raises(ValueError, match=field):
+        KernelQuery("transition-a", **{"a_param": 1.0, field: bad})
 
 
 def test_kernel_value_wrap_records_imag_residual():

@@ -57,6 +57,30 @@ def test_trace_steepest_descent_invariants(kind, saddle, angle):
     assert np.all(np.diff(path.arclength) > 0)
 
 
+@pytest.mark.parametrize(
+    "kind,coeffs",
+    [
+        ("airy-cubic", None),
+        ("pearcey-quartic", None),
+        ("custom-polynomial", (1 + 2j, -0.5, 0.3j, 2.0, -1.5 + 0.5j)),
+        ("custom-polynomial", (0.25, -2.0)),
+    ],
+)
+def test_phase_evaluations_match_polyval(kind, coeffs):
+    ph = make_phase(kind, coeffs)
+    P = np.polynomial.polynomial
+    c = np.asarray(ph.coeffs)
+    rng = np.random.default_rng(11)
+    z = rng.uniform(-3, 3, 64) + 1j * rng.uniform(-3, 3, 64)
+    for got, want in ((ph.f, P.polyval(z, c)),
+                      (ph.df, P.polyval(z, P.polyder(c))),
+                      (ph.ddf, P.polyval(z, P.polyder(c, 2)))):
+        scale = 1.0 + np.abs(want)
+        assert np.max(np.abs(got(z) - want) / scale) < 1e-14
+        # Python scalars take the same recurrence
+        assert abs(got(complex(z[0])) - want[0]) / scale[0] < 1e-14
+
+
 def test_trace_steepest_ascent_increases():
     ph = make_phase("airy-cubic")
     path = trace_steepest(ph, 1j, 3 * np.pi / 4, descent=False, max_arclength=3.0)
@@ -97,6 +121,37 @@ def test_pearcey_branch_paths_solve_defining_equation():
     xs = np.linspace(-4, 4, 37)
     for name in ("S", "T"):
         assert _branch_defect(paths[name], xs) < 1e-10
+
+
+def _all_branch_paths():
+    return [*airy_branch_paths().values(), *pearcey_branch_paths().values()]
+
+
+def test_branch_tables_solve_defining_equation_out_to_x_max():
+    for path in _all_branch_paths():
+        x = path._table_x
+        assert x[-1] >= path.x_max
+        for sign, table in ((+1, path._table_pos), (-1, path._table_neg)):
+            xs = sign * x
+            bound = 1e-14 * (1.0 + xs ** 2)
+            target = path.level + path.sigma * xs ** 2
+            assert np.all(np.abs(path.phase.f(table) - target) < bound)
+            assert np.all(np.abs(path.residual(xs)) < bound)
+
+
+def test_fused_pass_returns_zeta_and_dzeta():
+    rng = np.random.default_rng(5)
+    for path in _all_branch_paths():
+        x = np.concatenate([rng.uniform(-path.x_max, path.x_max, 199),
+                            rng.uniform(-path.x_switch, path.x_switch, 20), [0.0]])
+        x = x.reshape(11, 20)  # block amplitudes pass 2-D grids
+        z, dz = path.zeta(x, with_derivative=True)
+        assert np.array_equal(z, path.zeta(x))
+        assert np.array_equal(dz, path.dzeta(x))
+        far = np.abs(x) > path.x_switch
+        assert np.array_equal(dz[far], 2.0 * path.sigma * x[far] / path.phase.df(z[far]))
+        zs, dzs = path.zeta(1.5, with_derivative=True)
+        assert zs == path.zeta(1.5) and dzs == path.dzeta(1.5)
 
 
 def test_branch_path_derivative_matches_finite_differences():

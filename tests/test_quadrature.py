@@ -14,11 +14,14 @@ from kernelwave.quadrature import (
     QuadOptions,
     Ray,
     StraightArc,
+    gl_unit,
     integrate_double,
     integrate_single,
+    polar_cell,
     refine_panels,
     truncate_rays,
 )
+from kernelwave.quadrature import _duffy_cell  # values of the replaced cell
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -193,3 +196,40 @@ def test_declared_crossing_computes_principal_value():
 
     pv = 0.5 * (displaced(0.3) + displaced(-0.3))
     assert abs(val - pv) < 1e-9
+
+
+def test_polar_cell_keeps_crossing_cell_values():
+    # Values of the octant-by-octant crossing cell this polar cell replaced,
+    # for the declared-crossing geometry above (vertical zeta line, real
+    # omega line).
+    F = lambda z, w: np.exp(z ** 2 - w ** 2) / (z - w)
+    G = lambda z, w: np.exp(z - 2 * w) / (z - w)
+    assert abs(_duffy_cell(G, 0.0, 1j, 1.0, 0.3, 32) - 0.5520958742547415j) < 1e-12
+    assert abs(_duffy_cell(F, 0.0, 1j, 1.0, 0.3, 32) - 2.0816681711721685e-16j) < 1e-12
+    horiz = Contour(
+        panels=(Ray(0.0, -1.0, incoming=True), Ray(0.0, 1.0, incoming=False)),
+        crossings=(0.0,),
+    )
+    vert = Contour(
+        panels=(Ray(0.0, -1j, incoming=True), Ray(0.0, 1j, incoming=False)),
+        crossings=(0.0,),
+    )
+    env_w = lambda w: np.real(-(w ** 2))
+    env_vert = lambda z: np.real(z ** 2)
+    ch = refine_panels(truncate_rays(horiz, env_w, 40.0), env_w)
+    cv = refine_panels(truncate_rays(vert, env_vert, 40.0), env_vert)
+    val, _ = integrate_double(F, cv, ch, QuadOptions())
+    assert abs(val - (-6.848729244058926e-16 + 1.283987615181724e-16j)) < 1e-12
+
+
+def test_polar_cell_integrates_polynomials_over_the_square():
+    # square [-r, r]^2: area 4 r^2, second moment 8 r^4 / 3
+    r = 0.7
+    assert abs(polar_cell(lambda s, t: np.ones_like(s), r, 16) - 4 * r * r) < 1e-14
+    m2 = polar_cell(lambda s, t: s * s + t * t, r, 16)
+    assert abs(m2 - 8 * r ** 4 / 3) < 1e-14
+    # a two-panel radial rule gives the same value
+    nodes, weights = gl_unit(5)
+    split = (np.concatenate([0.5 * nodes, 0.5 + 0.5 * nodes]),
+             np.concatenate([0.5 * weights, 0.5 * weights]))
+    assert abs(polar_cell(lambda s, t: s * s + t * t, r, 16, split) - m2) < 1e-14
