@@ -37,7 +37,7 @@ from .expansion import (
 )
 from .kernels import KERNEL_NAMES, KernelQuery, KernelValue, eval_kernel
 from .phase import export_level_curve, make_phase, trace_steepest
-from .quadrature import QuadOptions
+from .quadrature import GeometryError, QuadOptions
 from .verify import (
     ACCEPTANCE_WINDOWS,
     DEFAULT_A_GRID,
@@ -678,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[config.command](config)
     except SystemExit as exc:  # argparse usage errors exit 2; remap to 1
         return 1 if exc.code else 0
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

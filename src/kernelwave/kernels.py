@@ -132,27 +132,30 @@ def heat_term(dt: float, dx: float, variance: str) -> float:
 
 
 def _segment_kernel(kind: str, tau1: float, tau2: float, u: float, v: float,
-                    opts: QuadOptions) -> tuple[complex, float]:
+                    opts: QuadOptions) -> tuple[float, float]:
+    """Segment kernel, real by construction.
+
+    Each integrand is Hermitian-symmetric about its segment's midpoint, so
+    the segment integral is twice the real part of the integral from the
+    midpoint to the end, taken in the segment's direction.
+    """
     dt, dx = tau1 - tau2, u - v
     if kind == "sine-ext":
         # The quadratic term damps for dt > 0: exp(-dt w^2 / 2).  This is
         # the sign for which the pi-rescaled s1 kernel reproduces this
         # kernel exactly (substitute w -> i w / pi in the s1 segment).
-        c = Contour.polyline([-np.pi, np.pi])
         f = lambda w: np.exp(-0.5 * dt * w * w + 1j * dx * w)
-        val, err = integrate_single(f, c, opts)
-        return val / (2.0 * np.pi) - heat_term(dt, dx, "two-pi"), err / (2.0 * np.pi)
-    if kind == "s1":
-        ends = [-1j, 1j]
-    elif kind == "s2":
-        ends = [np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3)]
-    else:
+        val, err = integrate_single(f, Contour.polyline([0.0, np.pi]), opts)
+        # (2 Re val) / (2 pi)
+        return val.real / np.pi - heat_term(dt, dx, "two-pi"), err / np.pi
+    if kind not in ("s1", "s2"):
         raise ValueError(kind)
-    c = Contour.polyline(ends)
+    # s1 runs over [-i, i], s2 over [e^{-i pi/3}, e^{i pi/3}]: both upward.
+    end = 1j if kind == "s1" else np.exp(1j * np.pi / 3)
     f = lambda w: np.exp(dt * w * w + dx * w)
-    val, err = integrate_single(f, c, opts)
-    scale = 2.0 * np.pi
-    return val / (2j * np.pi) - heat_term(dt, dx, "four-pi"), err / scale
+    val, err = integrate_single(f, Contour.polyline([end.real, end]), opts)
+    # (i 2 Re(val / i)) / (2 pi i)
+    return val.imag / np.pi - heat_term(dt, dx, "four-pi"), err / np.pi
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Contours are oriented chains of straight panels (infinite rays are clipped
 to finite panels before integration by :func:`truncate_rays`).  Single and
-double contour integrals are evaluated by Gauss-Legendre panels with dyadic
-refinement.  Double integrals additionally support declared *crossings*:
-points where the two contours intersect transversally and the integrand
-carries an integrable ``1/(zeta - omega)``-type singularity.  A polar
-substitution centered at each crossing (a Duffy-type cell) removes the
-singularity analytically (:func:`polar_cell`, which the saddle backend's
-coincident-saddle blocks share); all remaining panel pairs are regular
-tensor products.
+double contour integrals are evaluated by Gauss-Legendre panels refined
+level by level, one batched integrand call per level (:func:`_refine`), with
+error estimates that include a round-off floor.  Double integrals support
+declared *crossings*: points where the two contours intersect transversally
+and the integrand carries an integrable ``1/(zeta - omega)``-type
+singularity.  A polar substitution centered at each crossing (a Duffy-type
+cell) removes the singularity analytically (:func:`polar_cell`, which the
+saddle backend's coincident-saddle blocks share); all remaining panel pairs
+are regular tensor products.
 
 Integrands must be numpy-vectorized: they are called with broadcasted
 complex arrays and must evaluate elementwise.
@@ -17,6 +18,7 @@ complex arrays and must evaluate elementwise.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -286,76 +288,74 @@ def refine_panels(contour: Contour, envelope=None, *, max_len: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Legendre building blocks
+# Gauss-Legendre rules and level-by-level refinement
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _gl_nodes(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
 
 
 @lru_cache(maxsize=32)
 def gl_unit(n: int):
     """The ``n``-node Gauss-Legendre rule on [0, 1]."""
-    x, w = _gl_nodes(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _gl_arc(f, arc: StraightArc, n: int) -> complex:
-    x, w = _gl_nodes(n)
-    d = arc.zb - arc.za
-    z = arc.za + (x + 1.0) * 0.5 * d
-    return complex(0.5 * d * np.sum(w * np.asarray(f(z))))
-
-
-def _gl_arc_mag(f, arc: StraightArc, n: int) -> tuple[complex, float]:
-    """Signed panel integral plus the magnitude integral of |f|; the latter
-    bounds what floating point can resolve of the former."""
-    x, w = _gl_nodes(n)
-    d = arc.zb - arc.za
-    z = arc.za + (x + 1.0) * 0.5 * d
-    vals = np.asarray(f(z))
-    val = complex(0.5 * d * np.sum(w * vals))
-    mag = float(0.5 * abs(d) * np.sum(w * np.abs(vals)))
-    return val, mag
-
 # Two-level differences cannot resolve below roundoff of the magnitude
-# integral; descending further than this floor only multiplies work.
+# integral; descending further than this floor only multiplies work, and
+# every reported estimate includes it.
 _ROUNDOFF = 200.0 * np.finfo(float).eps
 
-
-def _gl_pair(F, pa: StraightArc, pb: StraightArc, n: int) -> complex:
-    x, w = _gl_nodes(n)
-    da, db = pa.zb - pa.za, pb.zb - pb.za
-    za = pa.za + (x + 1.0) * 0.5 * da
-    zb = pb.za + (x + 1.0) * 0.5 * db
-    vals = np.asarray(F(za[:, None], zb[None, :]))
-    return complex(0.25 * da * db * np.einsum("i,j,ij->", w, w, vals))
+# Integrand points per call of the double rule, whatever the number of panel
+# pairs: bounds the node and value arrays held at once.
+_CHUNK = 1 << 13
 
 
-class _WarnSink:
-    """Collects refinement failures so one consolidated warning is issued."""
+def _refine(items, measure, split, opts: QuadOptions, label: str,
+            offset: complex = 0.0) -> tuple[complex, float]:
+    """Sum of ``items`` (panels or panel pairs), refined level by level.
 
-    def __init__(self):
-        self.worst = 0.0
-        self.count = 0
-
-    def flag(self, estimate: float):
-        self.worst = max(self.worst, estimate)
-        self.count += 1
-
-    def emit(self, label: str):
-        if self.count:
-            warnings.warn(
-                AccuracyWarning(
-                    f"{label}: refinement depth exhausted on {self.count} "
-                    f"panel(s); worst residual estimate {self.worst:.3e}",
-                    self.worst,
-                ),
-                stacklevel=3,
-            )
+    ``measure(items)`` gives arrays ``(coarse, fine, mag)``: two rules per
+    item and the integral of ``|f|`` behind ``fine``.  An item is accepted
+    once ``|fine - coarse|`` is within its share of the tolerance or below
+    its round-off floor ``_ROUNDOFF * mag``; otherwise ``split(item)``
+    replaces it by children that split its share evenly.  Level 0's coarse
+    total plus ``offset`` (the part computed elsewhere) sets the tolerance.
+    The estimate adds the accepted items' differences, which bound their
+    truncation error, plus their floors in quadrature, since the round-off
+    of separate items is independent.
+    """
+    coarse, fine, mag = measure(items)
+    # The signed total is what the caller receives; the floor term admits
+    # that cancellation across items caps achievable accuracy at ~eps times
+    # the largest contributions.
+    scale = max(abs(coarse.sum() + offset),
+                1e-12 * (np.abs(coarse).sum() + abs(offset)))
+    tol = max(opts.abs_tol, opts.rel_tol * scale) / max(1.0, np.sqrt(len(items)))
+    share = np.ones(len(items))
+    total, err, floors = 0j, 0.0, 0.0
+    depth, missed, worst = 0, 0, 0.0
+    while True:
+        floor = _ROUNDOFF * mag
+        diff = np.abs(fine - coarse)
+        ok = diff <= np.maximum(tol * share, floor)
+        if depth >= opts.max_refine_depth and not ok.all():
+            missed, worst = int(np.count_nonzero(~ok)), float(diff[~ok].max())
+            ok[:] = True
+        total += fine[ok].sum()
+        err += diff[ok].sum()
+        floors = math.hypot(floors, *floor[ok])
+        parents = np.flatnonzero(~ok)
+        if parents.size == 0:
+            break
+        items = [child for i in parents for child in split(items[i])]
+        fan = len(items) // parents.size
+        share = np.repeat(share[parents] / fan, fan)
+        coarse, fine, mag = measure(items)
+        depth += 1
+    if missed:
+        warnings.warn(AccuracyWarning(
+            f"{label}: refinement depth exhausted on {missed} panel(s); "
+            f"worst residual estimate {worst:.3e}", worst), stacklevel=3)
+    return complex(total), float(err + floors)
 
 
 # ---------------------------------------------------------------------------
@@ -363,48 +363,43 @@ class _WarnSink:
 # ---------------------------------------------------------------------------
 
 
-def _adapt_arc(f, arc, tol, depth, opts, sink) -> tuple[complex, float]:
-    n = opts.nodes_per_panel
-    coarse = _gl_arc(f, arc, n)
-    a, b = arc.split(0.5)
-    va, ma = _gl_arc_mag(f, a, n)
-    vb, mb = _gl_arc_mag(f, b, n)
-    fine = va + vb
-    err = abs(fine - coarse)
-    if err <= max(tol, _ROUNDOFF * (ma + mb)):
-        return fine, err
-    if depth >= opts.max_refine_depth:
-        sink.flag(err)
-        return fine, err
-    va, ea = _adapt_arc(f, a, 0.5 * tol, depth + 1, opts, sink)
-    vb, eb = _adapt_arc(f, b, 0.5 * tol, depth + 1, opts, sink)
-    return va + vb, ea + eb
+def _nodes(panels, t):
+    """Rows of points ``za + t (zb - za)`` per panel, and the ``zb - za``."""
+    za = np.array([p.za for p in panels], dtype=complex)
+    d = np.array([p.zb - p.za for p in panels], dtype=complex)
+    return za[:, None] + t * d[:, None], d
+
+
+def _panel_rule(f, panels, n: int):
+    """Per panel: the ``n``-node Gauss-Legendre value (coarse), the sum of
+    the same rule over its two halves (fine) and the halves' integral of
+    ``|f|``, from one integrand call."""
+    xu, wu = gl_unit(n)
+    t = np.concatenate([xu, 0.5 * xu, 0.5 + 0.5 * xu])
+    w_halves = 0.5 * np.concatenate([wu, wu])
+    z, d = _nodes(panels, t)
+    vals = np.asarray(f(z))
+    if not np.isfinite(vals).all():
+        raise GeometryError("non-finite integrand value on a panel")
+    halves = vals[:, n:]
+    return (d * (vals[:, :n] @ wu), d * (halves @ w_halves),
+            np.abs(d) * (np.abs(halves) @ w_halves))
 
 
 def integrate_single(f, contour: Contour, opts: QuadOptions = QuadOptions()):
     """Integrate a vectorized integrand along a finite contour.
 
-    Returns ``(value, error_estimate)``.  The estimate is the sum of
-    last-refinement differences per panel.  Exhausted refinement issues an
-    :class:`AccuracyWarning` carrying the best estimate.
+    Returns ``(value, error_estimate)`` as Python ``complex`` and ``float``.
+    The estimate sums the last two-rule differences per panel plus the
+    panels' round-off floors (see :func:`_refine`).  A non-finite integrand
+    value raises :class:`GeometryError`.  Exhausted refinement issues an
+    :class:`AccuracyWarning` carrying the worst panel estimate.
     """
     if not contour.is_finite:
         raise GeometryError("integrate_single requires a truncated contour")
     n = opts.nodes_per_panel
-    rough = [_gl_arc(f, p, n) for p in contour.panels]
-    # Tolerance keys off the signed total (what the caller receives) with a
-    # floor at the cancellation-limited machine precision of the panel sum.
-    scale = max(abs(sum(rough)), 1e-12 * sum(abs(r) for r in rough))
-    tol = max(opts.abs_tol, opts.rel_tol * scale) / max(1.0, np.sqrt(len(contour.panels)))
-    sink = _WarnSink()
-    total = 0.0 + 0.0j
-    err = 0.0
-    for p in contour.panels:
-        v, e = _adapt_arc(f, p, tol, 0, opts, sink)
-        total += v
-        err += e
-    sink.emit("integrate_single")
-    return total, err
+    return _refine(contour.panels, lambda panels: _panel_rule(f, panels, n),
+                   lambda p: p.split(0.5), opts, "integrate_single")
 
 
 # ---------------------------------------------------------------------------
@@ -412,58 +407,50 @@ def integrate_single(f, contour: Contour, opts: QuadOptions = QuadOptions()):
 # ---------------------------------------------------------------------------
 
 
-def _check_explosion(vals: np.ndarray, za, zb, len_a: float, len_b: float) -> None:
-    mags = np.abs(vals)
-    peak = float(np.max(mags))
-    if not np.isfinite(peak):
+def _check_explosion(mags: np.ndarray, za, zb, len_a, len_b) -> None:
+    """Reject a chunk of panel pairs (``mags[p]`` is ``|F|`` on the tensor
+    grid of pair ``p``) with a non-finite value, or whose peak on some pair
+    exceeds 1e8 times its median where the two panels nearly touch."""
+    if not np.isfinite(mags.max()):
         raise GeometryError("non-finite integrand value on a panel pair")
-    med = float(np.median(mags))
-    if peak > 1e8 * (med + 1e-300):
+    flat = mags.reshape(len(mags), -1)
+    peak = flat.max(axis=1)
+    # The median is never below the minimum, so only pairs this wide can
+    # peak above 1e8 times their median.
+    wide = np.flatnonzero(peak > 1e8 * (flat.min(axis=1) + 1e-300))
+    for p in [p for p in wide if peak[p] > 1e8 * (np.median(flat[p]) + 1e-300)]:
         # Large dynamic range alone is legitimate (steep exponentials); an
         # undeclared singularity additionally peaks where the two contours
         # nearly touch.
-        dist = np.abs(za[:, None] - zb[None, :])
-        i, j = np.unravel_index(np.argmax(mags), mags.shape)
-        if dist[i, j] < 1e-2 * max(len_a, len_b) and dist[i, j] <= 2.0 * dist.min() + 1e-300:
+        dist = np.abs(za[p][:, None] - zb[p][None, :])
+        i, j = np.unravel_index(np.argmax(flat[p]), dist.shape)
+        if (dist[i, j] < 1e-2 * max(len_a[p], len_b[p])
+                and dist[i, j] <= 2.0 * dist.min() + 1e-300):
             raise GeometryError(
                 "integrand magnitude explosion near "
-                f"zeta={za[i]:.4g}, omega={zb[j]:.4g}; "
+                f"zeta={za[p][i]:.4g}, omega={zb[p][j]:.4g}; "
                 "likely an undeclared contour crossing"
             )
 
 
-def _gl_pair_checked(F, pa, pb, n: int) -> tuple[complex, float]:
-    x, w = _gl_nodes(n)
-    da, db = pa.zb - pa.za, pb.zb - pb.za
-    za = pa.za + (x + 1.0) * 0.5 * da
-    zb = pb.za + (x + 1.0) * 0.5 * db
-    vals = np.asarray(F(za[:, None], zb[None, :]))
-    _check_explosion(vals, za, zb, abs(da), abs(db))
-    val = complex(0.25 * da * db * np.einsum("i,j,ij->", w, w, vals))
-    mag = float(0.25 * abs(da * db) * np.einsum("i,j,ij->", w, w, np.abs(vals)))
+def _pair_rule(F, pairs, n: int):
+    """Per panel pair: the ``n``-node tensor Gauss-Legendre value of ``F``
+    and the same rule's integral of ``|F|``.  ``F`` sees at most ``_CHUNK``
+    points per call, and each chunk is checked by :func:`_check_explosion`."""
+    xu, wu = gl_unit(n)
+    w2 = np.outer(wu, wu).ravel()
+    val = np.empty(len(pairs), dtype=complex)
+    mag = np.empty(len(pairs))
+    step = max(1, _CHUNK // (n * n))
+    for k in range(0, len(pairs), step):
+        za, da = _nodes([pa for pa, _ in pairs[k:k + step]], xu)
+        zb, db = _nodes([pb for _, pb in pairs[k:k + step]], xu)
+        vals = np.asarray(F(za[:, :, None], zb[:, None, :]))
+        mags = np.abs(vals)
+        _check_explosion(mags, za, zb, np.abs(da), np.abs(db))
+        val[k:k + step] = da * db * (vals.reshape(len(da), -1) @ w2)
+        mag[k:k + step] = np.abs(da * db) * (mags.reshape(len(da), -1) @ w2)
     return val, mag
-
-
-def _adapt_pair(F, pa, pb, tol, depth, opts, sink) -> tuple[complex, float]:
-    n = opts.nodes_per_panel
-    coarse, _ = _gl_pair_checked(F, pa, pb, n)
-    fine, mag = _gl_pair_checked(F, pa, pb, n + n // 2 + 1)
-    err = abs(fine - coarse)
-    if err <= max(tol, _ROUNDOFF * mag):
-        return fine, err
-    if depth >= opts.max_refine_depth:
-        sink.flag(err)
-        return fine, err
-    a1, a2 = pa.split(0.5)
-    b1, b2 = pb.split(0.5)
-    total = 0.0 + 0.0j
-    esum = 0.0
-    for qa in (a1, a2):
-        for qb in (b1, b2):
-            v, e = _adapt_pair(F, qa, qb, 0.25 * tol, depth + 1, opts, sink)
-            total += v
-            esum += e
-    return total, esum
 
 
 def polar_cell(g, r: float, n: int, radial=None) -> complex:
@@ -534,8 +521,9 @@ def integrate_double(F, cA: Contour, cB: Contour,
 
     Crossings declared on *both* contours (same point) are handled by a
     polar cell that regularizes an integrable ``1/(zeta-omega)``
-    singularity; everything else is adaptive tensor Gauss-Legendre.
-    Returns ``(value, error_estimate)``.
+    singularity; every other panel pair is adaptive tensor Gauss-Legendre,
+    ``n`` against ``n + n//2 + 1`` nodes (see :func:`_refine`).  Returns
+    ``(value, error_estimate)`` as Python ``complex`` and ``float``.
     """
     if not (cA.is_finite and cB.is_finite):
         raise GeometryError("integrate_double requires truncated contours")
@@ -576,22 +564,20 @@ def integrate_double(F, cA: Contour, cB: Contour,
         pair_jobs.extend((pa, pb) for pa in na for pb in others)
     for nb in near_b_blocks:
         pair_jobs.extend((pa, pb) for pa in a_far for pb in nb)
+    m = n + n // 2 + 1
     for zc, ea, eb, r in duffy_jobs:
         v1 = _duffy_cell(F, zc, ea, eb, r, n)
-        v2 = _duffy_cell(F, zc, ea, eb, r, n + n // 2 + 1)
+        v2 = _duffy_cell(F, zc, ea, eb, r, m)
         total += v2
         err += abs(v2 - v1)
 
-    sink = _WarnSink()
-    rough = [_gl_pair(F, pa, pb, n) for pa, pb in pair_jobs]
-    # Signed rough total sets the tolerance; the floor term acknowledges that
-    # cancellation across pairs caps achievable accuracy at ~eps times the
-    # largest contributions.
-    scale = max(abs(sum(rough) + total), 1e-12 * (sum(abs(r) for r in rough) + abs(total)))
-    tol = max(opts.abs_tol, opts.rel_tol * scale) / max(1.0, np.sqrt(len(pair_jobs)))
-    for pa, pb in pair_jobs:
-        v, e = _adapt_pair(F, pa, pb, tol, 0, opts, sink)
-        total += v
-        err += e
-    sink.emit("integrate_double")
-    return total, err
+    def measure(pairs):
+        coarse, _ = _pair_rule(F, pairs, n)
+        return (coarse, *_pair_rule(F, pairs, m))
+
+    def split(pair):
+        return [(qa, qb) for qa in pair[0].split(0.5) for qb in pair[1].split(0.5)]
+
+    pairs_val, pairs_err = _refine(pair_jobs, measure, split, opts,
+                                   "integrate_double", total)
+    return total + pairs_val, err + pairs_err

@@ -79,6 +79,14 @@ def test_eval_non_finite_input_exits_1(capsys, kernel, value):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_eval_overflowing_integrand_exits_1(capsys):
+    # sine-ext's integrand exp(-dt w^2 / 2) overflows for dt = -300
+    code, out, err = run(capsys, "eval", "--kernel", "sine-ext", "--tau1", "-300")
+    assert code == 1 and "non-finite integrand" in err
+    assert out == ""
+
+
 def test_eval_batch_with_non_finite_input_exits_1(capsys, tmp_path):
     batch = tmp_path / "nan.jsonl"
     batch.write_text('{"kernel": "s1", "u": 0.1}\n{"kernel": "s1", "v": NaN}\n')

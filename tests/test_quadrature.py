@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -92,6 +93,12 @@ def test_integrate_single_requires_finite_contour():
         integrate_single(lambda z: z, _gaussian_line())
 
 
+def test_integrate_single_rejects_non_finite_integrand():
+    # no refinement can repair a non-finite value
+    with pytest.raises(GeometryError, match="non-finite"):
+        integrate_single(lambda z: np.full(z.shape, np.inf), Contour.polyline([0.0, 1.0]))
+
+
 def test_ray_direction_normalized():
     r = Ray(0.0, 3.0 + 4.0j)
     assert abs(abs(r.direction) - 1.0) < 1e-15
@@ -144,20 +151,83 @@ def test_double_separable_gaussian():
     assert abs(val - np.pi) < 1e-10
 
 
+# 1/(z-w) on two lines kept apart, below and above the real axis
+_SEPARATED = lambda z, w: np.exp(-((z - 1j) ** 2) - (w + 1j) ** 2) / (z - w)
+
+
+def _offset_line(dz, ang=0.0):
+    env = lambda z: np.real(-((z - dz) ** 2))
+    d = np.exp(1j * ang)
+    return _prep(Contour.vee(dz, -d, d), env, QuadOptions())
+
+
 def test_double_with_separated_singularity():
-    # 1/(z-w) with contours kept apart: tilting either line inside the
-    # decay sector must not move the value (no pole is swept)
+    # tilting either line inside the decay sector must not move the value
+    # (no pole is swept)
     opts = QuadOptions()
-    F = lambda z, w: np.exp(-((z - 1j) ** 2) - (w + 1j) ** 2) / (z - w)
-
-    def make(dz, ang=0.0):
-        env = lambda z: np.real(-((z - dz) ** 2))
-        d = np.exp(1j * ang)
-        return _prep(Contour.vee(dz, -d, d), env, opts)
-
-    va, _ = integrate_double(F, make(1j), make(-1j), opts)
-    vb, _ = integrate_double(F, make(1j, 0.2), make(-1j, -0.15), opts)
+    F = _SEPARATED
+    va, _ = integrate_double(F, _offset_line(1j), _offset_line(-1j), opts)
+    vb, _ = integrate_double(F, _offset_line(1j, 0.2), _offset_line(-1j, -0.15), opts)
     assert abs(va - vb) < 1e-10
+
+
+def test_double_refinement_converges_without_warning():
+    ca, cb = _offset_line(1j), _offset_line(-1j)
+    ref, ref_err = integrate_double(_SEPARATED, ca, cb)
+    points = []
+
+    def counted(z, w):
+        points.append(np.broadcast(z, w).size)
+        return _SEPARATED(z, w)
+
+    low = QuadOptions(nodes_per_panel=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        val, err = integrate_double(counted, ca, cb, low)
+    # level 0 measures every pair on the 6- and 10-node grids; more means
+    # some pairs were split
+    assert sum(points) > len(ca.panels) * len(cb.panels) * (36 + 100)
+    assert abs(val - ref) <= err + ref_err
+
+
+def test_double_accuracy_warning_on_exhausted_refinement():
+    opts = QuadOptions(nodes_per_panel=6, max_refine_depth=1, rel_tol=1e-15)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        val, err = integrate_double(_SEPARATED, _offset_line(1j), _offset_line(-1j), opts)
+    acc = [w for w in caught if issubclass(w.category, AccuracyWarning)]
+    assert len(acc) == 1
+    assert 0 < acc[0].message.estimate <= err
+
+
+def test_undeclared_crossing_is_rejected():
+    # the vertical line meets the real segment at one of its 49 Gauss nodes
+    x = np.polynomial.legendre.leggauss(49)[0][30]
+    vert = Contour.polyline([x - 1j, x + 1j])
+    with pytest.raises(GeometryError, match="undeclared contour crossing"):
+        integrate_double(lambda z, w: 1.0 / (z - w), vert, Contour.polyline([-1.0, 1.0]))
+
+
+def test_steep_integrand_on_separated_panels_is_accepted():
+    # a dynamic range of e^80 alone is no crossing
+    val, err = integrate_double(lambda z, w: np.exp(40 * z) / (z - w),
+                                Contour.polyline([-1.0, 1.0]),
+                                Contour.polyline([-1.0 + 0.5j, 1.0 + 0.5j]))
+    assert np.isfinite(val) and err < 1e-10 * abs(val)
+
+
+def test_integrators_return_python_scalars():
+    c = Contour.polyline([0.0, 1.0, 1.0 + 1j])
+    for val, err in (integrate_single(np.exp, c),
+                     integrate_double(lambda z, w: np.exp(z - w), c, c)):
+        assert type(val) is complex and type(err) is float
+
+
+@pytest.mark.parametrize("f", [np.ones_like, lambda z: z, lambda z: z * z])
+def test_nonzero_integrand_never_reports_zero_error(f):
+    c = Contour.polyline([0.0, 1.0])
+    assert integrate_single(f, c)[1] > 0
+    assert integrate_double(lambda z, w: f(z) * f(w), c, c)[1] > 0
 
 
 def test_double_requires_finite_contours():
@@ -167,12 +237,14 @@ def test_double_requires_finite_contours():
 
 def test_declared_crossing_computes_principal_value():
     # vertical line against the real line with 1/(z-w) crossing at 0.  A
-    # displaced line differs from the principal value by a one-sided
-    # residue sweep, so the symmetric average of left/right displacements
-    # is the independent principal-value oracle.
+    # line displaced to Re z = c differs from the principal value by the
+    # residue sweep 2 pi i * int_0^c R(w) dw, where R(w) = exp(-w) is the
+    # residue at z = w; it crosses the real line at c and declares that
+    # crossing too.  The integrand has no symmetry under (z, w) -> (-z, -w),
+    # so neither side of the identity vanishes by symmetry.
     opts = QuadOptions()
-    F = lambda z, w: np.exp(z ** 2 - w ** 2) / (z - w)
-    env_w = lambda w: np.real(-(w ** 2))
+    F = lambda z, w: np.exp(z ** 2 - w ** 2 + z - 2 * w) / (z - w)
+    env_w = lambda w: np.real(-(w ** 2) - 2 * w)
     horiz = Contour(
         panels=(Ray(0.0, -1.0, incoming=True), Ray(0.0, 1.0, incoming=False)),
         crossings=(0.0,),
@@ -183,18 +255,20 @@ def test_declared_crossing_computes_principal_value():
         panels=(Ray(0.0, -1j, incoming=True), Ray(0.0, 1j, incoming=False)),
         crossings=(0.0,),
     )
-    env_vert = lambda z: np.real(z ** 2)
+    env_vert = lambda z: np.real(z ** 2 + z)
     cv = refine_panels(truncate_rays(vert, env_vert, 40.0), env_vert)
     val, err = integrate_double(F, cv, ch, opts)
 
     def displaced(c):
-        line = Contour.vee(c, -1j, 1j)
-        env = lambda z: np.real(z ** 2 - 2 * c * z)
+        line = replace(Contour.vee(c, -1j, 1j), crossings=(c,))
+        env = lambda z: np.real(z ** 2 - 2 * c * z + z)
         cl = refine_panels(truncate_rays(line, env, 40.0), env)
-        v, _ = integrate_double(F, cl, ch, opts)
+        v, _ = integrate_double(F, cl, replace(ch, crossings=(c,)), opts)
         return v
 
-    pv = 0.5 * (displaced(0.3) + displaced(-0.3))
+    sweep = lambda c: 2j * np.pi * (1.0 - np.exp(-c))
+    pv = 0.5 * sum(displaced(c) - sweep(c) for c in (0.3, -0.3))
+    assert abs(val) > 1.0
     assert abs(val - pv) < 1e-9
 
 
