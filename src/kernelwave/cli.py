@@ -11,18 +11,15 @@ Subcommands
 ``sweep``   kernel values over a regular grid or a seeded random cloud
 
 Exit codes: 0 success, 1 error (bad input or a failed ``--check``),
-2 completed with accuracy warnings.  ``KERNELWAVE_THREADS`` caps the worker
-pool used for batch evaluation and sweeps; output row order never depends on
-scheduling.
+2 completed with accuracy warnings.  Batches and sweeps are evaluated one
+query after another, and rows come out in input order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from io import StringIO
 
@@ -67,17 +64,6 @@ class RunConfig:
     seed: int = 0
     warn_tol: float = 1e-6
     params: dict = field(default_factory=dict)
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("KERNELWAVE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n >= 1:
-        return n
-    return min(8, os.cpu_count() or 1)
 
 
 def _g(x: float) -> str:
@@ -204,15 +190,8 @@ def _queries_from_csv(lines: list[str], config: RunConfig) -> list[KernelQuery]:
     return out
 
 
-def _evaluate_many(queries: list[KernelQuery]) -> list[KernelValue]:
-    if len(queries) <= 1:
-        return [eval_kernel(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        return list(pool.map(eval_kernel, queries))
-
-
 def _emit_rows(config: RunConfig, queries: list[KernelQuery]) -> int:
-    values = _evaluate_many(queries)
+    values = [eval_kernel(q) for q in queries]
     buf = StringIO()
     if config.format == "csv":
         buf.write(_EVAL_HEADER + "\n")

@@ -348,24 +348,7 @@ def s2_reciprocal(a: TruncatedSeries2) -> TruncatedSeries2:
     for d in range(1, n + 1):
         for k in range(d + 1):
             l = d - k
-            acc = 0.0 + 0.0j
-            for i in range(k + 1):
-                for j in range(l + 1):
-                    if i == 0 and j == 0:
-                        continue
-                    acc += a.coeffs[i, j] * out[k - i, l - j]
-            out[k, l] = -acc / c00
+            # out[k, l] is still zero, so the (0, 0) term adds nothing.
+            out[k, l] = -np.sum(a.coeffs[: k + 1, : l + 1] * out[k::-1, l::-1]) / c00
     return TruncatedSeries2(n, out)
 
-
-def s2_exp(a: TruncatedSeries2) -> TruncatedSeries2:
-    """exp of a bivariate series with zero constant term."""
-    if abs(a.coeffs[0, 0]) > 1e-14 * max(1.0, float(np.abs(a.coeffs).max())):
-        raise SeriesUsageError("exp requires zero constant term; factor out exp(a_00)")
-    n = a.order
-    result = s2_constant(1.0, n)
-    term = s2_constant(1.0, n)
-    for m in range(1, n + 1):
-        term = s2_scale(s2_mul(term, a), 1.0 / m)
-        result = s2_add(result, term)
-    return result

@@ -34,11 +34,11 @@ from .cseries import (
     s1_add,
     s1_arg_scale,
     s1_derivative,
+    s1_exp,
     s1_from_coeffs,
     s1_mul,
     s1_scale,
     s2_add,
-    s2_exp,
     s2_from_x,
     s2_from_y,
     s2_mul,
@@ -206,6 +206,11 @@ def _jacobian(g_full: TruncatedSeries1, sign: complex, w: complex, order: int) -
     return s1_scale(s1_arg_scale(dg, w), sign * w)
 
 
+def _exp_centered(a: TruncatedSeries1) -> TruncatedSeries1:
+    """``exp(a - a_0)``: the exponential without its constant factor."""
+    return s1_exp(TruncatedSeries1(a.order, np.append(0.0, a.coeffs[1:])))
+
+
 def _amplitude_block(
     g_full: TruncatedSeries1,
     zeta_sign: complex,
@@ -240,13 +245,12 @@ def _amplitude_block(
     jac_x = _jacobian(g_full, zeta_sign, zeta_w, order)
     jac_y = _jacobian(omega_g, omega_sign, omega_w, order)
 
+    # The exponent is an x-only plus a y-only series, so its exponential is
+    # the outer product of two univariate exponentials.
     e_x = s1_add(s1_scale(zeta, -v), s1_scale(s1_mul(zeta, zeta), -tau2))
     e_y = s1_add(s1_scale(omega, u), s1_scale(s1_mul(omega, omega), tau1))
-    e2 = s2_add(s2_from_x(e_x), s2_from_y(e_y))
-    e00 = complex(e2.coeffs[0, 0])
-    centered = e2.coeffs.copy()
-    centered[0, 0] = 0.0
-    expf = s2_scale(s2_exp(TruncatedSeries2(order, centered)), np.exp(e00))
+    e00 = complex(e_x.coeffs[0] + e_y.coeffs[0])
+    expf = s2_scale(s2_outer(_exp_centered(e_x), _exp_centered(e_y)), np.exp(e00))
 
     if divided_difference:
         if zeta_sign != omega_sign or omega_g is not g_full:

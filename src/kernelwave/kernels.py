@@ -184,7 +184,7 @@ def _direct_airy(tau1: float, tau2: float, u: float, v: float,
     gam = refine_panels(truncate_rays(gam, env_w, opts.ray_truncation_budget), env_w)
 
     def F(z, w):
-        return np.exp(p_zeta(z) + p_omega(w)) / (z - w)
+        return np.exp(p_zeta(z)) * np.exp(p_omega(w)) / (z - w)
 
     val, err = integrate_double(F, sig, gam, opts)
     heat = heat_term(tau1 - tau2, u - v, "four-pi")
@@ -222,7 +222,7 @@ def _direct_quartic(tau1: float, tau2: float, u: float, v: float,
     left_v = refine_panels(truncate_rays(left_v, env_w, opts.ray_truncation_budget), env_w)
 
     def F(z, w):
-        return np.exp(p_zeta(z) + p_omega(w)) / (z - w)
+        return np.exp(p_zeta(z)) * np.exp(p_omega(w)) / (z - w)
 
     v1, e1 = integrate_double(F, zline, right_v, opts)
     v2, e2 = integrate_double(F, zline, left_v, opts)

@@ -4,13 +4,12 @@ Contours are oriented chains of straight panels (infinite rays are clipped
 to finite panels before integration by :func:`truncate_rays`).  Single and
 double contour integrals are evaluated by Gauss-Legendre panels refined
 level by level, one batched integrand call per level (:func:`_refine`), with
-error estimates that include a round-off floor.  Double integrals support
-declared *crossings*: points where the two contours intersect transversally
-and the integrand carries an integrable ``1/(zeta - omega)``-type
-singularity.  A polar substitution centered at each crossing (a Duffy-type
-cell) removes the singularity analytically (:func:`polar_cell`, which the
-saddle backend's coincident-saddle blocks share); all remaining panel pairs
-are regular tensor products.
+error estimates that include a round-off floor.  A double integral is a
+tensor rule over every panel pair, so the two contours must not meet: an
+integrand that explodes where they nearly touch is rejected as an
+undeclared contour crossing.  :func:`polar_cell` integrates an integrable
+``1/(s - c*t)``-type singularity over a square; the saddle backend's
+coincident-saddle blocks use it.
 
 Integrands must be numpy-vectorized: they are called with broadcasted
 complex arrays and must evaluate elementwise.
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -42,8 +41,9 @@ __all__ = [
 
 
 class GeometryError(Exception):
-    """Raised for ill-posed contours: untruncated rays, non-decaying
-    envelopes, tangential or undeclared crossings, broken chains."""
+    """Raised for ill-posed contours and integrands: untruncated rays,
+    non-decaying envelopes, contours that cross, broken chains, non-finite
+    integrand values."""
 
 
 class AccuracyWarning(UserWarning):
@@ -66,11 +66,10 @@ class QuadOptions:
     nodes_per_panel: int = 32
     max_refine_depth: int = 12
     ray_truncation_budget: float = 60.0
-    duffy_radius: float = 0.3
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "nodes_per_panel",
-                     "max_refine_depth", "ray_truncation_budget", "duffy_radius"):
+                     "max_refine_depth", "ray_truncation_budget"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"QuadOptions.{name} must be positive")
 
@@ -116,35 +115,14 @@ class Ray:
 
 @dataclass(frozen=True)
 class Contour:
-    """Oriented chain of panels with optionally declared crossing points.
-
-    ``crossings`` lists points where *another* contour is known to
-    intersect this one; panels are split so every crossing sits exactly on
-    a panel boundary (see :meth:`crossing_markers`).
-    """
+    """Oriented chain of panels."""
 
     panels: tuple
-    crossings: tuple = ()
     truncation_radii: tuple = ()
 
     def __post_init__(self):
         panels = tuple(self.panels)
-        # Split straight panels so each declared crossing is a boundary.
-        for zc in self.crossings:
-            new = []
-            for p in panels:
-                if isinstance(p, StraightArc) and p.length > 0:
-                    d = p.zb - p.za
-                    t = ((zc - p.za) / d).real
-                    off = abs(p.point(t) - zc)
-                    if 1e-12 < t < 1 - 1e-12 and off < 1e-9 * max(1.0, p.length):
-                        a, b = p.split(t)
-                        new.extend([a, b])
-                        continue
-                new.append(p)
-            panels = tuple(new)
         object.__setattr__(self, "panels", panels)
-        object.__setattr__(self, "crossings", tuple(complex(z) for z in self.crossings))
         # Chain continuity.
         for p, q in zip(panels[:-1], panels[1:]):
             pe = p.vertex if isinstance(p, Ray) and p.incoming else getattr(p, "zb", None)
@@ -155,10 +133,10 @@ class Contour:
                 raise GeometryError(f"contour chain broken between {pe} and {qs}")
 
     @classmethod
-    def polyline(cls, points, crossings=()) -> "Contour":
+    def polyline(cls, points) -> "Contour":
         pts = [complex(z) for z in points]
         panels = tuple(StraightArc(a, b) for a, b in zip(pts[:-1], pts[1:]))
-        return cls(panels=panels, crossings=tuple(crossings))
+        return cls(panels=panels)
 
     @classmethod
     def vee(cls, vertex, dir_in, dir_out) -> "Contour":
@@ -170,39 +148,6 @@ class Contour:
     @property
     def is_finite(self) -> bool:
         return all(isinstance(p, StraightArc) for p in self.panels)
-
-    def crossing_markers(self) -> tuple:
-        """(panel_index, parameter) of each declared crossing; parameter is
-        0.0 (panel start) or 1.0 (end of last panel) -- crossings always sit
-        on panel boundaries by construction."""
-        markers = []
-        for zc in self.crossings:
-            hit = None
-            for j, p in enumerate(self.panels):
-                if isinstance(p, StraightArc):
-                    if abs(p.za - zc) < 1e-9:
-                        hit = (j, 0.0)
-                        break
-                    if abs(p.zb - zc) < 1e-9:
-                        hit = (j, 1.0)
-            if hit is None:
-                raise GeometryError(f"declared crossing {zc} not on contour")
-            markers.append(hit)
-        return tuple(markers)
-
-    def tangents_at(self, zc: complex) -> tuple[complex, complex]:
-        """Unit in/out travel directions at a declared boundary point."""
-        t_in = t_out = None
-        for p in self.panels:
-            if isinstance(p, StraightArc) and p.length > 0:
-                d = (p.zb - p.za) / p.length
-                if abs(p.zb - zc) < 1e-9:
-                    t_in = d
-                if abs(p.za - zc) < 1e-9:
-                    t_out = d
-        if t_in is None or t_out is None:
-            raise GeometryError(f"point {zc} is not an interior panel boundary")
-        return t_in, t_out
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +192,7 @@ def truncate_rays(contour: Contour, phase_envelope, budget: float) -> Contour:
                           else StraightArc(p.vertex, tip))
         else:
             panels.append(p)
-    return Contour(panels=tuple(panels), crossings=contour.crossings,
-                   truncation_radii=tuple(radii))
+    return Contour(panels=tuple(panels), truncation_radii=tuple(radii))
 
 
 def refine_panels(contour: Contour, envelope=None, *, max_len: float = 1.0,
@@ -283,8 +227,7 @@ def refine_panels(contour: Contour, envelope=None, *, max_len: float = 1.0,
                 stack.extend([(b, depth + 1), (a, depth + 1)])
             else:
                 out.append(q)
-    return Contour(panels=tuple(out), crossings=contour.crossings,
-                   truncation_radii=contour.truncation_radii)
+    return Contour(panels=tuple(out), truncation_radii=contour.truncation_radii)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +252,8 @@ _ROUNDOFF = 200.0 * np.finfo(float).eps
 _CHUNK = 1 << 13
 
 
-def _refine(items, measure, split, opts: QuadOptions, label: str,
-            offset: complex = 0.0) -> tuple[complex, float]:
+def _refine(items, measure, split, opts: QuadOptions,
+            label: str) -> tuple[complex, float]:
     """Sum of ``items`` (panels or panel pairs), refined level by level.
 
     ``measure(items)`` gives arrays ``(coarse, fine, mag)``: two rules per
@@ -318,7 +261,7 @@ def _refine(items, measure, split, opts: QuadOptions, label: str,
     once ``|fine - coarse|`` is within its share of the tolerance or below
     its round-off floor ``_ROUNDOFF * mag``; otherwise ``split(item)``
     replaces it by children that split its share evenly.  Level 0's coarse
-    total plus ``offset`` (the part computed elsewhere) sets the tolerance.
+    total sets the tolerance.
     The estimate adds the accepted items' differences, which bound their
     truncation error, plus their floors in quadrature, since the round-off
     of separate items is independent.
@@ -327,8 +270,7 @@ def _refine(items, measure, split, opts: QuadOptions, label: str,
     # The signed total is what the caller receives; the floor term admits
     # that cancellation across items caps achievable accuracy at ~eps times
     # the largest contributions.
-    scale = max(abs(coarse.sum() + offset),
-                1e-12 * (np.abs(coarse).sum() + abs(offset)))
+    scale = max(abs(coarse.sum()), 1e-12 * np.abs(coarse).sum())
     tol = max(opts.abs_tol, opts.rel_tol * scale) / max(1.0, np.sqrt(len(items)))
     share = np.ones(len(items))
     total, err, floors = 0j, 0.0, 0.0
@@ -403,7 +345,7 @@ def integrate_single(f, contour: Contour, opts: QuadOptions = QuadOptions()):
 
 
 # ---------------------------------------------------------------------------
-# Double contour integrals with optional crossing regularization
+# Double contour integrals
 # ---------------------------------------------------------------------------
 
 
@@ -474,102 +416,20 @@ def polar_cell(g, r: float, n: int, radial=None) -> complex:
     return complex(np.sum(wth * R * (rw @ (vals * rho))))
 
 
-def _duffy_cell(F, zc, ea, eb, r, n: int) -> complex:
-    """Polar cell of F over the local square s,t in [-r,r]^2 where
-    zeta = zc + s*ea, omega = zc + t*eb; returns the contour-measure value
-    (already includes the ea*eb direction factors)."""
-
-    def g(s, t):
-        vals = np.asarray(F(zc + s * ea, zc + t * eb))
-        if not np.all(np.isfinite(vals)):
-            raise GeometryError("non-finite integrand inside a crossing cell")
-        return vals
-
-    return complex(polar_cell(g, r, n) * ea * eb)
-
-
-def _split_near_crossing(panels, zc: complex, r: float):
-    """Partition panels into (near, far) lists around ``zc``: near is the
-    pair of arclength-``r`` stretches through the crossing on its own line,
-    far is everything else.  Panels are split as needed."""
-    near, far = [], []
-    for p in panels:
-        d = p.zb - p.za
-        L = abs(d)
-        if L < 1e-15:
-            continue
-        e = d / L
-        s0 = ((zc - p.za) / e).real  # signed position of zc on the axis
-        perp = abs(((zc - p.za) / e).imag)
-        if perp > 1e-9 * max(1.0, L):
-            far.append(p)  # panel's line does not pass through the crossing
-            continue
-        cuts = sorted({s for s in (s0 - r, s0, s0 + r) if 1e-12 * L < s < L * (1 - 1e-12)})
-        zs = [p.za] + [p.za + s * e for s in cuts] + [p.zb]
-        for a, b in zip(zs[:-1], zs[1:]):
-            q = StraightArc(a, b)
-            if abs(q.point(0.5) - zc) <= r * (1 + 1e-9):
-                near.append(q)
-            else:
-                far.append(q)
-    return near, far
-
-
 def integrate_double(F, cA: Contour, cB: Contour,
                      opts: QuadOptions = QuadOptions()):
     """Tensor-product quadrature of ``F(zeta, omega)`` over two contours.
 
-    Crossings declared on *both* contours (same point) are handled by a
-    polar cell that regularizes an integrable ``1/(zeta-omega)``
-    singularity; every other panel pair is adaptive tensor Gauss-Legendre,
-    ``n`` against ``n + n//2 + 1`` nodes (see :func:`_refine`).  Returns
+    Every panel pair is adaptive tensor Gauss-Legendre, ``n`` against
+    ``n + n//2 + 1`` nodes (see :func:`_refine`).  The contours must not
+    meet; an integrand that explodes where they nearly touch raises
+    :class:`GeometryError` (see :func:`_check_explosion`).  Returns
     ``(value, error_estimate)`` as Python ``complex`` and ``float``.
     """
     if not (cA.is_finite and cB.is_finite):
         raise GeometryError("integrate_double requires truncated contours")
-    shared = [za for za in cA.crossings
-              if any(abs(za - zb) < 1e-9 for zb in cB.crossings)]
-
-    total = 0.0 + 0.0j
-    err = 0.0
-    a_far = list(cA.panels)
-    b_far = list(cB.panels)
-    near_a_blocks: list[list] = []
-    near_b_blocks: list[list] = []
-    duffy_jobs = []
-    for zc in shared:
-        r = opts.duffy_radius
-        tin_a, tout_a = cA.tangents_at(zc)
-        tin_b, tout_b = cB.tangents_at(zc)
-        if abs(tin_a - tout_a) > 1e-6 or abs(tin_b - tout_b) > 1e-6:
-            raise GeometryError("crossing must lie on locally straight panels")
-        ea, eb = tout_a, tout_b
-        if abs(np.imag(np.conj(ea) * eb)) < 0.05:
-            raise GeometryError("tangential (non-transversal) crossing")
-        near_a, a_far = _split_near_crossing(a_far, zc, r)
-        near_b, b_far = _split_near_crossing(b_far, zc, r)
-        if (sum(p.length for p in near_a) < 2 * r * (1 - 1e-6)
-                or sum(p.length for p in near_b) < 2 * r * (1 - 1e-6)):
-            raise GeometryError("contour too short for the crossing cell radius")
-        near_a_blocks.append(near_a)
-        near_b_blocks.append(near_b)
-        duffy_jobs.append((zc, ea, eb, r))
-
     n = opts.nodes_per_panel
-    # Partition of all panel pairs: the near_a[j] x near_b[j] square goes to
-    # the polar cell; every other combination is a regular tensor product.
-    pair_jobs = [(pa, pb) for pa in a_far for pb in b_far]
-    for j, na in enumerate(near_a_blocks):
-        others = b_far + [pb for k, nb in enumerate(near_b_blocks) if k != j for pb in nb]
-        pair_jobs.extend((pa, pb) for pa in na for pb in others)
-    for nb in near_b_blocks:
-        pair_jobs.extend((pa, pb) for pa in a_far for pb in nb)
     m = n + n // 2 + 1
-    for zc, ea, eb, r in duffy_jobs:
-        v1 = _duffy_cell(F, zc, ea, eb, r, n)
-        v2 = _duffy_cell(F, zc, ea, eb, r, m)
-        total += v2
-        err += abs(v2 - v1)
 
     def measure(pairs):
         coarse, _ = _pair_rule(F, pairs, n)
@@ -578,6 +438,5 @@ def integrate_double(F, cA: Contour, cB: Contour,
     def split(pair):
         return [(qa, qb) for qa in pair[0].split(0.5) for qb in pair[1].split(0.5)]
 
-    pairs_val, pairs_err = _refine(pair_jobs, measure, split, opts,
-                                   "integrate_double", total)
-    return total + pairs_val, err + pairs_err
+    pairs = [(pa, pb) for pa in cA.panels for pb in cB.panels]
+    return _refine(pairs, measure, split, opts, "integrate_double")

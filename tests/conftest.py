@@ -8,4 +8,12 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
+# Long runs for hunting flakes: pytest --hypothesis-profile=thorough
+settings.register_profile(
+    "thorough",
+    max_examples=3000,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
 settings.load_profile("fast")

@@ -249,18 +249,6 @@ def test_sweep_seeded_determinism(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_sweep_thread_cap_does_not_change_output(tmp_path, monkeypatch):
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = [
-        "sweep", "--kernel", "s1", "--random", "6", "--seed", "9",
-        "--box-lo=-1", "--box-hi", "1",
-    ]
-    assert main(argv + ["--output", str(f1)]) == 0
-    monkeypatch.setenv("KERNELWAVE_THREADS", "3")
-    assert main(argv + ["--output", str(f2)]) == 0
-    assert f1.read_bytes() == f2.read_bytes()
-
-
 def test_sweep_round_trip_through_eval(tmp_path):
     sw, re_out = tmp_path / "sweep.csv", tmp_path / "re.csv"
     assert main([

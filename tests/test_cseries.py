@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from kernelwave.cseries import (
@@ -29,7 +29,6 @@ from kernelwave.cseries import (
     s1_scale,
     s2_add,
     s2_constant,
-    s2_exp,
     s2_from_x,
     s2_from_y,
     s2_mul,
@@ -83,11 +82,17 @@ def test_mul_matches_polynomial_convolution():
 
 
 @given(coeffs_st)
+@example([0.15625j, 3j])
 def test_reciprocal_is_multiplicative_inverse(ca):
     ca = [ca[0] if abs(ca[0]) > 0.1 else 1.0 + 0.5j] + list(ca[1:])
     a = _series(ca)
-    one = s1_mul(a, s1_reciprocal(a)).coeffs
-    np.testing.assert_allclose(one, s1_constant(1.0, ORDER).coeffs, rtol=0, atol=1e-9)
+    b = s1_reciprocal(a)
+    one = s1_mul(a, b).coeffs
+    # coefficient k of the product sums terms of size |a_i||b_{k-i}|, which
+    # may cancel; bound it by the round-off of that sum
+    terms = np.convolve(np.abs(a.coeffs), np.abs(b.coeffs))[: ORDER + 1]
+    bound = 16 * np.finfo(float).eps * terms + np.finfo(float).tiny
+    assert np.all(np.abs(one - s1_constant(1.0, ORDER).coeffs) <= bound)
 
 
 def test_reciprocal_rejects_zero_constant_term():
@@ -224,14 +229,6 @@ def test_s2_outer_matches_mul_of_embeddings():
     direct = s2_outer(ax, by).coeffs
     via_mul = s2_mul(s2_from_x(ax), s2_from_y(by)).coeffs
     np.testing.assert_allclose(direct, via_mul, rtol=0, atol=1e-13)
-
-
-def test_s2_exp_separates_over_x_plus_y():
-    ax = s1_from_coeffs([0, 0.3, -0.1], 5)
-    by = s1_from_coeffs([0, -0.2, 0.05, 0.4], 5)
-    lhs = s2_exp(s2_add(s2_from_x(ax), s2_from_y(by))).coeffs
-    rhs = s2_outer(s1_exp(ax), s1_exp(by)).coeffs
-    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 def test_s2_reciprocal_is_inverse():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from kernelwave.cseries import SeriesUsageError
 from kernelwave.expansion import (
     TRANSITIONS,
+    _branch_series,
     airy_c00,
     build_amplitudes,
     coefficients_to_json,
@@ -151,6 +152,44 @@ def test_starred_coefficients_satisfy_conjugation_symmetry(tr, u, v, t1, t2):
     dc = np.abs(co.c_star.coeffs - symmetry_starred_c(co.c).coeffs).max()
     assert db < 1e-11
     assert dc < 1e-11
+
+
+# zeta(x), omega(y) of the mixed-pairing amplitude ``c``: (sign, w, conjugate
+# branch) per side, with zeta(x) = sign * g(w * x) as in build_amplitudes.
+_C_SUBSTITUTIONS = {
+    "airy-to-s1": ((1.0, 1.0, False), (-1.0, -1.0, False)),
+    "pearcey-to-s2": ((1.0, 1.0, False), (1.0, 1j, True)),
+}
+
+
+@pytest.mark.parametrize("tr", TRANSITIONS)
+def test_c_coefficients_match_fft_of_the_amplitude(tr):
+    # Independent of series arithmetic: the amplitude
+    # exp(-v zeta - tau2 zeta^2 + u omega + tau1 omega^2) zeta' omega' / (zeta - omega)
+    # is evaluated pointwise from the branch polynomial on |x| = |y| = 1/2,
+    # and a 2-D FFT gives its Taylor coefficients.
+    u, v, t1, t2 = 0.3, -0.2, 0.1, 0.4
+    order, n, r = 24, 64, 0.5
+    co = build_amplitudes(tr, u, v, t1, t2, order=order)
+    g = _branch_series(tr, order + 1)
+
+    def side(x, sign, w, conj):
+        c = np.conj(g.coeffs) if conj else g.coeffs
+        P = np.polynomial.polynomial
+        return sign * P.polyval(w * x, c), sign * w * P.polyval(w * x, P.polyder(c))
+
+    circle = r * np.exp(2j * np.pi * np.arange(n) / n)
+    (zeta, dzeta), (omega, domega) = (
+        side(circle, *s) for s in _C_SUBSTITUTIONS[tr])
+    Z, W = zeta[:, None], omega[None, :]
+    amp = (np.exp(-v * Z - t2 * Z * Z + u * W + t1 * W * W)
+           * dzeta[:, None] * domega[None, :] / (Z - W))
+    k = np.arange(order + 1)
+    fft = np.fft.fft2(amp)[: order + 1, : order + 1] / (n * n)
+    want = fft / r ** (k[:, None] + k[None, :])
+    mask = k[:, None] + k[None, :] <= order
+    got = co.c.coeffs
+    assert np.abs(got - want)[mask].max() < 1e-8 * np.abs(got).max()
 
 
 def test_build_amplitudes_validation():

@@ -22,7 +22,10 @@ from kernelwave.kernels import (
 from kernelwave.kernels import _direct_airy  # deformation-invariance check
 from kernelwave.quadrature import QuadOptions
 
-coord = st.floats(-1.5, 1.5, allow_nan=False)
+# Multiples of 2**-21: common shifts are exact, yet tau1 - tau2 can still be
+# 0 or as small as 2**-21, where the segment kernels are steepest.
+coord = st.integers(-3 * 2 ** 20, 3 * 2 ** 20).map(lambda k: k * 2.0 ** -21)
+shift = st.integers(-(2 ** 20), 2 ** 20).map(lambda k: k * 2.0 ** -21)
 
 
 def _val(kernel, tau1=0.0, tau2=0.0, u=0.0, v=0.0, a=None, backend="direct"):
@@ -99,7 +102,7 @@ def test_kernels_are_real_on_sample_points():
         assert kv.imag_residual < 1e-9, kernel
 
 
-@given(coord, coord, coord, coord, st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+@given(coord, coord, coord, coord, shift, shift)
 def test_segment_kernels_depend_only_on_differences(t1, t2, u, v, ct, cu):
     # the three segment kernels are invariant under common shifts
     for kernel in ("s1", "s2", "sine-ext"):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from kernelwave.quadrature import (
     refine_panels,
     truncate_rays,
 )
-from kernelwave.quadrature import _duffy_cell  # values of the replaced cell
 
 SQRT_PI = np.sqrt(np.pi)
 
@@ -235,65 +233,15 @@ def test_double_requires_finite_contours():
         integrate_double(lambda z, w: 1.0, _gaussian_line(), _gaussian_line())
 
 
-def test_declared_crossing_computes_principal_value():
-    # vertical line against the real line with 1/(z-w) crossing at 0.  A
-    # line displaced to Re z = c differs from the principal value by the
-    # residue sweep 2 pi i * int_0^c R(w) dw, where R(w) = exp(-w) is the
-    # residue at z = w; it crosses the real line at c and declares that
-    # crossing too.  The integrand has no symmetry under (z, w) -> (-z, -w),
-    # so neither side of the identity vanishes by symmetry.
-    opts = QuadOptions()
-    F = lambda z, w: np.exp(z ** 2 - w ** 2 + z - 2 * w) / (z - w)
-    env_w = lambda w: np.real(-(w ** 2) - 2 * w)
-    horiz = Contour(
-        panels=(Ray(0.0, -1.0, incoming=True), Ray(0.0, 1.0, incoming=False)),
-        crossings=(0.0,),
-    )
-    ch = refine_panels(truncate_rays(horiz, env_w, 40.0), env_w)
-
-    vert = Contour(
-        panels=(Ray(0.0, -1j, incoming=True), Ray(0.0, 1j, incoming=False)),
-        crossings=(0.0,),
-    )
-    env_vert = lambda z: np.real(z ** 2 + z)
-    cv = refine_panels(truncate_rays(vert, env_vert, 40.0), env_vert)
-    val, err = integrate_double(F, cv, ch, opts)
-
-    def displaced(c):
-        line = replace(Contour.vee(c, -1j, 1j), crossings=(c,))
-        env = lambda z: np.real(z ** 2 - 2 * c * z + z)
-        cl = refine_panels(truncate_rays(line, env, 40.0), env)
-        v, _ = integrate_double(F, cl, replace(ch, crossings=(c,)), opts)
-        return v
-
-    sweep = lambda c: 2j * np.pi * (1.0 - np.exp(-c))
-    pv = 0.5 * sum(displaced(c) - sweep(c) for c in (0.3, -0.3))
-    assert abs(val) > 1.0
-    assert abs(val - pv) < 1e-9
-
-
 def test_polar_cell_keeps_crossing_cell_values():
-    # Values of the octant-by-octant crossing cell this polar cell replaced,
-    # for the declared-crossing geometry above (vertical zeta line, real
-    # omega line).
+    # Values of the octant-by-octant crossing cell this polar cell replaced:
+    # zeta = i s on a vertical line meets omega = t on the real line at 0,
+    # and the factor i is the direction of the zeta line.
     F = lambda z, w: np.exp(z ** 2 - w ** 2) / (z - w)
     G = lambda z, w: np.exp(z - 2 * w) / (z - w)
-    assert abs(_duffy_cell(G, 0.0, 1j, 1.0, 0.3, 32) - 0.5520958742547415j) < 1e-12
-    assert abs(_duffy_cell(F, 0.0, 1j, 1.0, 0.3, 32) - 2.0816681711721685e-16j) < 1e-12
-    horiz = Contour(
-        panels=(Ray(0.0, -1.0, incoming=True), Ray(0.0, 1.0, incoming=False)),
-        crossings=(0.0,),
-    )
-    vert = Contour(
-        panels=(Ray(0.0, -1j, incoming=True), Ray(0.0, 1j, incoming=False)),
-        crossings=(0.0,),
-    )
-    env_w = lambda w: np.real(-(w ** 2))
-    env_vert = lambda z: np.real(z ** 2)
-    ch = refine_panels(truncate_rays(horiz, env_w, 40.0), env_w)
-    cv = refine_panels(truncate_rays(vert, env_vert, 40.0), env_vert)
-    val, _ = integrate_double(F, cv, ch, QuadOptions())
-    assert abs(val - (-6.848729244058926e-16 + 1.283987615181724e-16j)) < 1e-12
+    cell = lambda H: polar_cell(lambda s, t: H(1j * s, t), 0.3, 32) * 1j
+    assert abs(cell(G) - 0.5520958742547415j) < 1e-12
+    assert abs(cell(F) - 2.0816681711721685e-16j) < 1e-12
 
 
 def test_polar_cell_integrates_polynomials_over_the_square():
@@ -302,6 +250,9 @@ def test_polar_cell_integrates_polynomials_over_the_square():
     assert abs(polar_cell(lambda s, t: np.ones_like(s), r, 16) - 4 * r * r) < 1e-14
     m2 = polar_cell(lambda s, t: s * s + t * t, r, 16)
     assert abs(m2 - 8 * r ** 4 / 3) < 1e-14
+    # a principal value: 1/(s - i t) integrates to 0, s/(s - i t) to 2 r^2
+    pv = polar_cell(lambda s, t: (1 + s) / (s - 1j * t), r, 16)
+    assert abs(pv - 2 * r * r) < 1e-14
     # a two-panel radial rule gives the same value
     nodes, weights = gl_unit(5)
     split = (np.concatenate([0.5 * nodes, 0.5 + 0.5 * nodes]),
