@@ -52,6 +52,7 @@ from .kernels import (
     KernelQuery,
     KernelValue,
     eval_kernel,
+    eval_kernels,
     heat_term,
     relation_connS,
     relation_connSS,
@@ -113,7 +114,7 @@ __all__ = [
     "airy_branch_paths", "pearcey_branch_paths",
     # kernels
     "KERNEL_NAMES", "KernelQuery", "KernelValue", "heat_term", "eval_kernel",
-    "rescaled_airy_lhs", "rescaled_pearcey_lhs", "relation_connS",
+    "eval_kernels", "rescaled_airy_lhs", "rescaled_pearcey_lhs", "relation_connS",
     "relation_connSS", "transition_interpolation_check",
     # series
     "SeriesUsageError", "SingularSeriesError", "BranchError",

@@ -11,8 +11,9 @@ Subcommands
 ``sweep``   kernel values over a regular grid or a seeded random cloud
 
 Exit codes: 0 success, 1 error (bad input or a failed ``--check``),
-2 completed with accuracy warnings.  Batches and sweeps are evaluated one
-query after another, and rows come out in input order.
+2 completed with accuracy warnings.  A batch or sweep is one
+:func:`~kernelwave.kernels.eval_kernels` call (the segment kernels of a
+batch are integrated together), and rows come out in input order.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .expansion import (
     expansion_partial_sum,
     gauss_moments,
 )
-from .kernels import KERNEL_NAMES, KernelQuery, KernelValue, eval_kernel
+from .kernels import KERNEL_NAMES, KernelQuery, KernelValue, eval_kernels
+from .kernels import eval_kernel  # noqa: F401  (perfbench/spans.py traces this name)
 from .phase import export_level_curve, make_phase, trace_steepest
 from .quadrature import GeometryError, QuadOptions
 from .verify import (
@@ -191,7 +193,7 @@ def _queries_from_csv(lines: list[str], config: RunConfig) -> list[KernelQuery]:
 
 
 def _emit_rows(config: RunConfig, queries: list[KernelQuery]) -> int:
-    values = [eval_kernel(q) for q in queries]
+    values = eval_kernels(queries)
     buf = StringIO()
     if config.format == "csv":
         buf.write(_EVAL_HEADER + "\n")

@@ -21,6 +21,11 @@ Two evaluation geometries are implemented:
 
 Keeping both backends gives an internal cross-validation oracle: they share
 no geometry, yet must agree to quadrature accuracy.
+
+The segment kernels take arrays: :func:`eval_kernels` evaluates all the
+segment-kernel queries of a batch that share a kernel and options in one
+batched single-integral call, and :func:`eval_kernel` of a segment kernel is
+the batch of one.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
     "KernelValue",
     "heat_term",
     "eval_kernel",
+    "eval_kernels",
     "rescaled_airy_lhs",
     "rescaled_pearcey_lhs",
     "relation_connS",
@@ -111,49 +117,56 @@ class KernelValue:
                    error_estimate=float(err), backend_used=backend)
 
 
-def heat_term(dt: float, dx: float, variance: str) -> float:
+def heat_term(dt, dx, variance: str):
     """Gaussian subtraction active for positive time difference ``dt``.
 
     ``variance="four-pi"``: ``(4 pi dt)**-0.5 * exp(-dx**2/(4 dt))``;
     ``variance="two-pi"``:  ``(2 pi dt)**-0.5 * exp(-dx**2/(2 dt))``.
+    Elementwise over arrays of ``(dt, dx)``; a float for scalars.
     """
-    if dt <= 0:
-        return 0.0
-    if variance == "four-pi":
-        return float(np.exp(-dx * dx / (4.0 * dt)) / np.sqrt(4.0 * np.pi * dt))
-    if variance == "two-pi":
-        return float(np.exp(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * np.pi * dt))
-    raise ValueError(f"unknown heat variance {variance!r}")
+    c = {"four-pi": 4.0, "two-pi": 2.0}.get(variance)
+    if c is None:
+        raise ValueError(f"unknown heat variance {variance!r}")
+    dt, dx = np.asarray(dt, dtype=float), np.asarray(dx, dtype=float)
+    on = dt > 0
+    t = np.where(on, dt, 1.0)
+    out = np.where(on, np.exp(-dx * dx / (c * t)) / np.sqrt(c * np.pi * t), 0.0)
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
 # Segment kernels (single integrals)
 # ---------------------------------------------------------------------------
 
+_SEGMENT_KERNELS = ("sine-ext", "s1", "s2")
 
-def _segment_kernel(kind: str, tau1: float, tau2: float, u: float, v: float,
-                    opts: QuadOptions) -> tuple[float, float]:
-    """Segment kernel, real by construction.
+
+def _segment_kernel(kind: str, dt: np.ndarray, dx: np.ndarray,
+                    opts: QuadOptions) -> tuple[np.ndarray, np.ndarray]:
+    """Segment kernels at arrays of time differences ``dt = tau1 - tau2``
+    and space differences ``dx = u - v``: arrays ``(values, errors)``, from
+    one batched :func:`integrate_single` call, real by construction.
 
     Each integrand is Hermitian-symmetric about its segment's midpoint, so
     the segment integral is twice the real part of the integral from the
     midpoint to the end, taken in the segment's direction.
     """
-    dt, dx = tau1 - tau2, u - v
     if kind == "sine-ext":
         # The quadratic term damps for dt > 0: exp(-dt w^2 / 2).  This is
         # the sign for which the pi-rescaled s1 kernel reproduces this
         # kernel exactly (substitute w -> i w / pi in the s1 segment).
-        f = lambda w: np.exp(-0.5 * dt * w * w + 1j * dx * w)
-        val, err = integrate_single(f, Contour.polyline([0.0, np.pi]), opts)
+        f = lambda w, i: np.exp(-0.5 * dt[i] * w * w + 1j * dx[i] * w)
+        val, err = integrate_single(f, Contour.polyline([0.0, np.pi]), opts,
+                                    batch=len(dt))
         # (2 Re val) / (2 pi)
         return val.real / np.pi - heat_term(dt, dx, "two-pi"), err / np.pi
     if kind not in ("s1", "s2"):
         raise ValueError(kind)
     # s1 runs over [-i, i], s2 over [e^{-i pi/3}, e^{i pi/3}]: both upward.
     end = 1j if kind == "s1" else np.exp(1j * np.pi / 3)
-    f = lambda w: np.exp(dt * w * w + dx * w)
-    val, err = integrate_single(f, Contour.polyline([end.real, end]), opts)
+    f = lambda w, i: np.exp(dt[i] * w * w + dx[i] * w)
+    val, err = integrate_single(f, Contour.polyline([end.real, end]), opts,
+                                batch=len(dt))
     # (i 2 Re(val / i)) / (2 pi i)
     return val.imag / np.pi - heat_term(dt, dx, "four-pi"), err / np.pi
 
@@ -390,9 +403,9 @@ def rescaled_airy_lhs(a: float, tau1: float, tau2: float, u: float, v: float,
                                 v / np.sqrt(a) - a, opts)
         sa = 1.0 / np.sqrt(a)
         return KernelValue.wrap(sa * val, sa * err, "direct")
-    s1_val, s1_err = _segment_kernel("s1", tau1, tau2, u, v, opts)
+    s1 = eval_kernel(KernelQuery("s1", tau1, tau2, u, v, opts=opts))
     j_val, j_err = _saddle_J("airy", a, tau1, tau2, u, v, opts)
-    return KernelValue.wrap(s1_val + j_val, s1_err + j_err, "saddle")
+    return KernelValue.wrap(s1.value.real + j_val, s1.error_estimate + j_err, "saddle")
 
 
 def rescaled_pearcey_lhs(a: float, tau1: float, tau2: float, u: float, v: float,
@@ -410,9 +423,9 @@ def rescaled_pearcey_lhs(a: float, tau1: float, tau2: float, u: float, v: float,
         val, err = _direct_quartic(2.0 * tau1 / c ** 2, 2.0 * tau2 / c ** 2,
                                    u / c + a, v / c + a, 0.0, opts)
         return KernelValue.wrap(val / c, err / c, "direct")
-    s2_val, s2_err = _segment_kernel("s2", tau1, tau2, u, v, opts)
+    s2 = eval_kernel(KernelQuery("s2", tau1, tau2, u, v, opts=opts))
     j_val, j_err = _saddle_J("pearcey", a, tau1, tau2, u, v, opts)
-    return KernelValue.wrap(s2_val + j_val, s2_err + j_err, "saddle")
+    return KernelValue.wrap(s2.value.real + j_val, s2.error_estimate + j_err, "saddle")
 
 
 def eval_kernel(q: KernelQuery) -> KernelValue:
@@ -421,12 +434,12 @@ def eval_kernel(q: KernelQuery) -> KernelValue:
     The segment kernels (sine-ext, s1, s2) and the transition kernel are
     always evaluated directly (their integrals are not oscillatory at
     scale); airy-ext and pearcey-ext honor ``backend="saddle"`` through the
-    identity embedding of the rescaled forms at ``a = 1``.
+    identity embedding of the rescaled forms at ``a = 1``.  A segment kernel
+    is the batch of one of :func:`eval_kernels`.
     """
     opts = q.opts
-    if q.kernel in ("sine-ext", "s1", "s2"):
-        val, err = _segment_kernel(q.kernel, q.tau1, q.tau2, q.u, q.v, opts)
-        return KernelValue.wrap(val, err, "direct")
+    if q.kernel in _SEGMENT_KERNELS:
+        return eval_kernels([q])[0]
     if q.kernel == "airy-ext":
         if q.backend == "saddle":
             kv = rescaled_airy_lhs(1.0, q.tau1, q.tau2, q.u + 1.0, q.v + 1.0,
@@ -446,6 +459,34 @@ def eval_kernel(q: KernelQuery) -> KernelValue:
     return KernelValue.wrap(val, err, "direct")
 
 
+def eval_kernels(queries) -> list[KernelValue]:
+    """Evaluate a batch of queries; the values come back in input order.
+
+    The segment-kernel queries are grouped by (kernel, options), and each
+    group is one batched :func:`integrate_single` call, whose integrand sees
+    at most ``quadrature._CHUNK`` points per call; every integral in it is
+    refined and estimated on its own.  Every other query goes through
+    :func:`eval_kernel` one at a time.  A query that fails raises for the
+    whole batch.
+    """
+    queries = list(queries)
+    out: list = [None] * len(queries)
+    groups: dict = {}
+    for k, q in enumerate(queries):
+        if q.kernel in _SEGMENT_KERNELS:
+            groups.setdefault((q.kernel, q.opts), []).append(k)
+        else:
+            out[k] = eval_kernel(q)
+    for (kind, opts), ks in groups.items():
+        dt = np.array([queries[k].tau1 - queries[k].tau2 for k in ks])
+        dx = np.array([queries[k].u - queries[k].v for k in ks])
+        vals, errs = _segment_kernel(kind, dt, dx, opts)
+        # Real by construction: no imaginary residual to report.
+        for k, val, err in zip(ks, vals.tolist(), errs.tolist()):
+            out[k] = KernelValue(complex(val), 0.0, err, "direct")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Kernel relations
 # ---------------------------------------------------------------------------
@@ -456,13 +497,11 @@ def relation_connS(tau1: float, tau2: float, u: float, v: float,
     """Both sides of the s1 <-> extended-sine rescaling identity:
     ``pi * K_s1(pi^2 tau/2; pi u, pi v)`` versus ``K_sine(tau; u, v)``."""
     opts = opts or QuadOptions()
-    s1_val, s1_err = _segment_kernel(
+    s1 = eval_kernel(KernelQuery(
         "s1", np.pi ** 2 * tau1 / 2.0, np.pi ** 2 * tau2 / 2.0,
-        np.pi * u, np.pi * v, opts)
-    lhs = KernelValue.wrap(np.pi * s1_val, np.pi * s1_err, "direct")
-    sin_val, sin_err = _segment_kernel("sine-ext", tau1, tau2, u, v, opts)
-    rhs = KernelValue.wrap(sin_val, sin_err, "direct")
-    return lhs, rhs
+        np.pi * u, np.pi * v, opts=opts))
+    lhs = KernelValue.wrap(np.pi * s1.value.real, np.pi * s1.error_estimate, "direct")
+    return lhs, eval_kernel(KernelQuery("sine-ext", tau1, tau2, u, v, opts=opts))
 
 
 def relation_connSS(tau1: float, tau2: float, u: float, v: float,
@@ -470,14 +509,12 @@ def relation_connSS(tau1: float, tau2: float, u: float, v: float,
     """Both sides of the s2 <-> s1 gauge/rescaling identity."""
     opts = opts or QuadOptions()
     gauge = (2.0 / np.sqrt(3.0)) * np.exp((tau1 - tau2) / 3.0 - (u - v) / np.sqrt(3.0))
-    s2_val, s2_err = _segment_kernel(
+    s2 = eval_kernel(KernelQuery(
         "s2", 4.0 * tau1 / 3.0, 4.0 * tau2 / 3.0,
         2.0 * u / np.sqrt(3.0) - 4.0 * tau1 / 3.0,
-        2.0 * v / np.sqrt(3.0) - 4.0 * tau2 / 3.0, opts)
-    lhs = KernelValue.wrap(gauge * s2_val, gauge * s2_err, "direct")
-    s1_val, s1_err = _segment_kernel("s1", tau1, tau2, u, v, opts)
-    rhs = KernelValue.wrap(s1_val, s1_err, "direct")
-    return lhs, rhs
+        2.0 * v / np.sqrt(3.0) - 4.0 * tau2 / 3.0, opts=opts))
+    lhs = KernelValue.wrap(gauge * s2.value.real, gauge * s2.error_estimate, "direct")
+    return lhs, eval_kernel(KernelQuery("s1", tau1, tau2, u, v, opts=opts))
 
 
 def transition_interpolation_check(a: float, tau1: float, tau2: float,

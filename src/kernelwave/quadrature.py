@@ -4,20 +4,23 @@ Contours are oriented chains of straight panels (infinite rays are clipped
 to finite panels before integration by :func:`truncate_rays`).  Single and
 double contour integrals are evaluated by Gauss-Legendre panels refined
 level by level, one batched integrand call per level (:func:`_refine`), with
-error estimates that include a round-off floor.  A double integral is a
-tensor rule over every panel pair, so the two contours must not meet: an
-integrand that explodes where they nearly touch is rejected as an
-undeclared contour crossing.  :func:`polar_cell` integrates an integrable
+error estimates that include a round-off floor.  :func:`integrate_single`
+also takes a batch of B integrands on one contour and keeps every
+integral's tolerance, refinement, estimate and warning its own.  Either
+integrator calls the integrand on at most ``_CHUNK`` points at a time.  A
+double integral is a tensor rule over every panel pair, so the two contours
+must not meet: an integrand that explodes where they nearly touch is
+rejected as an undeclared contour crossing.  :func:`polar_cell` integrates an integrable
 ``1/(s - c*t)``-type singularity over a square; the saddle backend's
 coincident-saddle blocks use it.
 
 Integrands must be numpy-vectorized: they are called with broadcasted
-complex arrays and must evaluate elementwise.
+complex arrays and must evaluate elementwise (a batched single integrand
+also gets the integral index of each row of points).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -49,12 +52,14 @@ class GeometryError(Exception):
 class AccuracyWarning(UserWarning):
     """Issued when refinement depth is exhausted before reaching tolerance.
 
-    The warning's ``estimate`` attribute carries the best error estimate.
+    The warning's ``estimate`` attribute carries the best error estimate and
+    ``index`` the integral of a batch it belongs to (0 for a single one).
     """
 
-    def __init__(self, message: str, estimate: float):
+    def __init__(self, message: str, estimate: float, index: int = 0):
         super().__init__(message)
         self.estimate = estimate
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -252,52 +257,67 @@ _ROUNDOFF = 200.0 * np.finfo(float).eps
 _CHUNK = 1 << 13
 
 
-def _refine(items, measure, split, opts: QuadOptions,
-            label: str) -> tuple[complex, float]:
-    """Sum of ``items`` (panels or panel pairs), refined level by level.
+def _refine(items, owner, n_int: int, measure, split, opts: QuadOptions,
+            label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-integral sums of ``items`` (panels or panel pairs), refined level
+    by level.
 
-    ``measure(items)`` gives arrays ``(coarse, fine, mag)``: two rules per
-    item and the integral of ``|f|`` behind ``fine``.  An item is accepted
-    once ``|fine - coarse|`` is within its share of the tolerance or below
-    its round-off floor ``_ROUNDOFF * mag``; otherwise ``split(item)``
-    replaces it by children that split its share evenly.  Level 0's coarse
-    total sets the tolerance.
+    ``owner[k]`` numbers the integral, 0 to ``n_int - 1``, that item ``k``
+    belongs to.  ``measure(items, owner)`` gives arrays ``(coarse, fine,
+    mag)``: two rules per item and the integral of ``|f|`` behind ``fine``.
+    An item is accepted once ``|fine - coarse|`` is within its share of its
+    integral's tolerance or below its round-off floor ``_ROUNDOFF * mag``;
+    otherwise ``split(item)`` replaces it by children that split its share
+    evenly.
+    Each integral keeps its own books: its level-0 coarse total and item
+    count set its tolerance, and neither depends on the other integrals.
     The estimate adds the accepted items' differences, which bound their
     truncation error, plus their floors in quadrature, since the round-off
-    of separate items is independent.
+    of separate items is independent.  Returns arrays ``(values, errors)``
+    of length ``n_int``.
     """
-    coarse, fine, mag = measure(items)
+    coarse, fine, mag = measure(items, owner)
     # The signed total is what the caller receives; the floor term admits
     # that cancellation across items caps achievable accuracy at ~eps times
     # the largest contributions.
-    scale = max(abs(coarse.sum()), 1e-12 * np.abs(coarse).sum())
-    tol = max(opts.abs_tol, opts.rel_tol * scale) / max(1.0, np.sqrt(len(items)))
+    level0, spread = np.zeros(n_int, dtype=complex), np.zeros(n_int)
+    np.add.at(level0, owner, coarse)
+    np.add.at(spread, owner, np.abs(coarse))
+    scale = np.maximum(np.abs(level0), 1e-12 * spread)
+    count = np.maximum(np.bincount(owner, minlength=n_int), 1)
+    tol = np.maximum(opts.abs_tol, opts.rel_tol * scale) / np.sqrt(count)
     share = np.ones(len(items))
-    total, err, floors = 0j, 0.0, 0.0
-    depth, missed, worst = 0, 0, 0.0
+    total = np.zeros(n_int, dtype=complex)
+    err, floors, worst = np.zeros(n_int), np.zeros(n_int), np.zeros(n_int)
+    missed = np.zeros(n_int, dtype=int)
+    depth = 0
     while True:
         floor = _ROUNDOFF * mag
         diff = np.abs(fine - coarse)
-        ok = diff <= np.maximum(tol * share, floor)
+        ok = diff <= np.maximum(tol[owner] * share, floor)
         if depth >= opts.max_refine_depth and not ok.all():
-            missed, worst = int(np.count_nonzero(~ok)), float(diff[~ok].max())
+            np.add.at(missed, owner[~ok], 1)
+            np.maximum.at(worst, owner[~ok], diff[~ok])
             ok[:] = True
-        total += fine[ok].sum()
-        err += diff[ok].sum()
-        floors = math.hypot(floors, *floor[ok])
+        np.add.at(total, owner[ok], fine[ok])
+        np.add.at(err, owner[ok], diff[ok])
+        np.hypot.at(floors, owner[ok], floor[ok])
         parents = np.flatnonzero(~ok)
         if parents.size == 0:
             break
         items = [child for i in parents for child in split(items[i])]
         fan = len(items) // parents.size
         share = np.repeat(share[parents] / fan, fan)
-        coarse, fine, mag = measure(items)
+        owner = np.repeat(owner[parents], fan)
+        coarse, fine, mag = measure(items, owner)
         depth += 1
-    if missed:
+    for b in np.flatnonzero(missed):
+        where = label if n_int == 1 else f"{label} (integral {b} of {n_int})"
         warnings.warn(AccuracyWarning(
-            f"{label}: refinement depth exhausted on {missed} panel(s); "
-            f"worst residual estimate {worst:.3e}", worst), stacklevel=3)
-    return complex(total), float(err + floors)
+            f"{where}: refinement depth exhausted on {missed[b]} panel(s); "
+            f"worst residual estimate {worst[b]:.3e}", float(worst[b]), int(b)),
+            stacklevel=3)
+    return total, err + floors
 
 
 # ---------------------------------------------------------------------------
@@ -312,36 +332,59 @@ def _nodes(panels, t):
     return za[:, None] + t * d[:, None], d
 
 
-def _panel_rule(f, panels, n: int):
+def _panel_rule(f, panels, owner, n: int):
     """Per panel: the ``n``-node Gauss-Legendre value (coarse), the sum of
     the same rule over its two halves (fine) and the halves' integral of
-    ``|f|``, from one integrand call."""
+    ``|f|``, from one integrand evaluation.  ``f(z, i)`` sees the points of
+    at most ``_CHUNK // (3 n)`` panels per call, with the integral index of
+    each panel's row of points."""
     xu, wu = gl_unit(n)
     t = np.concatenate([xu, 0.5 * xu, 0.5 + 0.5 * xu])
     w_halves = 0.5 * np.concatenate([wu, wu])
-    z, d = _nodes(panels, t)
-    vals = np.asarray(f(z))
-    if not np.isfinite(vals).all():
-        raise GeometryError("non-finite integrand value on a panel")
-    halves = vals[:, n:]
-    return (d * (vals[:, :n] @ wu), d * (halves @ w_halves),
-            np.abs(d) * (np.abs(halves) @ w_halves))
+    coarse = np.empty(len(panels), dtype=complex)
+    fine = np.empty(len(panels), dtype=complex)
+    mag = np.empty(len(panels))
+    step = max(1, _CHUNK // t.size)
+    for k in range(0, len(panels), step):
+        z, d = _nodes(panels[k:k + step], t)
+        vals = np.asarray(f(z, owner[k:k + step, None]))
+        if not np.isfinite(vals).all():
+            raise GeometryError("non-finite integrand value on a panel")
+        halves = vals[:, n:]
+        coarse[k:k + step] = d * (vals[:, :n] @ wu)
+        fine[k:k + step] = d * (halves @ w_halves)
+        mag[k:k + step] = np.abs(d) * (np.abs(halves) @ w_halves)
+    return coarse, fine, mag
 
 
-def integrate_single(f, contour: Contour, opts: QuadOptions = QuadOptions()):
+def integrate_single(f, contour: Contour, opts: QuadOptions = QuadOptions(),
+                     batch: int | None = None):
     """Integrate a vectorized integrand along a finite contour.
 
     Returns ``(value, error_estimate)`` as Python ``complex`` and ``float``.
-    The estimate sums the last two-rule differences per panel plus the
-    panels' round-off floors (see :func:`_refine`).  A non-finite integrand
-    value raises :class:`GeometryError`.  Exhausted refinement issues an
-    :class:`AccuracyWarning` carrying the worst panel estimate.
+    With ``batch=B`` it integrates B integrands on the one contour: ``f(z,
+    i)`` gets rows of points ``z`` and the index ``i`` (0 to B - 1, shape
+    ``(rows, 1)``) of the integral each row belongs to, and the result is
+    arrays ``(values, errors)`` of length B.  Every integral is refined and
+    estimated on its own (see :func:`_refine`); a single integral is the
+    batch of one.  The estimate sums the last two-rule differences per panel
+    plus the panels' round-off floors.  A non-finite integrand value raises
+    :class:`GeometryError` for the whole call.  Exhausted refinement issues
+    one :class:`AccuracyWarning` per integral, carrying its worst panel
+    estimate.
     """
     if not contour.is_finite:
         raise GeometryError("integrate_single requires a truncated contour")
     n = opts.nodes_per_panel
-    return _refine(contour.panels, lambda panels: _panel_rule(f, panels, n),
-                   lambda p: p.split(0.5), opts, "integrate_single")
+    n_int = 1 if batch is None else batch
+    g = f if batch is not None else (lambda z, i: f(z))
+    owner = np.repeat(np.arange(n_int), len(contour.panels))
+    vals, errs = _refine(list(contour.panels) * n_int, owner, n_int,
+                         lambda items, own: _panel_rule(g, items, own, n),
+                         lambda p: p.split(0.5), opts, "integrate_single")
+    if batch is not None:
+        return vals, errs
+    return complex(vals[0]), float(errs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +418,15 @@ def _check_explosion(mags: np.ndarray, za, zb, len_a, len_b) -> None:
             )
 
 
-def _pair_rule(F, pairs, n: int):
+def _pair_rule(F, pairs, n: int, with_mag: bool):
     """Per panel pair: the ``n``-node tensor Gauss-Legendre value of ``F``
-    and the same rule's integral of ``|F|``.  ``F`` sees at most ``_CHUNK``
-    points per call, and each chunk is checked by :func:`_check_explosion`."""
+    and, if ``with_mag``, the same rule's integral of ``|F|`` (else None).
+    ``F`` sees at most ``_CHUNK`` points per call, and each chunk is checked
+    by :func:`_check_explosion`."""
     xu, wu = gl_unit(n)
     w2 = np.outer(wu, wu).ravel()
     val = np.empty(len(pairs), dtype=complex)
-    mag = np.empty(len(pairs))
+    mag = np.empty(len(pairs)) if with_mag else None
     step = max(1, _CHUNK // (n * n))
     for k in range(0, len(pairs), step):
         za, da = _nodes([pa for pa, _ in pairs[k:k + step]], xu)
@@ -391,7 +435,8 @@ def _pair_rule(F, pairs, n: int):
         mags = np.abs(vals)
         _check_explosion(mags, za, zb, np.abs(da), np.abs(db))
         val[k:k + step] = da * db * (vals.reshape(len(da), -1) @ w2)
-        mag[k:k + step] = np.abs(da * db) * (mags.reshape(len(da), -1) @ w2)
+        if with_mag:
+            mag[k:k + step] = np.abs(da * db) * (mags.reshape(len(da), -1) @ w2)
     return val, mag
 
 
@@ -431,12 +476,14 @@ def integrate_double(F, cA: Contour, cB: Contour,
     n = opts.nodes_per_panel
     m = n + n // 2 + 1
 
-    def measure(pairs):
-        coarse, _ = _pair_rule(F, pairs, n)
-        return (coarse, *_pair_rule(F, pairs, m))
+    def measure(pairs, owner):
+        coarse, _ = _pair_rule(F, pairs, n, with_mag=False)
+        return (coarse, *_pair_rule(F, pairs, m, with_mag=True))
 
     def split(pair):
         return [(qa, qb) for qa in pair[0].split(0.5) for qb in pair[1].split(0.5)]
 
     pairs = [(pa, pb) for pa in cA.panels for pb in cB.panels]
-    return _refine(pairs, measure, split, opts, "integrate_double")
+    vals, errs = _refine(pairs, np.zeros(len(pairs), dtype=int), 1, measure,
+                         split, opts, "integrate_double")
+    return complex(vals[0]), float(errs[0])

@@ -104,6 +104,45 @@ def test_eval_accuracy_warning_exits_2(capsys):
     assert len(out.strip().splitlines()) == 2  # output still written
 
 
+_MIXED_ROWS = [("sine-ext", 0.5, 0.0, 0.3, 0.1), ("s1", -0.2, 0.4, 0.6, -0.5),
+               ("airy-ext", 0.0, 0.0, 0.1, 0.2), ("sine-ext", -0.3, 0.2, 1.1, 0.0),
+               ("s1", 0.0, 0.0, 1.0, 0.25), ("sine-ext", 0.0, 0.0, 0.5, 0.0)]
+
+
+def _mixed_batch(tmp_path, extra=()):
+    batch = tmp_path / "mixed.csv"
+    batch.write_text("kernel,tau1,tau2,u,v\n" + "".join(
+        f"{k},{t1},{t2},{u},{v}\n" for k, t1, t2, u, v in [*_MIXED_ROWS, *extra]))
+    return batch
+
+
+def test_eval_mixed_batch_matches_row_by_row_calls(capsys, tmp_path):
+    code, out, _ = run(capsys, "eval", "--input", str(_mixed_batch(tmp_path)))
+    assert code == 0
+    rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+    assert [(r[0], *map(float, r[2:6])) for r in rows] == _MIXED_ROWS
+    for row, (k, t1, t2, u, v) in zip(rows, _MIXED_ROWS):
+        code, one, _ = run(capsys, "eval", "--kernel", k, "--tau1", str(t1),
+                           "--tau2", str(t2), "--u", str(u), "--v", str(v))
+        want = one.strip().splitlines()[1].split(",")
+        assert code == 0 and row[9] == want[9]
+        assert abs(float(row[6]) - float(want[6])) <= float(want[8])
+        assert abs(float(row[7]) - float(want[7])) <= float(want[8])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+def test_eval_mixed_batch_exit_codes(capsys, tmp_path):
+    batch = _mixed_batch(tmp_path)
+    code, out, err = run(capsys, "eval", "--input", str(batch), "--warn-tol", "1e-30")
+    assert code == 2 and "accuracy" in err
+    assert len(out.strip().splitlines()) == 1 + len(_MIXED_ROWS)
+    # one overflowing sine-ext row rejects the whole batch
+    batch = _mixed_batch(tmp_path, [("sine-ext", -300.0, 0.0, 0.0, 0.0)])
+    code, out, err = run(capsys, "eval", "--input", str(batch))
+    assert code == 1 and "non-finite integrand" in err
+    assert out == ""
+
+
 def test_eval_json_format(capsys):
     code, out, _ = run(
         capsys, "eval", "--kernel", "s1", "--u", "1", "--v", "1", "--format", "json"

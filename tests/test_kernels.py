@@ -12,6 +12,7 @@ from kernelwave.kernels import (
     KernelQuery,
     KernelValue,
     eval_kernel,
+    eval_kernels,
     heat_term,
     relation_connS,
     relation_connSS,
@@ -20,7 +21,7 @@ from kernelwave.kernels import (
     transition_interpolation_check,
 )
 from kernelwave.kernels import _direct_airy  # deformation-invariance check
-from kernelwave.quadrature import QuadOptions
+from kernelwave.quadrature import _CHUNK, QuadOptions
 
 # Multiples of 2**-21: common shifts are exact, yet tau1 - tau2 can still be
 # 0 or as small as 2**-21, where the segment kernels are steepest.
@@ -109,6 +110,33 @@ def test_segment_kernels_depend_only_on_differences(t1, t2, u, v, ct, cu):
         base = _val(kernel, t1, t2, u, v).value
         moved = _val(kernel, t1 + ct, t2 + ct, u + cu, v + cu).value
         assert abs(base - moved) < 1e-10
+
+
+def test_eval_kernels_matches_one_query_at_a_time():
+    # One mixed batch: every kernel, both backends where there are two, the
+    # segment kernels at dt > 0, dt < 0 and dt = 0 plus the point where the
+    # realness bound was once missed, and more s1 rows than one chunk holds.
+    rng = np.random.default_rng(11)
+    qs = [KernelQuery(k, 0.3, -0.2, 0.15, 0.05, backend=b)
+          for k in ("airy-ext", "pearcey-ext") for b in ("direct", "saddle")]
+    qs.append(KernelQuery("transition-a", 0.3, -0.2, 0.15, 0.05, a_param=1.0))
+    qs += [KernelQuery(k, t1, t2, 0.7, -0.4) for k in ("sine-ext", "s1", "s2")
+           for t1, t2 in ((0.5, 0.1), (-0.3, 0.4), (0.2, 0.2))]
+    qs.append(KernelQuery("sine-ext", -1.828, 1.861, -1.878, -1.518))
+    rows_per_chunk = _CHUNK // (3 * QuadOptions().nodes_per_panel)
+    qs += [KernelQuery("s1", *rng.uniform(-2.0, 2.0, 4))
+           for _ in range(rows_per_chunk + 15)]
+    qs = [qs[k] for k in rng.permutation(len(qs))]
+
+    batch = eval_kernels(qs)
+    assert len(batch) == len(qs)
+    for q, got in zip(qs, batch):
+        want = eval_kernel(q)
+        assert got.backend_used == want.backend_used
+        assert abs(got.value - want.value) <= 0.1 * want.error_estimate, q
+        assert abs(got.error_estimate - want.error_estimate) <= 0.05 * want.error_estimate, q
+        if q.kernel in ("sine-ext", "s1", "s2"):
+            assert got.value.imag == want.value.imag == 0.0
 
 
 def test_direct_airy_contour_deformation_invariance():

@@ -124,6 +124,73 @@ def test_accuracy_warning_on_exhausted_refinement():
     assert err > 1e-10
 
 
+# A batch of integrals on [-0.5, 0.5]: one row with a pole 0.05 off the
+# segment, which needs refinement at 6 nodes, and easy rows c z^2 + 1, which
+# the 6-node rule integrates exactly.
+_POLE = 0.05j
+
+
+def _pole_row(z):
+    return 1.0 / (z - _POLE)
+
+
+def _batch_of_easy_rows(n_rows, hard, seen=None):
+    coef = np.linspace(-2.0, 2.0, n_rows)
+    is_hard = np.arange(n_rows) == hard
+
+    def f(z, i):
+        if seen is not None:
+            seen.append(np.broadcast_to(i, z.shape).ravel())
+        return np.where(is_hard[i], _pole_row(z), coef[i] * z * z + 1.0)
+    return f, coef
+
+
+def test_batch_rows_refine_independently():
+    c = Contour.polyline([-0.5, 0.5])
+    opts = QuadOptions(nodes_per_panel=6)
+    alone_points = []
+    alone = integrate_single(
+        lambda z: (alone_points.append(z.size), _pole_row(z))[1], c, opts)
+    seen = []
+    f, coef = _batch_of_easy_rows(501, 250, seen)
+    vals, errs = integrate_single(f, c, opts, batch=501)
+    assert vals.shape == errs.shape == (501,)
+    # Alone or among 500 easy rows, the hard row gets the same value and
+    # estimate: its tolerance is its own, not shrunk by sqrt(501).  Only a
+    # matrix-vector product over a longer block may round differently.
+    assert vals[250] == pytest.approx(alone[0], rel=1e-15)
+    assert errs[250] == pytest.approx(alone[1], rel=1e-12)
+    # The hard row refined; no easy row was evaluated past level 0's one
+    # panel of 3 * 6 points.
+    points = np.bincount(np.concatenate(seen), minlength=501)
+    assert points[250] == sum(alone_points) > 18
+    assert (np.delete(points, 250) == 18).all()
+    easy = np.delete(np.arange(501), 250)
+    assert np.abs(vals[easy] - (coef[easy] / 12 + 1)).max() < 1e-14
+
+
+def test_batch_exhausted_row_warns_with_its_own_estimate():
+    c = Contour.polyline([-0.5, 0.5])
+    opts = QuadOptions(nodes_per_panel=6, max_refine_depth=1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, alone_err = integrate_single(_pole_row, c, opts)
+        f, _ = _batch_of_easy_rows(40, 7)
+        _, errs = integrate_single(f, c, opts, batch=40)
+    acc = [w.message for w in caught if issubclass(w.category, AccuracyWarning)]
+    assert len(acc) == 2  # one alone, one for row 7 of the batch
+    assert (acc[0].index, acc[1].index) == (0, 7)
+    assert "integral 7 of 40" in str(acc[1])
+    assert acc[1].estimate == pytest.approx(acc[0].estimate, rel=1e-12)
+    assert 0 < acc[1].estimate <= errs[7] == pytest.approx(alone_err, rel=1e-12)
+
+
+def test_batch_non_finite_row_rejects_the_call():
+    c = Contour.polyline([0.0, 1.0])
+    with pytest.raises(GeometryError, match="non-finite"):
+        integrate_single(lambda z, i: np.where(i == 2, np.nan, np.exp(z)), c, batch=4)
+
+
 def test_error_estimate_honest_for_smooth_integrands():
     opts = QuadOptions()
     exact = SQRT_PI * np.exp(-0.25)  # integral of exp(-z^2+iz) over R
