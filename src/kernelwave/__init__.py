@@ -78,6 +78,7 @@ from .quadrature import (
     QuadOptions,
     Ray,
     StraightArc,
+    integrate_cauchy,
     integrate_double,
     integrate_single,
     refine_panels,
@@ -107,7 +108,7 @@ __all__ = [
     # quadrature
     "GeometryError", "AccuracyWarning", "QuadOptions", "StraightArc", "Ray",
     "Contour", "truncate_rays", "refine_panels", "integrate_single",
-    "integrate_double",
+    "integrate_double", "integrate_cauchy",
     # phase
     "PhaseSpec", "make_phase", "PathPolyline", "trace_steepest",
     "export_level_curve", "BranchPath", "make_branch_path",

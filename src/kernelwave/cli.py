@@ -12,8 +12,10 @@ Subcommands
 
 Exit codes: 0 success, 1 error (bad input or a failed ``--check``),
 2 completed with accuracy warnings.  A batch or sweep is one
-:func:`~kernelwave.kernels.eval_kernels` call (the segment kernels of a
-batch are integrated together), and rows come out in input order.
+:func:`~kernelwave.kernels.eval_kernels` call, and rows come out in input
+order.  The segment kernels of a batch are integrated together, and so are
+its direct airy-ext, pearcey-ext and transition-a rows that share both
+times (and ``a``): each such group is one Cauchy-matrix bilinear form.
 """
 
 from __future__ import annotations

@@ -22,10 +22,15 @@ Two evaluation geometries are implemented:
 Keeping both backends gives an internal cross-validation oracle: they share
 no geometry, yet must agree to quadrature accuracy.
 
-The segment kernels take arrays: :func:`eval_kernels` evaluates all the
-segment-kernel queries of a batch that share a kernel and options in one
-batched single-integral call, and :func:`eval_kernel` of a segment kernel is
-the batch of one.
+The segment and direct evaluators take arrays.  :func:`eval_kernels`
+evaluates all the segment-kernel queries of a batch that share a kernel and
+options in one batched single-integral call.  It evaluates the direct
+airy-ext, pearcey-ext and transition-a queries that share a kernel, both
+times, the transition parameter and options, up to ``_GROUP`` at a time,
+as one Cauchy-matrix bilinear form
+(:func:`~kernelwave.quadrature.integrate_cauchy`): their contours are
+truncated and refined on the group's upper envelope, and one GEMM gives all
+their values.  :func:`eval_kernel` of a direct query is the batch of one.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ from .quadrature import (
     GeometryError,
     QuadOptions,
     gl_unit,
-    integrate_double,
+    integrate_cauchy,
+    integrate_double,  # noqa: F401  (perfbench/spans.py traces this name)
     integrate_single,
     polar_cell,
     refine_panels,
@@ -176,12 +182,33 @@ def _segment_kernel(kind: str, dt: np.ndarray, dx: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _direct_airy(tau1: float, tau2: float, u: float, v: float,
-                 opts: QuadOptions, *, sigma_vertex: float = _DELTA,
-                 gamma_vertex: float = -_DELTA) -> tuple[complex, float]:
-    """Cubic-phase double integral on offset V contours, minus heat term."""
+def _batch(u, v):
+    """``(u, v)`` as arrays, and whether they came as scalars."""
+    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    u, v = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
+                               np.atleast_1d(np.asarray(v, dtype=float)))
+    return u, v, scalar
+
+
+def _contour(contour: Contour, p, opts: QuadOptions) -> Contour:
+    """``contour`` truncated and refined on the upper envelope of a batch of
+    exponents, ``max_j Re p(z)_j``."""
+    env = lambda z: np.real(p(np.asarray(z)[..., None])).max(axis=-1)
+    return refine_panels(truncate_rays(contour, env, opts.ray_truncation_budget), env)
+
+
+def _direct_airy(tau1: float, tau2: float, u, v, opts: QuadOptions, *,
+                 sigma_vertex: float = _DELTA, gamma_vertex: float = -_DELTA):
+    """Cubic-phase double integral on offset V contours, minus heat term.
+
+    ``u`` and ``v`` may be arrays: the batch shares the contours, truncated
+    and refined on its upper envelope, and one :func:`integrate_cauchy`
+    call.  Returns arrays ``(values, errors)``, or scalars for scalar
+    ``u`` and ``v``.
+    """
     if sigma_vertex <= gamma_vertex:
         raise GeometryError("zeta contour must stay right of the omega contour")
+    u, v, scalar = _batch(u, v)
 
     def p_zeta(z):
         return z ** 3 / 3.0 - v * z - tau2 * z * z
@@ -189,31 +216,27 @@ def _direct_airy(tau1: float, tau2: float, u: float, v: float,
     def p_omega(w):
         return -(w ** 3) / 3.0 + u * w + tau1 * w * w
 
-    env_z = lambda z: np.real(p_zeta(z))
-    env_w = lambda w: np.real(p_omega(w))
     sig = Contour.vee(sigma_vertex, np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3))
     gam = Contour.vee(gamma_vertex, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3))
-    sig = refine_panels(truncate_rays(sig, env_z, opts.ray_truncation_budget), env_z)
-    gam = refine_panels(truncate_rays(gam, env_w, opts.ray_truncation_budget), env_w)
-
-    def F(z, w):
-        return np.exp(p_zeta(z)) * np.exp(p_omega(w)) / (z - w)
-
-    val, err = integrate_double(F, sig, gam, opts)
-    heat = heat_term(tau1 - tau2, u - v, "four-pi")
-    return val / _TWO_PI_I_SQ - heat, err / (4.0 * np.pi ** 2)
+    val, err = integrate_cauchy(p_zeta, p_omega, _contour(sig, p_zeta, opts),
+                                _contour(gam, p_omega, opts), opts)
+    val = val / _TWO_PI_I_SQ - heat_term(tau1 - tau2, u - v, "four-pi")
+    err = err / (4.0 * np.pi ** 2)
+    return (complex(val[0]), float(err[0])) if scalar else (val, err)
 
 
-def _direct_quartic(tau1: float, tau2: float, u: float, v: float,
-                    a_cubic: float, opts: QuadOptions) -> tuple[complex, float]:
+def _direct_quartic(tau1: float, tau2: float, u, v, a_cubic: float,
+                    opts: QuadOptions):
     """Quartic-phase double integral: the X-contour family.
 
     ``a_cubic = 0`` gives the plain quartic kernel; ``a_cubic = a > 0``
     gives the transition kernel, whose omega exponent gains ``-a w**3/3``
     (and zeta gains ``+a z**3/3``).  The right V of the X is placed at the
     cubic term's critical point ``max(2 delta, a)``, which keeps the
-    envelope monotone decaying along its rays.
+    envelope monotone decaying along its rays.  The two V's form one omega
+    node set.  Batches of ``(u, v)`` as in :func:`_direct_airy`.
     """
+    u, v, scalar = _batch(u, v)
 
     def p_zeta(z):
         return -(z ** 4) / 4.0 + a_cubic * z ** 3 / 3.0 - 0.5 * tau2 * z * z - v * z
@@ -221,26 +244,17 @@ def _direct_quartic(tau1: float, tau2: float, u: float, v: float,
     def p_omega(w):
         return (w ** 4) / 4.0 - a_cubic * w ** 3 / 3.0 + 0.5 * tau1 * w * w + u * w
 
-    env_z = lambda z: np.real(p_zeta(z))
-    env_w = lambda w: np.real(p_omega(w))
-
     delta = _DELTA
     zline = Contour.vee(delta, -1j, 1j)  # vertical line through +delta, upward
     right_vertex = max(2.0 * delta, a_cubic)
     right_v = Contour.vee(right_vertex, np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4))
     left_v = Contour.vee(-delta, np.exp(-3j * np.pi / 4), np.exp(3j * np.pi / 4))
-
-    zline = refine_panels(truncate_rays(zline, env_z, opts.ray_truncation_budget), env_z)
-    right_v = refine_panels(truncate_rays(right_v, env_w, opts.ray_truncation_budget), env_w)
-    left_v = refine_panels(truncate_rays(left_v, env_w, opts.ray_truncation_budget), env_w)
-
-    def F(z, w):
-        return np.exp(p_zeta(z)) * np.exp(p_omega(w)) / (z - w)
-
-    v1, e1 = integrate_double(F, zline, right_v, opts)
-    v2, e2 = integrate_double(F, zline, left_v, opts)
-    heat = heat_term(tau1 - tau2, u - v, "two-pi")
-    return (v1 + v2) / _TWO_PI_I_SQ - heat, (e1 + e2) / (4.0 * np.pi ** 2)
+    val, err = integrate_cauchy(
+        p_zeta, p_omega, _contour(zline, p_zeta, opts),
+        (_contour(right_v, p_omega, opts), _contour(left_v, p_omega, opts)), opts)
+    val = val / _TWO_PI_I_SQ - heat_term(tau1 - tau2, u - v, "two-pi")
+    err = err / (4.0 * np.pi ** 2)
+    return (complex(val[0]), float(err[0])) if scalar else (val, err)
 
 
 # ---------------------------------------------------------------------------
@@ -434,29 +448,23 @@ def eval_kernel(q: KernelQuery) -> KernelValue:
     The segment kernels (sine-ext, s1, s2) and the transition kernel are
     always evaluated directly (their integrals are not oscillatory at
     scale); airy-ext and pearcey-ext honor ``backend="saddle"`` through the
-    identity embedding of the rescaled forms at ``a = 1``.  A segment kernel
+    identity embedding of the rescaled forms at ``a = 1``.  A direct query
     is the batch of one of :func:`eval_kernels`.
     """
-    opts = q.opts
-    if q.kernel in _SEGMENT_KERNELS:
-        return eval_kernels([q])[0]
-    if q.kernel == "airy-ext":
-        if q.backend == "saddle":
-            kv = rescaled_airy_lhs(1.0, q.tau1, q.tau2, q.u + 1.0, q.v + 1.0,
-                                   "saddle", opts)
-            return KernelValue.wrap(kv.value, kv.error_estimate, "saddle")
-        val, err = _direct_airy(q.tau1, q.tau2, q.u, q.v, opts)
-        return KernelValue.wrap(val, err, "direct")
-    if q.kernel == "pearcey-ext":
-        if q.backend == "saddle":
-            kv = rescaled_pearcey_lhs(1.0, q.tau1 / 2.0, q.tau2 / 2.0,
-                                      q.u - 1.0, q.v - 1.0, "saddle", opts)
-            return KernelValue.wrap(kv.value, kv.error_estimate, "saddle")
-        val, err = _direct_quartic(q.tau1, q.tau2, q.u, q.v, 0.0, opts)
-        return KernelValue.wrap(val, err, "direct")
-    # transition-a
-    val, err = _direct_quartic(q.tau1, q.tau2, q.u, q.v, float(q.a_param), opts)
-    return KernelValue.wrap(val, err, "direct")
+    if q.backend == "saddle" and q.kernel == "airy-ext":
+        kv = rescaled_airy_lhs(1.0, q.tau1, q.tau2, q.u + 1.0, q.v + 1.0,
+                               "saddle", q.opts)
+        return KernelValue.wrap(kv.value, kv.error_estimate, "saddle")
+    if q.backend == "saddle" and q.kernel == "pearcey-ext":
+        kv = rescaled_pearcey_lhs(1.0, q.tau1 / 2.0, q.tau2 / 2.0,
+                                  q.u - 1.0, q.v - 1.0, "saddle", q.opts)
+        return KernelValue.wrap(kv.value, kv.error_estimate, "saddle")
+    return eval_kernels([q])[0]
+
+
+# Direct double-integral queries per integrate_cauchy call: bounds the
+# exponent matrices of one group, about 16 bytes per query and node.
+_GROUP = 256
 
 
 def eval_kernels(queries) -> list[KernelValue]:
@@ -465,25 +473,44 @@ def eval_kernels(queries) -> list[KernelValue]:
     The segment-kernel queries are grouped by (kernel, options), and each
     group is one batched :func:`integrate_single` call, whose integrand sees
     at most ``quadrature._CHUNK`` points per call; every integral in it is
-    refined and estimated on its own.  Every other query goes through
-    :func:`eval_kernel` one at a time.  A query that fails raises for the
-    whole batch.
+    refined and estimated on its own.  The direct double-integral queries
+    (airy-ext, pearcey-ext, transition-a) are grouped by (kernel, tau1,
+    tau2, a_param, options), and each group of up to ``_GROUP`` queries
+    shares its contours and one :func:`integrate_cauchy` call.  Saddle
+    queries go through :func:`eval_kernel` one at a time.  A query that
+    fails raises for the whole batch.
     """
     queries = list(queries)
     out: list = [None] * len(queries)
-    groups: dict = {}
+    segments: dict = {}
+    directs: dict = {}
     for k, q in enumerate(queries):
         if q.kernel in _SEGMENT_KERNELS:
-            groups.setdefault((q.kernel, q.opts), []).append(k)
+            segments.setdefault((q.kernel, q.opts), []).append(k)
+        elif q.backend == "direct" or q.kernel == "transition-a":
+            directs.setdefault((q.kernel, q.tau1, q.tau2, q.a_param, q.opts),
+                               []).append(k)
         else:
             out[k] = eval_kernel(q)
-    for (kind, opts), ks in groups.items():
+    for (kind, opts), ks in segments.items():
         dt = np.array([queries[k].tau1 - queries[k].tau2 for k in ks])
         dx = np.array([queries[k].u - queries[k].v for k in ks])
         vals, errs = _segment_kernel(kind, dt, dx, opts)
         # Real by construction: no imaginary residual to report.
         for k, val, err in zip(ks, vals.tolist(), errs.tolist()):
             out[k] = KernelValue(complex(val), 0.0, err, "direct")
+    for (kind, tau1, tau2, a_param, opts), group in directs.items():
+        for j in range(0, len(group), _GROUP):
+            ks = group[j:j + _GROUP]
+            u = np.array([queries[k].u for k in ks])
+            v = np.array([queries[k].v for k in ks])
+            if kind == "airy-ext":
+                vals, errs = _direct_airy(tau1, tau2, u, v, opts)
+            else:
+                a_cubic = 0.0 if kind == "pearcey-ext" else float(a_param)
+                vals, errs = _direct_quartic(tau1, tau2, u, v, a_cubic, opts)
+            for k, val, err in zip(ks, vals.tolist(), errs.tolist()):
+                out[k] = KernelValue.wrap(val, err, "direct")
     return out
 
 

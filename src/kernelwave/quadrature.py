@@ -10,9 +10,18 @@ integral's tolerance, refinement, estimate and warning its own.  Either
 integrator calls the integrand on at most ``_CHUNK`` points at a time.  A
 double integral is a tensor rule over every panel pair, so the two contours
 must not meet: an integrand that explodes where they nearly touch is
-rejected as an undeclared contour crossing.  :func:`polar_cell` integrates an integrable
-``1/(s - c*t)``-type singularity over a square; the saddle backend's
-coincident-saddle blocks use it.
+rejected as an undeclared contour crossing.
+
+:func:`integrate_cauchy` evaluates B double integrals of the form
+``exp(a(ζ)) exp(b(ω)) / (ζ - ω)`` that share two contours as one bilinear
+form ``colsum(A ⊙ (C B))`` with the Cauchy matrix ``C_kl = 1/(ζ_k - ω_l)``:
+one node set per contour, the whole contour pair refined by doubling the
+rule, and a round-off floor taken from the arithmetic of the form.  The
+kernels' direct backend uses it; :func:`integrate_double` remains as the
+general adaptive primitive and the reference it is tested against.
+:func:`polar_cell` integrates an integrable ``1/(s - c*t)``-type
+singularity over a square; the saddle backend's coincident-saddle blocks
+use it.
 
 Integrands must be numpy-vectorized: they are called with broadcasted
 complex arrays and must evaluate elementwise (a batched single integrand
@@ -38,6 +47,7 @@ __all__ = [
     "refine_panels",
     "integrate_single",
     "integrate_double",
+    "integrate_cauchy",
     "gl_unit",
     "polar_cell",
 ]
@@ -50,7 +60,8 @@ class GeometryError(Exception):
 
 
 class AccuracyWarning(UserWarning):
-    """Issued when refinement depth is exhausted before reaching tolerance.
+    """Issued when refinement (depth, or rule doublings) is exhausted before
+    reaching tolerance.
 
     The warning's ``estimate`` attribute carries the best error estimate and
     ``index`` the integral of a batch it belongs to (0 for a single one).
@@ -250,7 +261,8 @@ def gl_unit(n: int):
 # Two-level differences cannot resolve below roundoff of the magnitude
 # integral; descending further than this floor only multiplies work, and
 # every reported estimate includes it.
-_ROUNDOFF = 200.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
+_ROUNDOFF = 200.0 * _EPS
 
 # Integrand points per call of the double rule, whatever the number of panel
 # pairs: bounds the node and value arrays held at once.
@@ -487,3 +499,117 @@ def integrate_double(F, cA: Contour, cB: Contour,
     vals, errs = _refine(pairs, np.zeros(len(pairs), dtype=int), 1, measure,
                          split, opts, "integrate_double")
     return complex(vals[0]), float(errs[0])
+
+
+# ---------------------------------------------------------------------------
+# Cauchy bilinear forms
+# ---------------------------------------------------------------------------
+
+# Bytes of each row block of the Cauchy matrix (and of A) held at once.
+_BLOCK_BYTES = 1 << 18
+
+# Times integrate_cauchy doubles the rule for columns that miss their
+# tolerance before it warns.
+_DOUBLINGS = 3
+
+
+def _node_set(contours, n: int):
+    """Points and weights of the ``n``-node rule on every panel of one or
+    more contours, concatenated."""
+    panels = [p for c in contours for p in c.panels]
+    xu, wu = gl_unit(n)
+    z, d = _nodes(panels, xu)
+    return z.ravel(), (d[:, None] * wu).ravel()
+
+
+def _cauchy_rule(exp_a, exp_b, cA, cB, n: int, cols, with_mag: bool):
+    """``colsum(A ⊙ (C B))``, and if ``with_mag`` ``colsum(|A| ⊙ (|C| |B|))``
+    (else 0), on the ``n``-node rule for the columns ``cols`` of the
+    exponents, and the node count.
+
+    Each column of ``A`` and ``B`` is scaled by its largest Re exponent and
+    the logs are added back at the end; ``A``'s scale is kept as a running
+    maximum over the row blocks, rescaling the partial sums as it grows.
+    """
+    za, wa = _node_set(cA, n)
+    zb, wb = _node_set(cB, n)
+    B = np.asarray(exp_b(zb[:, None]), dtype=complex)[:, cols]
+    sb = B.real.max(axis=0)
+    B -= sb
+    np.exp(B, out=B)
+    B *= wb[:, None]
+    abs_B = np.abs(B) if with_mag else None
+    rows = max(1, _BLOCK_BYTES // (16 * max(B.shape)))
+    sa = np.full(B.shape[1], -np.inf)
+    val = np.zeros(B.shape[1], dtype=complex)
+    mag = np.zeros(B.shape[1])
+    for k in range(0, len(za), rows):
+        ea = np.asarray(exp_a(za[k:k + rows, None]))[:, cols]
+        top = np.maximum(sa, ea.real.max(axis=0))
+        shrink = np.exp(sa - top)
+        val *= shrink
+        mag *= shrink
+        sa = top
+        A = wa[k:k + rows, None] * np.exp(ea - sa)
+        C = 1.0 / (za[k:k + rows, None] - zb)
+        val += np.einsum("kj,kj->j", A, C @ B)
+        if with_mag:
+            mag += np.einsum("kj,kj->j", np.abs(A), np.abs(C) @ abs_B)
+    scale = np.exp(sa + sb)
+    return val * scale, mag * scale, len(za) + len(zb)
+
+
+def integrate_cauchy(exp_a, exp_b, contour_a, contour_b,
+                     opts: QuadOptions = QuadOptions()):
+    """B double integrals ``∬ exp(exp_a(ζ)_j) exp(exp_b(ω)_j) / (ζ - ω) dζ dω``
+    over two contours that do not meet, as one bilinear form.
+
+    ``exp_a(z)`` and ``exp_b(z)`` get a column of points (shape ``(P, 1)``)
+    and return the exponents of all B integrands (shape ``(P, B)``); the
+    array ``exp_b`` returns is overwritten.  Either contour may also be a tuple of contours, whose node sets are
+    concatenated.  With Gauss-Legendre nodes and weights on each contour,
+    ``A_kj = w_k exp(exp_a(ζ_k)_j)``, ``B_lj = w_l exp(exp_b(ω_l)_j)`` and
+    the Cauchy matrix ``C_kl = 1/(ζ_k - ω_l)``, column j's value is
+    ``colsum(A ⊙ (C B))_j``; ``C`` and ``A`` are formed in row blocks of
+    about ``_BLOCK_BYTES``.  The rule takes ``n + n//2 + 1`` nodes per panel
+    and is compared with ``n``; the estimate is that difference plus the
+    round-off floor ``eps sqrt(K + L) Σ|A||C||B|`` of the ``K + L`` nodes.
+    A column whose difference exceeds both its floor and its tolerance
+    ``max(abs_tol, rel_tol |value|)`` has the rule doubled on the whole
+    contour pair, at most ``_DOUBLINGS`` times, then gets one
+    :class:`AccuracyWarning` carrying its index and estimate.  A non-finite
+    value or estimate raises :class:`GeometryError` for the whole call.
+    Returns arrays ``(values, errors)`` of length B.
+    """
+    ca = contour_a if isinstance(contour_a, tuple) else (contour_a,)
+    cb = contour_b if isinstance(contour_b, tuple) else (contour_b,)
+    if not all(c.is_finite for c in ca + cb):
+        raise GeometryError("integrate_cauchy requires truncated contours")
+    n = opts.nodes_per_panel
+    cols, vals, errs = slice(None), None, None
+    for _ in range(_DOUBLINGS + 1):
+        # An overflowing column is reported below, not by numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, _, _ = _cauchy_rule(exp_a, exp_b, ca, cb, n, cols, False)
+            hi, mag, nodes = _cauchy_rule(exp_a, exp_b, ca, cb, n + n // 2 + 1,
+                                          cols, True)
+            diff = np.abs(hi - lo)
+            floor = _EPS * np.sqrt(nodes) * mag
+        if not (np.isfinite(hi).all() and np.isfinite(diff + floor).all()):
+            raise GeometryError("non-finite value or estimate in integrate_cauchy")
+        if vals is None:
+            vals, errs, cols = hi, diff + floor, np.arange(len(hi))
+        else:
+            vals[cols], errs[cols] = hi, diff + floor
+        tol = np.maximum(opts.abs_tol, opts.rel_tol * np.abs(hi))
+        cols = cols[diff > np.maximum(tol, floor)]
+        if cols.size == 0:
+            break
+        n *= 2
+    for j in cols:
+        where = ("integrate_cauchy" if len(vals) == 1
+                 else f"integrate_cauchy (integral {j} of {len(vals)})")
+        warnings.warn(AccuracyWarning(
+            f"{where}: tolerance missed after {_DOUBLINGS} rule doublings; "
+            f"estimate {errs[j]:.3e}", float(errs[j]), int(j)), stacklevel=2)
+    return vals, errs

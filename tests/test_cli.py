@@ -87,6 +87,14 @@ def test_eval_overflowing_integrand_exits_1(capsys):
     assert out == ""
 
 
+def test_eval_overflowing_direct_airy_exits_1(capsys):
+    # the direct Airy exponentials overflow at tau1 = tau2 = -20
+    code, out, err = run(capsys, "eval", "--kernel", "airy-ext", "--tau1", "-20",
+                         "--tau2", "-20")
+    assert code == 1 and "non-finite" in err
+    assert out == ""
+
+
 def test_eval_batch_with_non_finite_input_exits_1(capsys, tmp_path):
     batch = tmp_path / "nan.jsonl"
     batch.write_text('{"kernel": "s1", "u": 0.1}\n{"kernel": "s1", "v": NaN}\n')

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from kernelwave.kernels import (
     rescaled_pearcey_lhs,
     transition_interpolation_check,
 )
+from kernelwave import kernels
 from kernelwave.kernels import _direct_airy  # deformation-invariance check
 from kernelwave.quadrature import _CHUNK, QuadOptions
 
@@ -137,6 +140,64 @@ def test_eval_kernels_matches_one_query_at_a_time():
         assert abs(got.error_estimate - want.error_estimate) <= 0.05 * want.error_estimate, q
         if q.kernel in ("sine-ext", "s1", "s2"):
             assert got.value.imag == want.value.imag == 0.0
+
+
+def test_eval_kernels_groups_direct_queries_that_share_times(monkeypatch):
+    # Direct queries sharing (kernel, tau1, tau2, a) share their contours and
+    # one bilinear form; saddle and segment rows sit between them.  Groups
+    # of at most 5 split the airy rows in two.
+    monkeypatch.setattr(kernels, "_GROUP", 5)
+    rng = np.random.default_rng(12)
+    qs = [KernelQuery("airy-ext", 0.5, 0.0, *rng.uniform(-3, 3, 2)) for _ in range(8)]
+    qs += [KernelQuery("pearcey-ext", -0.2, 0.3, *rng.uniform(-2, 2, 2)) for _ in range(4)]
+    qs += [KernelQuery("transition-a", 0.1, 0.2, *rng.uniform(-2, 2, 2), a_param=1.5)
+           for _ in range(3)]
+    qs += [KernelQuery(k, 0.3, -0.2, 0.15, 0.05, backend="saddle")
+           for k in ("airy-ext", "pearcey-ext")]
+    qs += [KernelQuery(k, 0.4, 0.1, 0.7, -0.4) for k in ("sine-ext", "s1", "s2")]
+    qs = [qs[k] for k in rng.permutation(len(qs))]
+
+    batch = eval_kernels(qs)
+    for q, got in zip(qs, batch):
+        want = eval_kernel(q)
+        assert got.backend_used == want.backend_used, q
+        assert abs(got.value - want.value) <= min(got.error_estimate, want.error_estimate), q
+        assert 0.5 <= got.error_estimate / want.error_estimate <= 2.0, q
+
+
+def test_airy_block_matches_scipy_within_its_estimates():
+    # The whole equal-time tau = 0 block of the 16-node Gauss-Legendre grid
+    # on [-3, 3] in one batch, against scipy's Airy kernel.
+    x = 3.0 * np.polynomial.legendre.leggauss(16)[0]
+    u, v = (g.ravel() for g in np.meshgrid(x, x, indexing="ij"))
+    batch = eval_kernels([KernelQuery("airy-ext", 0.0, 0.0, a, b) for a, b in zip(u, v)])
+    ai_u, aip_u, _, _ = scipy_airy(u)
+    ai_v, aip_v, _, _ = scipy_airy(v)
+    diag = u == v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.where(diag, aip_u ** 2 - u * ai_u ** 2,
+                        (ai_u * aip_v - aip_u * ai_v) / (u - v))
+    got = np.array([kv.value.real for kv in batch])
+    err = np.array([kv.error_estimate for kv in batch])
+    ratio = np.abs(got - want) / err
+    print(f"largest miss / err over the 256-entry block: {ratio.max():.3f}")
+    assert (ratio <= 1.0).all()
+
+
+def test_direct_airy_fails_fast_at_large_negative_times():
+    from kernelwave.quadrature import GeometryError
+
+    start = time.perf_counter()
+    try:
+        kv = _val("airy-ext", -14.0, -14.0)
+    except GeometryError:
+        pass
+    else:  # above the CLI's default warn_tol, so `kernelwave eval` exits 2
+        assert kv.error_estimate > 1e-6
+    assert time.perf_counter() - start < 5.0
+    # the exponentials overflow: rejected, not returned as nan
+    with pytest.raises(GeometryError, match="non-finite"):
+        _val("airy-ext", -20.0, -20.0)
 
 
 def test_direct_airy_contour_deformation_invariance():

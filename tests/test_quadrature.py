@@ -15,6 +15,7 @@ from kernelwave.quadrature import (
     Ray,
     StraightArc,
     gl_unit,
+    integrate_cauchy,
     integrate_double,
     integrate_single,
     polar_cell,
@@ -298,6 +299,70 @@ def test_nonzero_integrand_never_reports_zero_error(f):
 def test_double_requires_finite_contours():
     with pytest.raises(GeometryError):
         integrate_double(lambda z, w: 1.0, _gaussian_line(), _gaussian_line())
+
+
+# ---------------------------------------------------------------------------
+# Cauchy bilinear forms
+# ---------------------------------------------------------------------------
+
+# Exponents of _SEPARATED-type integrands, one column per shift s:
+# exp(-(z - i)^2 + s z) exp(-(w + i)^2 - s w) / (z - w).
+_SHIFTS = np.array([0.0, 0.5, -0.3j, 1.0 + 0.4j])
+_EXP_A = lambda z: -((z - 1j) ** 2) + _SHIFTS * z
+_EXP_B = lambda w: -((w + 1j) ** 2) - _SHIFTS * w
+
+
+def test_cauchy_matches_double_integral():
+    ca, cb = _offset_line(1j), _offset_line(-1j)
+    vals, errs = integrate_cauchy(_EXP_A, _EXP_B, ca, cb)
+    assert vals.shape == errs.shape == (len(_SHIFTS),)
+    for s, val, err in zip(_SHIFTS, vals, errs):
+        F = lambda z, w: np.exp(-((z - 1j) ** 2) + s * z - (w + 1j) ** 2 - s * w) / (z - w)
+        ref, ref_err = integrate_double(F, ca, cb)
+        assert abs(val - ref) <= min(err, ref_err), s
+        assert 0 < err < 1e-12
+
+
+def test_cauchy_doubles_the_rule_until_it_converges():
+    ca, cb = _offset_line(1j), _offset_line(-1j)
+    ref, ref_err = integrate_cauchy(_EXP_A, _EXP_B, ca, cb)
+    points = []
+
+    def counted(w):
+        points.append(len(w))
+        return _EXP_B(w)
+
+    low = QuadOptions(nodes_per_panel=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        vals, errs = integrate_cauchy(_EXP_A, counted, ca, cb, low)
+    # level 0 takes 6 and 10 nodes per panel; more means the rule doubled
+    assert max(points) > 10 * len(cb.panels)
+    assert (np.abs(vals - ref) <= errs).all()
+
+
+def test_cauchy_warns_per_column_when_doubling_is_exhausted():
+    # columns 1 and 3 oscillate too fast for 4 nodes per panel doubled three
+    # times; columns 0 and 2 converge
+    k = np.array([0.0, 200.0, 0.0, 150.0])
+    exp_a = lambda z: -((z - 1j) ** 2) + 1j * k * (z - 1j)
+    exp_b = lambda w: -((w + 1j) ** 2) - 1j * k * (w + 1j)
+    opts = QuadOptions(nodes_per_panel=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vals, errs = integrate_cauchy(exp_a, exp_b, _offset_line(1j), _offset_line(-1j), opts)
+    acc = [w.message for w in caught if issubclass(w.category, AccuracyWarning)]
+    assert [w.index for w in acc] == [1, 3]
+    assert "integral 3 of 4" in str(acc[1])
+    assert [w.estimate for w in acc] == [errs[1], errs[3]]
+    assert errs[1] > 1e-10 and errs[3] > 1e-10
+    assert errs[0] < 1e-12 and errs[2] < 1e-12
+
+
+def test_cauchy_non_finite_column_rejects_the_call():
+    exp_a = lambda z: np.where(_SHIFTS == 0.5, np.nan, _EXP_A(z))
+    with pytest.raises(GeometryError, match="non-finite"):
+        integrate_cauchy(exp_a, _EXP_B, _offset_line(1j), _offset_line(-1j))
 
 
 def test_polar_cell_keeps_crossing_cell_values():
