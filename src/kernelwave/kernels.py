@@ -15,9 +15,14 @@ Two evaluation geometries are implemented:
   four Gaussian blocks in real coordinates.  The four block maps of each
   transition come from one table of (branch path, reflection) specs.  The
   blocks through coincident saddles carry an integrable ``1/(zeta-omega)``
-  singularity handled by a polar substitution (the polar cell shared with
-  :mod:`kernelwave.quadrature`); the kernel is then (segment variant) +
-  (block sum).  Stable for arbitrarily large rescaling parameters.
+  singularity handled by a polar substitution, whose octants are Duffy
+  triangles (:func:`~kernelwave.quadrature.polar_rule`); the other two are
+  tensor Gauss rules.  Every coordinate the four blocks need lies in one
+  1-D vector, so per rule each branch path is evaluated once, each map
+  gives one factor per coordinate, and each block is a sum of those
+  factors over the Cauchy kernel ``1/(zeta-omega)``, gathered by index.
+  The kernel is then (segment variant) + (block sum).  Stable for
+  arbitrarily large rescaling parameters.
 
 Keeping both backends gives an internal cross-validation oracle: they share
 no geometry, yet must agree to quadrature accuracy.
@@ -49,7 +54,8 @@ from .quadrature import (
     integrate_cauchy,
     integrate_double,  # noqa: F401  (perfbench/spans.py traces this name)
     integrate_single,
-    polar_cell,
+    polar_images,
+    polar_rule,
     refine_panels,
     truncate_rays,
 )
@@ -291,24 +297,6 @@ def _symmetric_grid(X: float, s: float, n: int):
     return _grid_from_boundaries(bounds, n)
 
 
-def _tensor_block(amp, s: float, X: float, n: int) -> complex:
-    """``integral over [-X,X]^2 of amp(x,y) * exp(-s(x^2+y^2))`` for a
-    smooth (nonsingular) amplitude."""
-    xs, wx = _symmetric_grid(X, s, n)
-    vals = np.asarray(amp(xs[:, None], xs[None, :]))
-    gx = wx * np.exp(-s * xs * xs)
-    return complex(np.einsum("i,j,ij->", gx, gx, vals))
-
-
-def _polar_block(amp, s: float, X: float, n: int) -> complex:
-    """Same integral when ``amp`` has an integrable ``1/(x - c y)``-type
-    singularity at the origin: one polar cell over the square, with its
-    radial panels graded for the Gaussian weight."""
-    radial = _grid_from_boundaries(_graded_boundaries(1.0, s * X * X), n)
-    return polar_cell(lambda x, y: amp(x, y) * np.exp(-s * (x * x + y * y)),
-                      X, n, radial)
-
-
 def _truncation_halfwidth(s: float, budget: float, growth_bound) -> float:
     """Fixed point of ``X = sqrt((budget + G(X))/s)`` where ``G`` bounds the
     amplitude's Re-exponent growth over the square of halfwidth ``X``."""
@@ -336,15 +324,48 @@ _SADDLE_SPECS = {
 }
 
 
-def _block_map(path, reflect):
-    """``x -> (zeta, zeta')`` of one block map, in one branch-path pass."""
-    if reflect is None:
-        return lambda x: path.zeta(x, with_derivative=True)
+def _saddle_blocks(paths, specs, s: float, X: float, n: int, tau1: float,
+                   tau2: float, u: float, v: float) -> np.ndarray:
+    """The blocks (+,+), (-,-), (+,-) and (-,+) of J on the ``n``-node rule.
 
-    def reflected(x):
-        z, dz = path.zeta(-x, with_derivative=True)
-        return reflect(z), -reflect(dz)
-    return reflected
+    Every coordinate the blocks need is in one vector ``A``: the tensor
+    grid ``xs`` on ``[-X, X]``, and the polar rule's ``p`` and ``q`` (the
+    polar blocks are the eight images of that octant).  Each branch path is
+    evaluated once on ``c = [A, -A]``; a minus map ``x -> R(P(-x))`` at
+    ``c`` is the reflected plus map at the swapped half.  Each map gives
+    one factor per coordinate: ``dz exp(-v z - tau2 z**2 - s c**2)`` for a
+    zeta map and ``dw exp(u w + tau1 w**2 - s c**2)`` for an omega map.
+    """
+    xs, wx = _symmetric_grid(X, s, n)
+    radial = _grid_from_boundaries(_graded_boundaries(1.0, s * X * X), n)
+    p, q, W = polar_rule(X, n, radial)
+    A = np.concatenate([xs, p, q.ravel()])
+    c = np.concatenate([A, -A])
+    at = {name: paths[name].zeta(c, with_derivative=True) for name in ("S", "T")}
+    maps = []
+    for (name, reflect), (lin, quad) in zip(specs, ((-v, -tau2), (-v, -tau2),
+                                                    (u, tau1), (u, tau1))):
+        z, dz = at[name]
+        if reflect is not None:
+            z, dz = reflect(np.roll(z, A.size)), -reflect(np.roll(dz, A.size))
+        maps.append((z, dz * np.exp(lin * z + quad * z * z - s * c * c)))
+    (zp, fp), (zm, fm), (wp, gp), (wm, gm) = maps
+
+    nx = xs.size
+    iq = nx + p.size + np.arange(q.size).reshape(q.shape)
+    ix, iy = polar_images(nx + np.arange(p.size), iq, lambda i: i + A.size)
+
+    def polar(z, f, w, g):
+        return np.sum(W * f[ix] * g[iy] / (z[ix] - w[iy]))
+
+    def tensor(z, f, w, g):
+        # (wx f)^T C (wx g) with the Cauchy matrix C; einsum keeps this small
+        # product out of BLAS, whose threads cost more to wake than it takes.
+        return np.einsum("i,ij,j->", wx * f[:nx], 1.0 / (z[:nx, None] - w[:nx]),
+                         wx * g[:nx])
+
+    return np.array([polar(zp, fp, wp, gp), polar(zm, fm, wm, gm),
+                     tensor(zp, fp, wm, gm), tensor(zm, fm, wp, gp)])
 
 
 def _saddle_J(kind: str, a: float, tau1: float, tau2: float, u: float, v: float,
@@ -356,7 +377,8 @@ def _saddle_J(kind: str, a: float, tau1: float, tau2: float, u: float, v: float,
     ``3 sqrt(3)/4 a**(4/3)`` with opposite sign pairing (see
     ``_SADDLE_SPECS``).  Blocks through coincident saddles are polar cells;
     mixed-saddle blocks are plain tensor Gaussians (the paths stay a distance
-    ~2 / ~sqrt(3) apart).
+    ~2 / ~sqrt(3) apart).  Each block is taken on two rules (see
+    :func:`_saddle_blocks`), and the estimate sums their differences.
     """
     if kind not in _SADDLE_SPECS:
         raise ValueError(kind)
@@ -364,34 +386,17 @@ def _saddle_J(kind: str, a: float, tau1: float, tau2: float, u: float, v: float,
     paths = airy_branch_paths() if kind == "airy" else pearcey_branch_paths()
     s = a ** power
     phase_pm = np.exp(1j * sign * theta_per_s * s)
-    zeta_p, zeta_m, omega_p, omega_m = (_block_map(paths[name], reflect)
-                                        for name, reflect in specs)
 
     def growth(X):
         m = max(float(np.max(np.abs(p.zeta(np.array([X, -X]))))) for p in paths.values())
         return abs(v) * m + abs(tau2) * m * m + abs(u) * m + abs(tau1) * m * m
 
     X = _truncation_halfwidth(s, opts.ray_truncation_budget, growth)
-
-    def block(zeta_map, omega_map):
-        def amp(x, y):
-            z, dz = zeta_map(x)
-            w, dw = omega_map(y)
-            return dz * dw * np.exp(-v * z - tau2 * z * z + u * w + tau1 * w * w) / (z - w)
-        return amp
-
     n = max(12, opts.nodes_per_panel // 2)
-    n_hi = n + n // 2 + 1
-    total, err = 0.0 + 0.0j, 0.0
-    for rule, zeta_map, omega_map, factor in (
-            (_polar_block, zeta_p, omega_p, 1.0),
-            (_polar_block, zeta_m, omega_m, 1.0),
-            (_tensor_block, zeta_p, omega_m, phase_pm),
-            (_tensor_block, zeta_m, omega_p, np.conj(phase_pm))):
-        amp = block(zeta_map, omega_map)
-        lo, hi = rule(amp, s, X, n), rule(amp, s, X, n_hi)
-        total += factor * hi
-        err += abs(hi - lo)
+    lo, hi = (_saddle_blocks(paths, specs, s, X, m, tau1, tau2, u, v)
+              for m in (n, n + n // 2 + 1))
+    factors = np.array([1.0, 1.0, phase_pm, np.conj(phase_pm)])
+    total, err = complex(factors @ hi), float(np.sum(np.abs(hi - lo)))
     return total / _TWO_PI_I_SQ, err / (4.0 * np.pi ** 2)
 
 

@@ -20,8 +20,11 @@ rule, and a round-off floor taken from the arithmetic of the form.  The
 kernels' direct backend uses it; :func:`integrate_double` remains as the
 general adaptive primitive and the reference it is tested against.
 :func:`polar_cell` integrates an integrable ``1/(s - c*t)``-type
-singularity over a square; the saddle backend's coincident-saddle blocks
-use it.
+singularity over a square as the sum over the eight signed or swapped
+images of one octant, a Duffy triangle whose nodes and weights
+:func:`polar_rule` gives (Duffy, SIAM J. Numer. Anal. 19 (1982) 1260-1262).
+The saddle backend's coincident-saddle blocks use that rule directly, with
+:func:`polar_images` on indices into one coordinate vector.
 
 Integrands must be numpy-vectorized: they are called with broadcasted
 complex arrays and must evaluate elementwise (a batched single integrand
@@ -49,6 +52,8 @@ __all__ = [
     "integrate_double",
     "integrate_cauchy",
     "gl_unit",
+    "polar_rule",
+    "polar_images",
     "polar_cell",
 ]
 
@@ -452,25 +457,50 @@ def _pair_rule(F, pairs, n: int, with_mag: bool):
     return val, mag
 
 
+def polar_rule(r: float, n: int, radial=None):
+    """The polar rule on the first octant ``0 <= t <= s <= r`` of the square
+    ``[-r, r]**2``, a Duffy triangle with its corner at the origin.
+
+    With ``s = rho*cos(theta)``, ``t = rho*sin(theta)`` and ``n``
+    Gauss-Legendre nodes ``theta_j`` on [0, pi/4], the radial limit is
+    ``R_j = r / cos(theta_j)`` and the nodes are ``p_i = r*rhat_i`` and
+    ``q_ij = p_i*tan(theta_j)``, with weights
+    ``W_ij = (pi/4) w_j R_j**2 rw_i rhat_i``.  ``radial`` gives the nodes
+    ``rhat`` and weights ``rw`` for ``rho / R`` on [0, 1]; the default is
+    one ``n``-node panel.  Returns ``(p, q, W)`` of shapes ``(m,)``,
+    ``(m, n)`` and ``(m, n)``.
+    """
+    xu, wu = gl_unit(n)
+    th = xu * (np.pi / 4)
+    R = r / np.cos(th)
+    ru, rw = radial if radial is not None else (xu, wu)
+    p = r * ru
+    return p, p[:, None] * np.tan(th), (np.pi / 4) * np.outer(rw * ru, wu * R * R)
+
+
+def polar_images(p, q, neg=np.negative):
+    """The eight images ``(±p, ±q)`` and ``(±q, ±p)`` of the first-octant
+    nodes of :func:`polar_rule` that tile the square, as arrays ``(x, y)``
+    stacked on a leading axis of 8.  ``neg`` negates a coordinate: the
+    default for values, or an index shift for indices into a vector of
+    coordinates followed by their negatives."""
+    p = np.broadcast_to(np.asarray(p)[:, None], np.shape(q))
+    mp, mq = neg(p), neg(q)
+    return np.stack([p, q, mq, mp, mp, mq, q, p]), np.stack([q, p, p, q, mq, mp, mp, mq])
+
+
 def polar_cell(g, r: float, n: int, radial=None) -> complex:
     """Integral of ``g(s, t)`` over the square ``[-r, r]**2`` by the polar
     substitution ``s = rho*cos(theta)``, ``t = rho*sin(theta)``.
 
     The Jacobian ``rho`` turns an integrable ``1/(s - c*t)``-type
-    singularity at the origin into a bounded smooth integrand.  ``theta`` is
-    integrated per octant with ``n`` Gauss-Legendre nodes, so the radial
-    limit ``R(theta)`` is smooth on each piece, and all eight octants go to
-    ``g`` in one vectorized call.  ``radial`` gives nodes and weights for
-    ``rho / R(theta)`` on [0, 1]; the default is one ``n``-node panel.
+    singularity at the origin into a bounded smooth integrand.  The square
+    is the eight signed or swapped images of one octant, each integrated by
+    :func:`polar_rule` (so the radial limit is smooth on each piece), and
+    all eight go to ``g`` in one vectorized call.
     """
-    xu, wu = gl_unit(n)
-    th = ((np.arange(8)[:, None] + xu[None, :]) * (np.pi / 4)).ravel()
-    wth = np.tile(wu * (np.pi / 4), 8)
-    R = r / np.maximum(np.abs(np.cos(th)), np.abs(np.sin(th)))
-    ru, rw = radial if radial is not None else (xu, wu)
-    rho = ru[:, None] * R[None, :]
-    vals = np.asarray(g(rho * np.cos(th), rho * np.sin(th)))
-    return complex(np.sum(wth * R * (rw @ (vals * rho))))
+    p, q, W = polar_rule(r, n, radial)
+    return complex(np.sum(W * np.asarray(g(*polar_images(p, q)))))
 
 
 def integrate_double(F, cA: Contour, cB: Contour,

@@ -74,6 +74,10 @@ ACCEPTANCE_WINDOWS: dict[str, dict[int, tuple[float, float]]] = {
     "pearcey-to-s2": {0: (-1.55, -1.15), 1: (-3.0, -2.35)},
 }
 
+# The nu-th correction term decays like ``a**(-beta*nu)``, so the residual of
+# the N-term partial sum has the theoretical slope ``-beta*(N+1)``.
+_TERM_DECAY = {"airy-to-s1": 1.5, "pearcey-to-s2": 4.0 / 3.0}
+
 # Default anchor grid: geometric-ish spacing; the saddle backend stays
 # accurate well beyond 14, the plain geometry loses ground to cancellation.
 DEFAULT_A_GRID: tuple[float, ...] = (4.0, 5.5, 7.0, 8.5, 10.0, 12.0, 14.0)
@@ -335,15 +339,19 @@ def table_to_csv(table: ResidualTable) -> str:
 
 
 def table_summary_json(table: ResidualTable) -> str:
-    """Slope summary with window verdicts as a JSON object."""
+    """Slope summary with window verdicts as a JSON object; each verdict
+    also gives the theoretical slope and the fitted slope's distance to it."""
     windows = ACCEPTANCE_WINDOWS[table.transition]
     verdicts = {}
     for N, (lo, hi) in windows.items():
         if N < table.slopes.size:
+            theory = -_TERM_DECAY[table.transition] * (N + 1)
             verdicts[str(N)] = {
                 "window": [lo, hi],
                 "slope": float(table.slopes[N]),
                 "pass": bool(lo <= table.slopes[N] <= hi),
+                "theory": theory,
+                "slope_minus_theory": float(table.slopes[N] - theory),
             }
     return json.dumps(
         {

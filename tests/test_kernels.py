@@ -25,6 +25,7 @@ from kernelwave.kernels import (
 from kernelwave import kernels
 from kernelwave.kernels import _direct_airy  # deformation-invariance check
 from kernelwave.quadrature import _CHUNK, QuadOptions
+from kernelwave.verify import DEFAULT_STUDY_POINTS
 
 # Multiples of 2**-21: common shifts are exact, yet tau1 - tau2 can still be
 # 0 or as small as 2**-21, where the segment kernels are steepest.
@@ -254,6 +255,60 @@ def test_rescaled_lhs_converges_to_segment_kernel():
         assert abs(rescaled_airy_lhs(a, t1, t2, u, v).value.real - s1) < tol
     for a, tol in ((8.0, 3e-2), (20.0, 8e-3)):
         assert abs(rescaled_pearcey_lhs(a, t1, t2, u, v).value.real - s2) < tol
+
+
+@pytest.mark.parametrize("a", [2.0, 4.0, 6.0, 8.0])
+def test_saddle_lhs_matches_direct_within_both_estimates(a):
+    # the direct backend shares no geometry with the branch-path blocks
+    worst = 0.0
+    for u, v, t1, t2 in DEFAULT_STUDY_POINTS:
+        for lhs in (rescaled_airy_lhs, rescaled_pearcey_lhs):
+            d = lhs(a, t1, t2, u, v, "direct")
+            s = lhs(a, t1, t2, u, v, "saddle")
+            ratio = abs(d.value - s.value) / (d.error_estimate + s.error_estimate)
+            worst = max(worst, ratio)
+            assert ratio <= 1.0, (lhs.__name__, a, u, v)
+    print(f"a={a}: largest |saddle - direct| / (sum of estimates) {worst:.3f}")
+
+
+@pytest.mark.parametrize("a", [4.0, 8.0, 12.0])
+def test_equal_time_saddle_airy_lhs_matches_scipy(a):
+    # K(t, t; x, y) = exp(t (x - y)) K_Ai(x + t^2, y + t^2), with the classic
+    # K_Ai(x, y) = (Ai(x) Ai'(y) - Ai'(x) Ai(y)) / (x - y)
+    worst = 0.0
+    for tau, u, v in ((0.0, 0.9, 0.3), (0.4, -0.5, 0.6), (-0.3, 1.2, -0.4)):
+        kv = rescaled_airy_lhs(a, tau, tau, u, v)
+        t, x, y = tau / a, u / np.sqrt(a) - a, v / np.sqrt(a) - a
+        ai_x, aip_x, _, _ = scipy_airy(x + t * t)
+        ai_y, aip_y, _, _ = scipy_airy(y + t * t)
+        want = np.exp(t * (x - y)) * (ai_x * aip_y - aip_x * ai_y) / (x - y) / np.sqrt(a)
+        ratio = abs(kv.value.real - want) / kv.error_estimate
+        worst = max(worst, ratio)
+        assert ratio <= 1.0, (a, tau, u, v)
+    print(f"a={a}: largest |saddle - scipy| / err {worst:.3f}")
+
+
+def test_saddle_J_evaluates_each_branch_path_once_per_rule(monkeypatch):
+    # the blocks gather their factors from one 1-D coordinate vector per
+    # rule; the truncation half-width's fixed point probes +-X only
+    from kernelwave.phase import BranchPath
+
+    kernels.airy_branch_paths(), kernels.pearcey_branch_paths()  # built already
+    shapes = []
+    zeta = BranchPath.zeta
+
+    def counted(self, x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return zeta(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(BranchPath, "zeta", counted)
+    for kind in ("airy", "pearcey"):
+        shapes.clear()
+        kernels._saddle_J(kind, 6.0, 0.2, -0.3, 0.9, 0.7, QuadOptions())
+        vectors = [shape for shape in shapes if shape != (2,)]
+        assert len(vectors) == 4, kind  # 2 branch paths x 2 rules
+        assert all(len(shape) == 1 and shape[0] > 2 for shape in vectors), kind
+        assert len(shapes) > 4, kind
 
 
 def test_error_estimates_are_honest():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ def test_table_csv_and_json_round_trip():
     assert summary["transition"] == "airy-to-s1"
     assert summary["windows"]["0"]["pass"] is True
     assert summary["slopes"][1] == pytest.approx(-3.0)
+
+
+def test_summary_json_reports_distance_to_theory():
+    # the N-term residual decays like a**(-1.5 (N+1)) toward s1 and like
+    # a**(-4/3 (N+1)) toward s2
+    airy = _synthetic_table([-1.4, -3.1, -4.3])
+    pearcey = replace(_synthetic_table([-1.2, -2.5]), transition="pearcey-to-s2")
+    for table, beta in ((airy, 1.5), (pearcey, 4.0 / 3.0)):
+        windows = json.loads(table_summary_json(table))["windows"]
+        assert sorted(windows) == [str(N) for N in range(table.slopes.size)]
+        for N, slope in enumerate(table.slopes):
+            verdict = windows[str(N)]
+            assert verdict["theory"] == pytest.approx(-beta * (N + 1))
+            assert verdict["slope_minus_theory"] == pytest.approx(slope + beta * (N + 1))
 
 
 # ---------------------------------------------------------------------------
