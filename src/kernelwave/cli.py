@@ -10,6 +10,10 @@ Subcommands
 ``verify``  residual rate studies with slope windows (``--check`` gates exit code)
 ``sweep``   kernel values over a regular grid or a seeded random cloud
 
+Each subcommand's parser is the one statement of its options: it takes only
+the flags its command reads, and the values of a ``--config`` file pass
+through the same actions (type, choices, store_true) as the flags.
+
 Exit codes: 0 success, 1 error (bad input or a failed ``--check``),
 2 completed with accuracy warnings.  A batch or sweep is one
 :func:`~kernelwave.kernels.eval_kernels` call, and rows come out in input
@@ -23,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from io import StringIO
 
 import numpy as np
@@ -50,33 +53,18 @@ from .verify import (
     table_to_csv,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _EVAL_HEADER = "kernel,a,tau1,tau2,u,v,re,im,err,backend"
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: one subcommand plus its I/O and numeric options."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    format: str = "csv"
-    quad: QuadOptions = field(default_factory=QuadOptions)
-    backend: str = "direct"
-    seed: int = 0
-    warn_tol: float = 1e-6
-    params: dict = field(default_factory=dict)
 
 
 def _g(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_output(config: RunConfig, text: str) -> None:
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
+def _write_output(args: argparse.Namespace, text: str) -> None:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -132,7 +120,18 @@ def _query_json(q: KernelQuery, kv: KernelValue) -> str:
     return json.dumps(obj)
 
 
-def _queries_from_jsonl(lines: list[str], config: RunConfig) -> list[KernelQuery]:
+def _query(kernel, tau1, tau2, u, v, a, backend: str, opts: QuadOptions) -> KernelQuery:
+    """The one place the CLI builds a query: numbers become floats, and
+    ``a`` stays None when absent."""
+    return KernelQuery(
+        kernel=kernel, tau1=float(tau1), tau2=float(tau2), u=float(u), v=float(v),
+        a_param=None if a is None else float(a), backend=backend, opts=opts,
+    )
+
+
+def _queries_from_jsonl(
+    lines: list[str], args: argparse.Namespace, opts: QuadOptions
+) -> list[KernelQuery]:
     out = []
     for i, line in enumerate(lines):
         line = line.strip()
@@ -140,17 +139,12 @@ def _queries_from_jsonl(lines: list[str], config: RunConfig) -> list[KernelQuery
             continue
         try:
             obj = json.loads(line)
-            a = obj.get("a", obj.get("a_param"))
             out.append(
-                KernelQuery(
-                    kernel=obj["kernel"],
-                    tau1=float(obj.get("tau1", 0.0)),
-                    tau2=float(obj.get("tau2", 0.0)),
-                    u=float(obj.get("u", 0.0)),
-                    v=float(obj.get("v", 0.0)),
-                    a_param=None if a is None else float(a),
-                    backend=obj.get("backend", config.backend),
-                    opts=config.quad,
+                _query(
+                    obj["kernel"], obj.get("tau1", 0.0), obj.get("tau2", 0.0),
+                    obj.get("u", 0.0), obj.get("v", 0.0),
+                    obj.get("a", obj.get("a_param")),
+                    obj.get("backend", args.backend), opts,
                 )
             )
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
@@ -158,7 +152,9 @@ def _queries_from_jsonl(lines: list[str], config: RunConfig) -> list[KernelQuery
     return out
 
 
-def _queries_from_csv(lines: list[str], config: RunConfig) -> list[KernelQuery]:
+def _queries_from_csv(
+    lines: list[str], args: argparse.Namespace, opts: QuadOptions
+) -> list[KernelQuery]:
     header = lines[0].strip().split(",")
     idx = {name: k for k, name in enumerate(header)}
     for col in ("kernel", "tau1", "tau2", "u", "v"):
@@ -172,21 +168,12 @@ def _queries_from_csv(lines: list[str], config: RunConfig) -> list[KernelQuery]:
         parts = line.split(",")
         try:
             a_txt = parts[idx["a"]].strip() if "a" in idx else ""
-            backend = (
-                parts[idx["backend"]].strip()
-                if "backend" in idx and parts[idx["backend"]].strip()
-                else config.backend
-            )
+            backend = parts[idx["backend"]].strip() if "backend" in idx else ""
             out.append(
-                KernelQuery(
-                    kernel=parts[idx["kernel"]].strip(),
-                    tau1=float(parts[idx["tau1"]]),
-                    tau2=float(parts[idx["tau2"]]),
-                    u=float(parts[idx["u"]]),
-                    v=float(parts[idx["v"]]),
-                    a_param=float(a_txt) if a_txt else None,
-                    backend=backend,
-                    opts=config.quad,
+                _query(
+                    parts[idx["kernel"]].strip(), parts[idx["tau1"]],
+                    parts[idx["tau2"]], parts[idx["u"]], parts[idx["v"]],
+                    a_txt or None, backend or args.backend, opts,
                 )
             )
         except (IndexError, ValueError) as exc:
@@ -194,19 +181,19 @@ def _queries_from_csv(lines: list[str], config: RunConfig) -> list[KernelQuery]:
     return out
 
 
-def _emit_rows(config: RunConfig, queries: list[KernelQuery]) -> int:
+def _emit_rows(args: argparse.Namespace, queries: list[KernelQuery]) -> int:
     values = eval_kernels(queries)
     buf = StringIO()
-    if config.format == "csv":
+    if args.format == "csv":
         buf.write(_EVAL_HEADER + "\n")
         for q, kv in zip(queries, values):
             buf.write(_query_row(q, kv) + "\n")
     else:
         for q, kv in zip(queries, values):
             buf.write(_query_json(q, kv) + "\n")
-    _write_output(config, buf.getvalue())
+    _write_output(args, buf.getvalue())
     warned = any(
-        kv.error_estimate > config.warn_tol or kv.imag_residual > 1e-9
+        kv.error_estimate > args.warn_tol or kv.imag_residual > 1e-9
         for kv in values
     )
     if warned:
@@ -215,69 +202,43 @@ def _emit_rows(config: RunConfig, queries: list[KernelQuery]) -> int:
     return 0
 
 
-def cmd_eval(config: RunConfig) -> int:
-    p = config.params
-    if config.input_path:
-        with open(config.input_path) as fh:
+def cmd_eval(args: argparse.Namespace) -> int:
+    opts = _quad_options(args)
+    if args.input:
+        with open(args.input) as fh:
             lines = fh.readlines()
         if not lines:
             raise ValueError("empty batch input")
         first = lines[0].lstrip()
         if first.startswith("{"):
-            queries = _queries_from_jsonl(lines, config)
+            queries = _queries_from_jsonl(lines, args, opts)
         else:
-            queries = _queries_from_csv(lines, config)
+            queries = _queries_from_csv(lines, args, opts)
     else:
-        if p.get("kernel") is None:
+        if args.kernel is None:
             raise ValueError("eval needs --kernel or --input")
         queries = [
-            KernelQuery(
-                kernel=p["kernel"],
-                tau1=p["tau1"],
-                tau2=p["tau2"],
-                u=p["u"],
-                v=p["v"],
-                a_param=p.get("a_param"),
-                backend=config.backend,
-                opts=config.quad,
-            )
+            _query(args.kernel, args.tau1, args.tau2, args.u, args.v,
+                   args.a_param, args.backend, opts)
         ]
-    return _emit_rows(config, queries)
+    return _emit_rows(args, queries)
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    p = config.params
-    kernel = p.get("kernel")
-    if kernel is None:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.kernel is None:
         raise ValueError("sweep needs --kernel")
-    queries: list[KernelQuery] = []
-    if p.get("random"):
-        rng = np.random.default_rng(config.seed)
-        lo, hi = p["box_lo"], p["box_hi"]
-        pts = rng.uniform(lo, hi, size=(p["random"], 4))
-        for u, v, t1, t2 in pts:
-            queries.append(
-                KernelQuery(
-                    kernel=kernel, tau1=float(t1), tau2=float(t2),
-                    u=float(u), v=float(v),
-                    a_param=p.get("a_param"), backend=config.backend,
-                    opts=config.quad,
-                )
-            )
+    if args.random:
+        rng = np.random.default_rng(args.seed)
+        points = rng.uniform(args.box_lo, args.box_hi, size=(args.random, 4))
     else:
-        us = _parse_grid(p["grid_u"])
-        vs = _parse_grid(p["grid_v"])
-        for u in us:
-            for v in vs:
-                queries.append(
-                    KernelQuery(
-                        kernel=kernel, tau1=p["tau1"], tau2=p["tau2"],
-                        u=float(u), v=float(v),
-                        a_param=p.get("a_param"), backend=config.backend,
-                        opts=config.quad,
-                    )
-                )
-    return _emit_rows(config, queries)
+        us, vs = _parse_grid(args.grid_u), _parse_grid(args.grid_v)
+        points = [(u, v, args.tau1, args.tau2) for u in us for v in vs]
+    opts = _quad_options(args)
+    queries = [
+        _query(args.kernel, t1, t2, u, v, args.a_param, args.backend, opts)
+        for u, v, t1, t2 in points
+    ]
+    return _emit_rows(args, queries)
 
 
 # ---------------------------------------------------------------------------
@@ -285,20 +246,21 @@ def cmd_sweep(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_expand(config: RunConfig) -> int:
-    p = config.params
-    if p.get("transition") is None or p.get("point") is None or not p.get("a_values"):
+def cmd_expand(args: argparse.Namespace) -> int:
+    if args.transition is None or args.point is None or not args.a:
         raise ValueError("expand needs --transition, --point and --a")
-    transition = _TRANSITION_ALIASES[p["transition"]]
-    u, v, t1, t2 = p["point"]
-    n_top = p["N"]
-    a_list = p["a_values"]
+    transition = _TRANSITION_ALIASES[args.transition]
+    u, v, t1, t2 = args.point
+    n_top = args.N
+    a_list = args.a
     coeffs = (
         build_amplitudes(transition, u, v, t1, t2, order=2 * n_top)
         if n_top >= 1
         else None
     )
-    base = expansion_partial_sum(transition, 0, u, v, t1, t2, a_list[0], opts=config.quad)
+    base = expansion_partial_sum(
+        transition, 0, u, v, t1, t2, a_list[0], opts=_quad_options(args)
+    )
     buf = StringIO()
     rows = []
     for a in a_list:
@@ -307,7 +269,7 @@ def cmd_expand(config: RunConfig) -> int:
                 transition, n, u, v, t1, t2, a, coeffs=coeffs, base=base
             )
             rows.append((a, n, val))
-    if config.format == "csv":
+    if args.format == "csv":
         buf.write("transition,u,v,tau1,tau2,a,N,partial_sum\n")
         for a, n, val in rows:
             buf.write(
@@ -328,25 +290,24 @@ def cmd_expand(config: RunConfig) -> int:
                 )
                 + "\n"
             )
-    _write_output(config, buf.getvalue())
+    _write_output(args, buf.getvalue())
     return 0
 
 
-def cmd_coeffs(config: RunConfig) -> int:
-    p = config.params
-    if p.get("transition") is None or p.get("point") is None:
+def cmd_coeffs(args: argparse.Namespace) -> int:
+    if args.transition is None or args.point is None:
         raise ValueError("coeffs needs --transition and --point")
-    u, v, t1, t2 = p["point"]
-    transition = _TRANSITION_ALIASES[p["transition"]]
-    coeffs = build_amplitudes(transition, u, v, t1, t2, p["order"])
+    u, v, t1, t2 = args.point
+    transition = _TRANSITION_ALIASES[args.transition]
+    coeffs = build_amplitudes(transition, u, v, t1, t2, args.order)
     text = coefficients_to_json(coeffs)
-    if p.get("with_moments"):
+    if args.with_moments:
         obj = json.loads(text)
-        gm = gauss_moments(p["order"])
+        gm = gauss_moments(args.order)
         obj["B"] = [[[z.real, z.imag] for z in row] for row in gm.B]
         obj["C"] = [float(c) for c in gm.C]
         text = json.dumps(obj)
-    _write_output(config, text + "\n")
+    _write_output(args, text + "\n")
     return 0
 
 
@@ -363,25 +324,24 @@ _SADDLES = {
 }
 
 
-def cmd_trace(config: RunConfig) -> int:
-    p = config.params
-    if p.get("phase") is None:
+def cmd_trace(args: argparse.Namespace) -> int:
+    if args.phase is None:
         raise ValueError("trace needs --phase")
-    kind = "airy-cubic" if p["phase"] == "airy" else "pearcey-quartic"
+    kind = "airy-cubic" if args.phase == "airy" else "pearcey-quartic"
     phase = make_phase(kind)
     buf = StringIO()
-    if p["mode"] == "level":
-        window = tuple(p["window"])
-        segments = export_level_curve(phase, p["level_im"], window=window)
+    if args.mode == "level":
+        window = tuple(args.window)
+        segments = export_level_curve(phase, args.level_im, window=window)
         for seg in segments:
             for z in seg:
                 buf.write(f"{_g(z.real)} {_g(z.imag)}\n")
             buf.write("\n")
     else:
-        key = (p["phase"], p["level"])
+        key = (args.phase, args.level)
         if key not in _SADDLES:
             raise ValueError(
-                f"no saddle named {p['level']!r} for phase {p['phase']!r}"
+                f"no saddle named {args.level!r} for phase {args.phase!r}"
             )
         saddle, desc_angle, asc_angle = _SADDLES[key]
         rays = [
@@ -393,12 +353,12 @@ def cmd_trace(config: RunConfig) -> int:
         for angle, descent in rays:
             path = trace_steepest(
                 phase, saddle, angle, descent=descent,
-                max_arclength=p["max_arclength"],
+                max_arclength=args.max_arclength,
             )
             for z in path.points:
                 buf.write(f"{_g(z.real)} {_g(z.imag)}\n")
             buf.write("\n")
-    _write_output(config, buf.getvalue())
+    _write_output(args, buf.getvalue())
     return 0
 
 
@@ -414,43 +374,39 @@ _TRANSITION_ALIASES = {
 }
 
 
-def cmd_verify(config: RunConfig) -> int:
-    p = config.params
-    if p["transition"] == "both":
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.transition == "both":
         transitions = list(TRANSITIONS)
     else:
-        transitions = [_TRANSITION_ALIASES[p["transition"]]]
-    points = p["points"] or list(DEFAULT_STUDY_POINTS)
-    a_grid = p["a_values"] or list(DEFAULT_A_GRID)
+        transitions = [_TRANSITION_ALIASES[args.transition]]
+    points = args.points or list(DEFAULT_STUDY_POINTS)
+    a_grid = args.a_grid or list(DEFAULT_A_GRID)
+    opts = _quad_options(args)
     violations: list[str] = []
     csv_parts: list[str] = []
     json_lines: list[str] = []
     for transition in transitions:
-        n_max = p["n_max"]
+        n_max = args.n_max
         if n_max is None:
             n_max = max(ACCEPTANCE_WINDOWS[transition])
         for point in points:
-            table = residual_study(
-                transition, point, a_grid, n_max,
-                backend=config.backend if config.backend != "direct" else "saddle",
-                opts=config.quad,
-            )
+            table = residual_study(transition, point, a_grid, n_max, opts=opts)
             violations.extend(check_windows(table))
-            if config.format == "csv":
+            if args.format == "csv":
                 csv_parts.append(table_to_csv(table))
             else:
                 json_lines.append(table_summary_json(table))
-    if config.format == "csv":
+    if args.format == "csv":
         header, *_ = csv_parts[0].splitlines(keepends=True)
         body = "".join(
             "".join(part.splitlines(keepends=True)[1:]) for part in csv_parts
         )
-        _write_output(config, header + body)
+        _write_output(args, header + body)
     else:
-        _write_output(config, "\n".join(json_lines) + "\n")
-    if p.get("cross_check"):
+        _write_output(args, "\n".join(json_lines) + "\n")
+    if args.cross_check:
         qs = [
-            KernelQuery(kernel="airy-ext", tau1=t1, tau2=t2, u=u, v=v, opts=config.quad)
+            _query("airy-ext", t1, t2, u, v, None, "direct", opts)
             for (u, v, t1, t2) in points
         ]
         report = cross_validate(qs)
@@ -458,7 +414,7 @@ def cmd_verify(config: RunConfig) -> int:
             violations.append(
                 f"cross-validation flagged {report.n_flagged} of {len(report.rows)} rows"
             )
-    if p.get("check"):
+    if args.check:
         for line in violations:
             print(f"check failed: {line}", file=sys.stderr)
         if violations:
@@ -472,6 +428,38 @@ def cmd_verify(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_output(sp: argparse.ArgumentParser, fmt_default: str | None = None) -> None:
+    """``--output``, and ``--format`` for the commands that write either."""
+    sp.add_argument("--output")
+    if fmt_default is not None:
+        sp.add_argument("--format", choices=("csv", "json"), default=fmt_default)
+
+
+def _add_quad(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--rel-tol", type=float, default=QuadOptions.rel_tol)
+    sp.add_argument("--abs-tol", type=float, default=QuadOptions.abs_tol)
+    sp.add_argument("--nodes-per-panel", type=int, default=QuadOptions.nodes_per_panel)
+
+
+def _quad_options(args: argparse.Namespace) -> QuadOptions:
+    return QuadOptions(
+        rel_tol=args.rel_tol, abs_tol=args.abs_tol,
+        nodes_per_panel=args.nodes_per_panel,
+    )
+
+
+def _add_rows(sp: argparse.ArgumentParser) -> None:
+    """The options of the commands that write kernel rows (eval, sweep)."""
+    _add_output(sp, "csv")
+    _add_quad(sp)
+    sp.add_argument("--backend", choices=("direct", "saddle"), default="direct")
+    sp.add_argument("--warn-tol", type=float, default=1e-6)
+    sp.add_argument("--kernel", choices=KERNEL_NAMES)
+    sp.add_argument("--tau1", type=float, default=0.0)
+    sp.add_argument("--tau2", type=float, default=0.0)
+    sp.add_argument("--a-param", type=float, default=None)
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="kernelwave",
@@ -479,46 +467,38 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     parser.add_argument("--config", help="key=value file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
+    subs: dict[str, argparse.ArgumentParser] = {}
 
-    def common(sp, fmt_default="csv"):
+    def add(name: str, summary: str) -> argparse.ArgumentParser:
+        sp = subs[name] = sub.add_parser(name, help=summary)
         # Accept --config on the subcommand too; SUPPRESS keeps an absent
         # flag from clobbering a value parsed before the subcommand name.
         sp.add_argument("--config", default=argparse.SUPPRESS)
-        sp.add_argument("--input", dest="input_path")
-        sp.add_argument("--output", dest="output_path")
-        sp.add_argument("--format", choices=("csv", "json"), default=fmt_default)
-        sp.add_argument("--backend", choices=("direct", "saddle"), default="direct")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--rel-tol", type=float, default=None)
-        sp.add_argument("--abs-tol", type=float, default=None)
-        sp.add_argument("--nodes-per-panel", type=int, default=None)
-        sp.add_argument("--warn-tol", type=float, default=1e-6)
+        return sp
 
-    se = sub.add_parser("eval", help="evaluate kernel queries")
-    common(se)
-    se.add_argument("--kernel", choices=KERNEL_NAMES)
-    se.add_argument("--tau1", type=float, default=0.0)
-    se.add_argument("--tau2", type=float, default=0.0)
+    se = add("eval", "evaluate kernel queries")
+    _add_rows(se)
+    se.add_argument("--input")
     se.add_argument("--u", type=float, default=0.0)
     se.add_argument("--v", type=float, default=0.0)
-    se.add_argument("--a-param", type=float, default=None)
 
-    sx = sub.add_parser("expand", help="partial sums of the asymptotic expansion")
-    common(sx)
+    sx = add("expand", "partial sums of the asymptotic expansion")
+    _add_output(sx, "csv")
+    _add_quad(sx)
     sx.add_argument("--transition", choices=sorted(_TRANSITION_ALIASES))
     sx.add_argument("--point", type=_parse_point)
     sx.add_argument("--N", type=int, default=1)
-    sx.add_argument("--a", dest="a_values", type=_parse_floats)
+    sx.add_argument("--a", type=_parse_floats)
 
-    sc = sub.add_parser("coeffs", help="dump amplitude coefficients as JSON")
-    common(sc, fmt_default="json")
+    sc = add("coeffs", "dump amplitude coefficients as JSON")
+    _add_output(sc)
     sc.add_argument("--transition", choices=sorted(_TRANSITION_ALIASES))
     sc.add_argument("--point", type=_parse_point)
     sc.add_argument("--order", type=int, default=4)
     sc.add_argument("--with-moments", action="store_true")
 
-    st = sub.add_parser("trace", help="steepest-path rays or level curves")
-    common(st)
+    st = add("trace", "steepest-path rays or level curves")
+    _add_output(st)
     st.add_argument("--phase", choices=("airy", "pearcey"))
     st.add_argument("--level", choices=("upper", "lower", "real"), default="upper")
     st.add_argument("--mode", choices=("rays", "level"), default="rays")
@@ -526,8 +506,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     st.add_argument("--window", type=_parse_floats, default=[-4.0, 4.0, -4.0, 4.0])
     st.add_argument("--max-arclength", type=float, default=8.0)
 
-    sv = sub.add_parser("verify", help="residual rate studies")
-    common(sv, fmt_default="json")
+    sv = add("verify", "residual rate studies")
+    _add_output(sv, "json")
+    _add_quad(sv)
     sv.add_argument(
         "--transition",
         choices=sorted(_TRANSITION_ALIASES) + ["both"],
@@ -539,27 +520,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
         default=None,
         help="semicolon-separated u,v,tau1,tau2 points",
     )
-    sv.add_argument("--a-grid", dest="a_values", type=_parse_floats, default=None)
+    sv.add_argument("--a-grid", type=_parse_floats, default=None)
     sv.add_argument("--n-max", type=int, default=None)
     sv.add_argument("--check", action="store_true")
     sv.add_argument("--cross-check", action="store_true")
 
-    sw = sub.add_parser("sweep", help="kernel values over a grid or random cloud")
-    common(sw)
-    sw.add_argument("--kernel", choices=KERNEL_NAMES)
-    sw.add_argument("--tau1", type=float, default=0.0)
-    sw.add_argument("--tau2", type=float, default=0.0)
+    sw = add("sweep", "kernel values over a grid or random cloud")
+    _add_rows(sw)
+    sw.add_argument("--seed", type=int, default=0)
     sw.add_argument("--grid-u", default="-1:1:5")
     sw.add_argument("--grid-v", default="-1:1:5")
-    sw.add_argument("--a-param", type=float, default=None)
     sw.add_argument("--random", type=int, default=0)
     sw.add_argument("--box-lo", type=float, default=-1.0)
     sw.add_argument("--box-hi", type=float, default=1.0)
 
-    return parser, {
-        "eval": se, "expand": sx, "coeffs": sc,
-        "trace": st, "verify": sv, "sweep": sw,
-    }
+    return parser, subs
 
 
 def _load_config_file(path: str) -> dict:
@@ -572,64 +547,39 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, val = (s.strip() for s in line.split("=", 1))
-            out[key.replace("-", "_")] = val
+            out[key] = val
     return out
 
 
-_CONFIG_COERCE = {
-    "seed": int,
-    "n_max": int,
-    "order": int,
-    "N": int,
-    "random": int,
-    "nodes_per_panel": int,
-    "rel_tol": float,
-    "abs_tol": float,
-    "warn_tol": float,
-    "tau1": float,
-    "tau2": float,
-    "u": float,
-    "v": float,
-    "a_param": float,
-    "level_im": float,
-    "max_arclength": float,
-    "box_lo": float,
-    "box_hi": float,
-    "point": _parse_point,
-    "a_values": _parse_floats,
-    "window": _parse_floats,
-    "points": lambda t: [_parse_point(p) for p in t.split(";") if p.strip()],
-    "with_moments": lambda s: s.lower() in ("1", "true", "yes"),
-    "check": lambda s: s.lower() in ("1", "true", "yes"),
-    "cross_check": lambda s: s.lower() in ("1", "true", "yes"),
-}
+def _apply_config(sp: argparse.ArgumentParser, path: str) -> None:
+    """Make the values of a config file the defaults of subcommand ``sp``.
 
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    quad_kwargs = {}
-    if getattr(args, "rel_tol", None) is not None:
-        quad_kwargs["rel_tol"] = args.rel_tol
-    if getattr(args, "abs_tol", None) is not None:
-        quad_kwargs["abs_tol"] = args.abs_tol
-    if getattr(args, "nodes_per_panel", None) is not None:
-        quad_kwargs["nodes_per_panel"] = args.nodes_per_panel
-    handled = {
-        "command", "config", "input_path", "output_path", "format",
-        "backend", "seed", "warn_tol", "rel_tol", "abs_tol",
-        "nodes_per_panel",
-    }
-    params = {k: v for k, v in vars(args).items() if k not in handled}
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input_path", None),
-        output_path=getattr(args, "output_path", None),
-        format=getattr(args, "format", "csv"),
-        quad=QuadOptions(**quad_kwargs),
-        backend=getattr(args, "backend", "direct"),
-        seed=getattr(args, "seed", 0),
-        warn_tol=getattr(args, "warn_tol", 1e-6),
-        params=params,
-    )
+    Each key is a long option of the subcommand, in ``-`` or ``_`` spelling.
+    Its value goes through that option's own type and choices; a store_true
+    option is set by ``1``, ``true`` or ``yes`` and left off by anything else.
+    """
+    actions = {opt: a for a in sp._actions for opt in a.option_strings}
+    tokens = []
+    for key, val in _load_config_file(path).items():
+        opt = "--" + key.replace("_", "-")
+        action = actions.get(opt)
+        if action is None or action.dest in ("help", "config"):
+            raise ValueError(f"config file {path}: key {key!r} names no option "
+                             f"of {sp.prog}")
+        if action.nargs != 0:
+            tokens.append(f"{opt}={val}")
+        elif val.lower() in ("1", "true", "yes"):
+            tokens.append(opt)
+    sp.exit_on_error = False
+    try:
+        values = sp.parse_args(tokens)
+    except argparse.ArgumentError as exc:
+        raise ValueError(f"config file {path}: {exc}") from exc
+    finally:
+        sp.exit_on_error = True
+    # Defaults must live on the chosen subparser: subcommands parse into a
+    # fresh namespace, so top-level defaults are clobbered.
+    sp.set_defaults(**vars(values))
 
 
 _COMMANDS = {
@@ -648,17 +598,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            raw = _load_config_file(args.config)
-            coerced = {
-                k: (_CONFIG_COERCE[k](v) if k in _CONFIG_COERCE else v)
-                for k, v in raw.items()
-            }
-            # Defaults must live on the chosen subparser: subcommands parse
-            # into a fresh namespace, so top-level defaults are clobbered.
-            sub_parsers[args.command].set_defaults(**coerced)
+            _apply_config(sub_parsers[args.command], args.config)
             args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse usage errors exit 2; remap to 1
         return 1 if exc.code else 0
     except (ValueError, OSError, KeyError, GeometryError) as exc:

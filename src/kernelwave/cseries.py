@@ -9,7 +9,6 @@ exact-order: coefficients beyond ``order`` are never read or written.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,16 +55,6 @@ class TruncatedSeries1:
         """Evaluate the truncated series by Horner's rule."""
         return np.polynomial.polynomial.polyval(x, self.coeffs)
 
-    def to_json(self) -> str:
-        """Dump as {"order": n, "coeffs": [[re, im], ...]}."""
-        pairs = [[float(c.real), float(c.imag)] for c in self.coeffs]
-        return json.dumps({"order": self.order, "coeffs": pairs})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedSeries1":
-        obj = json.loads(text)
-        coeffs = np.array([complex(re, im) for re, im in obj["coeffs"]])
-        return cls(order=int(obj["order"]), coeffs=coeffs)
 
 
 def s1_from_coeffs(coeffs, order: int | None = None) -> TruncatedSeries1:
@@ -103,23 +92,6 @@ def s1_mul(a: TruncatedSeries1, b: TruncatedSeries1) -> TruncatedSeries1:
     _check_orders(a, b)
     full = np.convolve(a.coeffs, b.coeffs)
     return TruncatedSeries1(a.order, full[: a.order + 1])
-
-
-def s1_compose(outer: TruncatedSeries1, inner: TruncatedSeries1) -> TruncatedSeries1:
-    """Coefficients of outer(inner(x)); inner must have zero constant term."""
-    _check_orders(outer, inner)
-    if abs(inner.coeffs[0]) > 1e-14 * max(1.0, float(np.abs(inner.coeffs).max())):
-        raise SeriesUsageError(
-            "inner series must have zero constant term; recenter the outer series first"
-        )
-    n = outer.order
-    result = s1_constant(outer.coeffs[n], n)
-    for k in range(n - 1, -1, -1):
-        result = s1_mul(result, inner)
-        result = TruncatedSeries1(
-            n, result.coeffs + np.eye(1, n + 1, 0).ravel() * outer.coeffs[k]
-        )
-    return result
 
 
 def s1_arg_scale(a: TruncatedSeries1, beta: complex) -> TruncatedSeries1:
@@ -164,10 +136,8 @@ def s1_exp(a: TruncatedSeries1) -> TruncatedSeries1:
 
 
 def s1_eval_poly(poly_coeffs, series: TruncatedSeries1) -> TruncatedSeries1:
-    """Evaluate a scalar polynomial (ascending coefficients) at a series argument.
-
-    Unlike s1_compose, the series argument may have a nonzero constant term.
-    """
+    """Evaluate a scalar polynomial (ascending coefficients) at a series
+    argument, whose constant term may be nonzero."""
     p = np.asarray(poly_coeffs, dtype=complex)
     result = s1_constant(p[-1], series.order)
     for k in range(p.size - 2, -1, -1):
@@ -272,16 +242,6 @@ class TruncatedSeries2:
             )
         c = np.where(_mask(n), c, 0.0)
         object.__setattr__(self, "coeffs", c)
-
-    def to_json(self) -> str:
-        rows = [[[float(v.real), float(v.imag)] for v in row] for row in self.coeffs]
-        return json.dumps({"order": self.order, "coeffs": rows})
-
-    @classmethod
-    def from_json(cls, text: str) -> "TruncatedSeries2":
-        obj = json.loads(text)
-        rows = np.array([[complex(re, im) for re, im in row] for row in obj["coeffs"]])
-        return cls(order=int(obj["order"]), coeffs=rows)
 
 
 def s2_constant(value: complex, order: int) -> TruncatedSeries2:

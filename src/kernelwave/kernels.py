@@ -5,9 +5,12 @@ rescaled left-hand sides whose large-parameter behavior the package studies.
 Two evaluation geometries are implemented:
 
 * DIRECT -- the defining ray contours, with vertices offset by ``+/-delta``
-  so the ``1/(zeta-omega)`` factor never becomes singular.  Valid for all
-  parameters; loses precision to cancellation once the rescaling parameter
-  grows beyond roughly 20 in double precision.
+  so the ``1/(zeta-omega)`` factor never becomes singular.  Loses precision
+  to cancellation once the rescaling parameter grows beyond roughly 20 in
+  double precision, and fails in parts of the plain parameter space too:
+  ``airy-ext`` raises :class:`GeometryError` from ``tau1 = tau2 = -18`` on,
+  where its exponentials overflow, and deep in the oscillatory regime
+  (``u = -20, v = -19.7``) returns a value whose error estimate exceeds it.
 
 * SADDLE -- crossed steepest descent/ascent paths through the phase
   saddles, parameterized analytically by branch paths (see

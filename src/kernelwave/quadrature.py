@@ -216,25 +216,28 @@ def truncate_rays(contour: Contour, phase_envelope, budget: float) -> Contour:
     return Contour(panels=tuple(panels), truncation_radii=tuple(radii))
 
 
-def refine_panels(contour: Contour, envelope=None, *, max_len: float = 1.0,
-                  max_env_var: float = 8.0) -> Contour:
+_MAX_PANEL_LEN = 1.0
+_MAX_ENV_VAR = 8.0
+
+
+def refine_panels(contour: Contour, envelope=None) -> Contour:
     """Pre-split panels for quadrature efficiency.
 
-    Panels are subdivided to length at most ``max_len`` and, when an
+    Panels are subdivided to length at most ``_MAX_PANEL_LEN`` and, when an
     envelope function is supplied, further until the envelope variation
-    across each panel is at most ``max_env_var`` (so the integrand changes
-    by at most ``e**max_env_var`` per panel).
+    across each panel is at most ``_MAX_ENV_VAR`` (so the integrand changes
+    by at most ``e**_MAX_ENV_VAR`` per panel).
     """
     if not contour.is_finite:
         raise GeometryError("refine_panels requires a finite contour")
 
     def need_split(p: StraightArc) -> bool:
-        if p.length > max_len:
+        if p.length > _MAX_PANEL_LEN:
             return True
         if envelope is not None and p.length > 1e-3:
             ts = np.linspace(0.0, 1.0, 9)
             e = np.asarray(envelope(p.point(ts)), dtype=float)
-            if np.max(e) - np.min(e) > max_env_var:
+            if np.max(e) - np.min(e) > _MAX_ENV_VAR:
                 return True
         return False
 
@@ -364,7 +367,9 @@ def _panel_rule(f, panels, owner, n: int):
     step = max(1, _CHUNK // t.size)
     for k in range(0, len(panels), step):
         z, d = _nodes(panels[k:k + step], t)
-        vals = np.asarray(f(z, owner[k:k + step, None]))
+        # An overflowing integrand is reported below, not by numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(f(z, owner[k:k + step, None]))
         if not np.isfinite(vals).all():
             raise GeometryError("non-finite integrand value on a panel")
         halves = vals[:, n:]

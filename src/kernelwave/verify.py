@@ -78,6 +78,9 @@ ACCEPTANCE_WINDOWS: dict[str, dict[int, tuple[float, float]]] = {
 # the N-term partial sum has the theoretical slope ``-beta*(N+1)``.
 _TERM_DECAY = {"airy-to-s1": 1.5, "pearcey-to-s2": 4.0 / 3.0}
 
+# Residual samples per oscillation period when a slope fit uses the envelope.
+_ENVELOPE_SAMPLES = 7
+
 # Default anchor grid: geometric-ish spacing; the saddle backend stays
 # accurate well beyond 14, the plain geometry loses ground to cancellation.
 DEFAULT_A_GRID: tuple[float, ...] = (4.0, 5.5, 7.0, 8.5, 10.0, 12.0, 14.0)
@@ -177,8 +180,6 @@ def residual_study(
     backend: str = "saddle",
     opts: QuadOptions | None = None,
     *,
-    envelope: str = "auto",
-    envelope_samples: int = 7,
     noise_multiplier: float = 100.0,
 ) -> ResidualTable:
     """Measure the decay rate of partial-sum residuals over an ``a`` grid.
@@ -186,20 +187,15 @@ def residual_study(
     For each ``N`` in ``0..N_max`` the residual ``|LHS(a) - partial_sum(N)|``
     is formed at every anchor ``a``.  Slopes come from an OLS fit on logs;
     points below ``noise_multiplier`` times the combined quadrature error
-    estimate are excluded.  ``envelope`` controls the oscillation handling:
-    ``"off"`` fits raw anchor residuals, ``"on"`` always replaces each anchor
-    by the maximum residual over one oscillation period (sampled at
-    ``envelope_samples`` points), ``"auto"`` switches to the envelope when
-    the raw fit's standard error exceeds 0.2.
+    estimate are excluded.  When the fit of the raw anchor residuals has a
+    standard error above 0.2 (or too few usable points), each anchor is
+    replaced by the maximum residual over one oscillation period, sampled
+    at ``_ENVELOPE_SAMPLES`` points.
     """
     if transition not in TRANSITIONS:
         raise ValueError(f"unknown transition {transition!r}; expected one of {TRANSITIONS}")
-    if envelope not in ("auto", "on", "off"):
-        raise ValueError("envelope must be 'auto', 'on' or 'off'")
     if N_max < 0:
         raise ValueError("N_max must be nonnegative")
-    if envelope_samples < 2:
-        raise ValueError("envelope_samples must be at least 2")
     u, v, tau1, tau2 = (float(c) for c in point)
     a_arr = np.asarray(a_values, dtype=float)
     if a_arr.ndim != 1 or a_arr.size < 3:
@@ -245,7 +241,7 @@ def residual_study(
         if j not in env_cache:
             theta0 = float(_phase_theta(transition, a_arr[j]))
             a_hi = _phase_inverse(transition, theta0 + 2.0 * np.pi)
-            samples = np.linspace(a_arr[j], a_hi, envelope_samples)
+            samples = np.linspace(a_arr[j], a_hi, _ENVELOPE_SAMPLES)
             rs = np.empty((N_max + 1, samples.size))
             fl = np.empty(samples.size)
             rs[:, 0], fl[0] = res[:, j], floor[j]
@@ -268,10 +264,7 @@ def residual_study(
         plain: tuple[float, float] | None = None
         if usable.sum() >= 3:
             plain = fit_loglog_slope(a_arr[usable], res[N][usable])
-        want_envelope = envelope == "on" or (
-            envelope == "auto" and (plain is None or plain[1] > 0.2)
-        )
-        if not want_envelope:
+        if plain is not None and not plain[1] > 0.2:
             slopes[N], cis[N] = plain
             env_used.append(False)
             fit_points.append((a_arr[usable], res[N][usable]))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -79,12 +80,15 @@ def test_eval_non_finite_input_exits_1(capsys, kernel, value):
     assert out == ""
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 def test_eval_overflowing_integrand_exits_1(capsys):
     # sine-ext's integrand exp(-dt w^2 / 2) overflows for dt = -300
-    code, out, err = run(capsys, "eval", "--kernel", "sine-ext", "--tau1", "-300")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "eval", "--kernel", "sine-ext", "--tau1", "-300")
     assert code == 1 and "non-finite integrand" in err
     assert out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_eval_overflowing_direct_airy_exits_1(capsys):
@@ -138,7 +142,6 @@ def test_eval_mixed_batch_matches_row_by_row_calls(capsys, tmp_path):
         assert abs(float(row[7]) - float(want[7])) <= float(want[8])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
 def test_eval_mixed_batch_exit_codes(capsys, tmp_path):
     batch = _mixed_batch(tmp_path)
     code, out, err = run(capsys, "eval", "--input", str(batch), "--warn-tol", "1e-30")
@@ -343,6 +346,47 @@ def test_config_rejects_malformed_line(capsys, tmp_path):
     cfg.write_text("kernel s1\n")
     code, _, err = run(capsys, "eval", "--config", str(cfg))
     assert code == 1 and "config" in err
+
+
+@pytest.mark.parametrize("argv,text,named", [
+    (["eval"], "kernel=s1\nformat=xml\n", "xml"),
+    (["trace"], "phase=airy\nmode=bogus\n", "bogus"),
+    (["eval"], "kernel=s1\nu=much\n", "much"),
+    (["eval"], "kernel=s1\nbogus-key=1\n", "bogus-key"),
+    (["eval"], "kernel=s1\nseed=3\n", "seed"),  # an option of sweep only
+], ids=["choice", "trace-choice", "type", "unknown-key", "other-command-key"])
+def test_config_rejects_what_the_flag_would(capsys, tmp_path, argv, text, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and named in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value,checked", [("false", False), ("yes", True)])
+def test_config_store_true_values(capsys, tmp_path, value, checked):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"transition=airy\npoints=0.9,0.7,0.2,-0.3\nn-max=0\ncheck={value}\n")
+    code, _, err = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    assert ("windows hold" in err) == checked
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--kernel", "s1", "--seed", "1"],
+    ["sweep", "--kernel", "s1", "--input", "x.csv"],
+    ["expand", "--transition", "airy", "--point", "0,0,0,0", "--a", "6",
+     "--backend", "saddle"],
+    ["coeffs", "--transition", "airy", "--point", "0,0,0,0", "--format", "csv"],
+    ["trace", "--phase", "airy", "--format", "json"],
+    ["trace", "--phase", "airy", "--rel-tol", "1e-8"],
+    ["verify", "--backend", "direct"],
+    ["verify", "--warn-tol", "1e-3"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and "unrecognized arguments" in err
+    assert out == ""
 
 
 def test_usage_error_exits_1(capsys):

@@ -14,19 +14,16 @@ from kernelwave.cseries import (
     DegenerateSaddleError,
     SeriesUsageError,
     SingularSeriesError,
-    TruncatedSeries1,
     branch_residual,
     conjugate_coeffs,
     s1_add,
     s1_arg_scale,
-    s1_compose,
     s1_constant,
     s1_derivative,
     s1_exp,
     s1_from_coeffs,
     s1_mul,
     s1_reciprocal,
-    s1_scale,
     s2_add,
     s2_constant,
     s2_from_x,
@@ -129,22 +126,6 @@ def test_derivative_product_rule(ca, cb):
     np.testing.assert_allclose(lhs[:-1], rhs[:-1], rtol=0, atol=1e-9)
 
 
-def test_compose_against_direct_expansion():
-    # exp(x) o (2x + x^2), coefficients via an independent cumulative product
-    inner = s1_from_coeffs([0, 2, 1], 6)
-    outer = s1_exp(s1_from_coeffs([0, 1], 6))
-    got = s1_compose(outer, inner).coeffs
-    acc = s1_constant(1.0, 6)
-    want = s1_constant(0.0, 6)
-    fact = 1.0
-    for k in range(7):
-        if k > 0:
-            acc = s1_mul(acc, inner)
-            fact *= k
-        want = s1_add(want, s1_scale(acc, 1.0 / fact))
-    np.testing.assert_allclose(got, want.coeffs, rtol=1e-13, atol=1e-13)
-
-
 def test_arg_scale_evaluates_consistently():
     a = s1_from_coeffs([1, -2, 3, 0.5], 3)
     beta = 0.3 - 0.7j
@@ -157,13 +138,6 @@ def test_conjugate_coeffs_evaluates_to_conjugate_on_reals():
     gbar = conjugate_coeffs(g)
     for x in (-0.4, 0.0, 0.9):
         assert abs(gbar.eval(x) - np.conj(g.eval(x))) < 1e-14
-
-
-def test_json_round_trip():
-    a = s1_from_coeffs([1 + 2j, -0.25, 0, 3.5j], 5)
-    b = TruncatedSeries1.from_json(a.to_json())
-    assert b.order == a.order
-    np.testing.assert_array_equal(a.coeffs, b.coeffs)
 
 
 def test_order_mismatch_rejected():

@@ -152,8 +152,6 @@ def test_residual_study_rejects_bad_arguments():
     with pytest.raises(ValueError):
         residual_study("airy-to-sine", (0, 0, 0, 0), DEFAULT_A_GRID, 0)
     with pytest.raises(ValueError):
-        residual_study("airy-to-s1", (0, 0, 0, 0), DEFAULT_A_GRID, 0, envelope="maybe")
-    with pytest.raises(ValueError):
         residual_study("airy-to-s1", (0, 0, 0, 0), (4.0, 4.0, 5.0), 0)
 
 
