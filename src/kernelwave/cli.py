@@ -147,7 +147,7 @@ def _queries_from_jsonl(
                     obj.get("backend", args.backend), opts,
                 )
             )
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"line {i + 1}: malformed query ({exc})") from exc
     return out
 
@@ -227,12 +227,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.kernel is None:
         raise ValueError("sweep needs --kernel")
+    # The grid flags default to None here, so a flag given with --random shows.
+    grid = {"--tau1": args.tau1, "--tau2": args.tau2,
+            "--grid-u": args.grid_u, "--grid-v": args.grid_v}
     if args.random:
+        given = [flag for flag, value in grid.items() if value is not None]
+        if given:
+            raise ValueError(f"--random draws u, v, tau1 and tau2 from the box; "
+                             f"it takes no {', '.join(given)}")
         rng = np.random.default_rng(args.seed)
         points = rng.uniform(args.box_lo, args.box_hi, size=(args.random, 4))
     else:
-        us, vs = _parse_grid(args.grid_u), _parse_grid(args.grid_v)
-        points = [(u, v, args.tau1, args.tau2) for u in us for v in vs]
+        t1, t2 = (0.0 if t is None else t for t in (args.tau1, args.tau2))
+        us, vs = (_parse_grid("-1:1:5" if g is None else g)
+                  for g in (args.grid_u, args.grid_v))
+        points = [(u, v, t1, t2) for u in us for v in vs]
     opts = _quad_options(args)
     queries = [
         _query(args.kernel, t1, t2, u, v, args.a_param, args.backend, opts)
@@ -252,6 +261,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
     transition = _TRANSITION_ALIASES[args.transition]
     u, v, t1, t2 = args.point
     n_top = args.N
+    if n_top < 0:
+        raise ValueError("--N must be nonnegative")
     a_list = args.a
     coeffs = (
         build_amplitudes(transition, u, v, t1, t2, order=2 * n_top)
@@ -527,9 +538,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     sw = add("sweep", "kernel values over a grid or random cloud")
     _add_rows(sw)
+    sw.set_defaults(tau1=None, tau2=None)
     sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--grid-u", default="-1:1:5")
-    sw.add_argument("--grid-v", default="-1:1:5")
+    sw.add_argument("--grid-u")
+    sw.add_argument("--grid-v")
     sw.add_argument("--random", type=int, default=0)
     sw.add_argument("--box-lo", type=float, default=-1.0)
     sw.add_argument("--box-hi", type=float, default=1.0)

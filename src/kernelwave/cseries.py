@@ -108,19 +108,6 @@ def s1_derivative(a: TruncatedSeries1) -> TruncatedSeries1:
     return TruncatedSeries1(a.order, out)
 
 
-def s1_reciprocal(a: TruncatedSeries1) -> TruncatedSeries1:
-    """Multiplicative inverse; requires a nonzero constant term."""
-    c0 = a.coeffs[0]
-    if abs(c0) < 1e-300:
-        raise SingularSeriesError("reciprocal of a series with zero constant term")
-    n = a.order
-    out = np.zeros(n + 1, dtype=complex)
-    out[0] = 1.0 / c0
-    for k in range(1, n + 1):
-        out[k] = -np.dot(a.coeffs[1 : k + 1], out[k - 1 :: -1]) / c0
-    return TruncatedSeries1(n, out)
-
-
 def s1_exp(a: TruncatedSeries1) -> TruncatedSeries1:
     """exp of a series with zero constant term."""
     if abs(a.coeffs[0]) > 1e-14 * max(1.0, float(np.abs(a.coeffs).max())):
@@ -242,12 +229,6 @@ class TruncatedSeries2:
             )
         c = np.where(_mask(n), c, 0.0)
         object.__setattr__(self, "coeffs", c)
-
-
-def s2_constant(value: complex, order: int) -> TruncatedSeries2:
-    c = np.zeros((order + 1, order + 1), dtype=complex)
-    c[0, 0] = value
-    return TruncatedSeries2(order, c)
 
 
 def s2_from_x(a: TruncatedSeries1) -> TruncatedSeries2:

@@ -21,6 +21,7 @@ kernel value plus the first ``N`` corrections.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,6 +49,7 @@ from .cseries import (
     solve_branch,
 )
 from .kernels import KernelQuery, eval_kernel
+from .phase import TRANSITION_TABLE
 from .quadrature import QuadOptions
 
 __all__ = [
@@ -68,7 +70,7 @@ __all__ = [
     "coefficients_to_json",
 ]
 
-TRANSITIONS = ("airy-to-s1", "pearcey-to-s2")
+TRANSITIONS = tuple(TRANSITION_TABLE)
 
 _MAX_ORDER = 40  # series arithmetic stays fast and stable up to here
 _MAX_PARTIAL_N = 12
@@ -180,19 +182,12 @@ class ExpansionCoefficients:
 
 
 def _branch_series(transition: str, order: int) -> TruncatedSeries1:
-    """Branch series g at the governing saddle, to the requested order."""
-    if transition == "airy-to-s1":
-        coeffs = (0.0, 1.0, 0.0, 1.0 / 3.0)
-        center = 1j
-        sigma = -1
-        first = np.exp(1j * np.pi / 4)
-    else:
-        coeffs = (0.0, 1.0, 0.0, 0.0, 0.25)
-        center = np.exp(1j * np.pi / 3)
-        sigma = +1
-        first = np.sqrt(2.0 / 3.0) * np.exp(2j * np.pi / 3)
-    level = np.polynomial.polynomial.polyval(center, coeffs)
-    return solve_branch(np.asarray(coeffs, dtype=complex), center, sigma, complex(level), complex(first), order)
+    """Branch series g of the S path at the governing saddle, to the
+    requested order."""
+    t = TRANSITION_TABLE[transition]
+    sigma, first = t.S
+    level = complex(t.phase.f(t.saddle))
+    return solve_branch(t.phase, t.saddle, sigma, level, first, order)
 
 
 def _substituted(g_full: TruncatedSeries1, sign: complex, w: complex, order: int) -> TruncatedSeries1:
@@ -358,8 +353,9 @@ def airy_c00(u: float, v: float, tau1: float, tau2: float) -> complex:
 
 
 def _require_positive_a(a: float) -> None:
-    if not a > 0:
-        raise SeriesUsageError("rescaling parameter a must be positive")
+    if not (math.isfinite(a) and a > 0):
+        raise SeriesUsageError(
+            f"rescaling parameter a must be finite and positive, got {a!r}")
 
 
 def fluc_s1(u: float, v: float, tau1: float, tau2: float, a: float) -> float:
@@ -401,10 +397,6 @@ def fluc_s2(u: float, v: float, tau1: float, tau2: float, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _transition_kernel_name(transition: str) -> str:
-    return "s1" if transition == "airy-to-s1" else "s2"
-
-
 def correction_term(coeffs: ExpansionCoefficients, nu: int, a: float) -> float:
     """The nu-th correction term of the complete expansion at parameter a.
 
@@ -420,12 +412,8 @@ def correction_term(coeffs: ExpansionCoefficients, nu: int, a: float) -> float:
         raise SeriesUsageError(
             f"nu={nu} needs coefficients of order {2 * nu - 1}, have {coeffs.order}"
         )
-    if coeffs.transition == "airy-to-s1":
-        beta = 1.5
-        phase = np.exp(1j * (4.0 / 3.0) * a**1.5)
-    else:
-        beta = 4.0 / 3.0
-        phase = np.exp(-1j * 0.75 * _SQRT3 * a ** (4.0 / 3.0))
+    t = TRANSITION_TABLE[coeffs.transition]
+    phase = t.oscillation(a)
 
     b_part = 0.0
     for k in range(2 * nu):
@@ -439,7 +427,7 @@ def correction_term(coeffs: ExpansionCoefficients, nu: int, a: float) -> float:
             * _gamma_half(2 * k + 1)
             * _gamma_half(2 * l + 1)
         )
-    return float(-(b_part + c_part) / (2.0 * np.pi**2 * a ** (beta * nu)))
+    return float(-(b_part + c_part) / (2.0 * np.pi**2 * a ** (t.beta * nu)))
 
 
 def expansion_partial_sum(
@@ -475,7 +463,7 @@ def expansion_partial_sum(
     _require_positive_a(a)
     if base is None:
         q = KernelQuery(
-            kernel=_transition_kernel_name(transition),
+            kernel=TRANSITION_TABLE[transition].kernel,
             tau1=tau1,
             tau2=tau2,
             u=u,

@@ -38,7 +38,9 @@ times, the transition parameter and options, up to ``_GROUP`` at a time,
 as one Cauchy-matrix bilinear form
 (:func:`~kernelwave.quadrature.integrate_cauchy`): their contours are
 truncated and refined on the group's upper envelope, and one GEMM gives all
-their values.  :func:`eval_kernel` of a direct query is the batch of one.
+their values.  A saddle airy-ext or pearcey-ext query is the rescaled
+kernel of its transition at ``a = 1``.  :func:`eval_kernel` is the batch of
+one, for every backend.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import math
 import numpy as np
 from dataclasses import dataclass, field
 
-from .phase import airy_branch_paths, pearcey_branch_paths
+from .phase import TRANSITION_TABLE, airy_branch_paths, pearcey_branch_paths
 from .quadrature import (
     Contour,
     GeometryError,
@@ -313,17 +315,15 @@ def _truncation_halfwidth(s: float, budget: float, growth_bound) -> float:
     return float(min(X, 38.0))
 
 
-# Block maps per transition: the Gaussian scale is ``s = a**p``, the
-# oscillation phase ``theta = c * s`` enters the (+,-) block as
-# ``exp(i * sign * theta)`` and the (-,+) block conjugated, and the four maps
-# zeta+, zeta-, omega+, omega- are (branch path, reflection) pairs.  A plus
-# map is ``x -> P(x)``; a minus map is ``x -> R(P(-x))`` for the reflection
-# ``R`` (negation or conjugation), with derivative ``-R(P'(-x))``.
+# Block maps per transition (see :data:`~kernelwave.phase.TRANSITION_TABLE`
+# for its Gaussian scale and oscillation phase): the phase enters the (+,-)
+# block and, conjugated, the (-,+) block, and the four maps zeta+, zeta-,
+# omega+, omega- are (branch path, reflection) pairs.  A plus map is
+# ``x -> P(x)``; a minus map is ``x -> R(P(-x))`` for the reflection ``R``
+# (negation or conjugation), with derivative ``-R(P'(-x))``.
 _SADDLE_SPECS = {
-    "airy": (1.5, 4.0 / 3.0, +1,
-             (("S", None), ("T", np.negative), ("T", None), ("S", np.negative))),
-    "pearcey": (4.0 / 3.0, 3.0 * np.sqrt(3.0) / 4.0, -1,
-                (("S", None), ("S", np.conj), ("T", None), ("T", np.conj))),
+    "airy-to-s1": (("S", None), ("T", np.negative), ("T", None), ("S", np.negative)),
+    "pearcey-to-s2": (("S", None), ("S", np.conj), ("T", None), ("T", np.conj)),
 }
 
 
@@ -371,24 +371,22 @@ def _saddle_blocks(paths, specs, s: float, X: float, n: int, tau1: float,
                      tensor(zp, fp, wm, gm), tensor(zm, fm, wp, gp)])
 
 
-def _saddle_J(kind: str, a: float, tau1: float, tau2: float, u: float, v: float,
-              opts: QuadOptions) -> tuple[complex, float]:
-    """The four-block steepest-path double integral J for either transition.
+def _saddle_J(transition: str, a: float, tau1: float, tau2: float, u: float,
+              v: float, opts: QuadOptions) -> tuple[complex, float]:
+    """The four-block steepest-path double integral J of either transition.
 
-    ``kind="airy"``: Gaussian scale ``s = a**1.5``, oscillation phase
-    ``4/3 a**1.5``; ``kind="pearcey"``: ``s = a**(4/3)``, phase
-    ``3 sqrt(3)/4 a**(4/3)`` with opposite sign pairing (see
-    ``_SADDLE_SPECS``).  Blocks through coincident saddles are polar cells;
-    mixed-saddle blocks are plain tensor Gaussians (the paths stay a distance
-    ~2 / ~sqrt(3) apart).  Each block is taken on two rules (see
-    :func:`_saddle_blocks`), and the estimate sums their differences.
+    The Gaussian scale is ``s = a**beta`` and the mixed blocks carry the
+    transition's oscillation phase (see ``_SADDLE_SPECS``).  Blocks through
+    coincident saddles are polar cells; mixed-saddle blocks are plain tensor
+    Gaussians (the paths stay a distance ~2 / ~sqrt(3) apart).  Each block
+    is taken on two rules (see :func:`_saddle_blocks`), and the estimate
+    sums their differences.
     """
-    if kind not in _SADDLE_SPECS:
-        raise ValueError(kind)
-    power, theta_per_s, sign, specs = _SADDLE_SPECS[kind]
-    paths = airy_branch_paths() if kind == "airy" else pearcey_branch_paths()
-    s = a ** power
-    phase_pm = np.exp(1j * sign * theta_per_s * s)
+    t, specs = TRANSITION_TABLE[transition], _SADDLE_SPECS[transition]
+    # Called by name from this module's globals: perfbench/spans.py wraps them.
+    paths = airy_branch_paths() if transition == "airy-to-s1" else pearcey_branch_paths()
+    s = a ** t.beta
+    phase_pm = t.oscillation(a)
 
     def growth(X):
         m = max(float(np.max(np.abs(p.zeta(np.array([X, -X]))))) for p in paths.values())
@@ -408,66 +406,65 @@ def _saddle_J(kind: str, a: float, tau1: float, tau2: float, u: float, v: float,
 # ---------------------------------------------------------------------------
 
 
-def rescaled_airy_lhs(a: float, tau1: float, tau2: float, u: float, v: float,
-                      backend: str = "saddle",
-                      opts: QuadOptions | None = None) -> KernelValue:
-    """``a**-0.5 * K_airy(tau/a; u/sqrt(a)-a, v/sqrt(a)-a)``.
+def _rescaled_lhs(transition: str, a: float, tau1: float, tau2: float, u: float,
+                  v: float, backend: str, opts: QuadOptions | None) -> KernelValue:
+    """The rescaled kernel of ``transition`` at parameter ``a``.
 
-    The SADDLE backend evaluates it as (s1 segment kernel) + (four-block
+    The SADDLE backend evaluates it as (segment kernel) + (four-block
     steepest-path integral); the DIRECT backend rescales a plain
     evaluation.  The two routes share no geometry.
     """
+    for name, x in (("a", a), ("tau1", tau1), ("tau2", tau2), ("u", u), ("v", v)):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
     if a <= 0:
         raise ValueError("rescaling parameter a must be positive")
     opts = opts or QuadOptions()
     if backend == "direct":
-        val, err = _direct_airy(tau1 / a, tau2 / a, u / np.sqrt(a) - a,
-                                v / np.sqrt(a) - a, opts)
-        sa = 1.0 / np.sqrt(a)
-        return KernelValue.wrap(sa * val, sa * err, "direct")
-    s1 = eval_kernel(KernelQuery("s1", tau1, tau2, u, v, opts=opts))
-    j_val, j_err = _saddle_J("airy", a, tau1, tau2, u, v, opts)
-    return KernelValue.wrap(s1.value.real + j_val, s1.error_estimate + j_err, "saddle")
+        if transition == "airy-to-s1":
+            val, err = _direct_airy(tau1 / a, tau2 / a, u / np.sqrt(a) - a,
+                                    v / np.sqrt(a) - a, opts)
+            sa = 1.0 / np.sqrt(a)
+            return KernelValue.wrap(sa * val, sa * err, "direct")
+        c = a ** (1.0 / 3.0)
+        val, err = _direct_quartic(2.0 * tau1 / c ** 2, 2.0 * tau2 / c ** 2,
+                                   u / c + a, v / c + a, 0.0, opts)
+        return KernelValue.wrap(val / c, err / c, "direct")
+    seg, seg_err = _segment_kernel(TRANSITION_TABLE[transition].kernel,
+                                   np.array([tau1 - tau2]), np.array([u - v]), opts)
+    j_val, j_err = _saddle_J(transition, a, tau1, tau2, u, v, opts)
+    return KernelValue.wrap(seg.tolist()[0] + j_val, seg_err.tolist()[0] + j_err, "saddle")
+
+
+def rescaled_airy_lhs(a: float, tau1: float, tau2: float, u: float, v: float,
+                      backend: str = "saddle",
+                      opts: QuadOptions | None = None) -> KernelValue:
+    """``a**-0.5 * K_airy(tau/a; u/sqrt(a)-a, v/sqrt(a)-a)``, around s1."""
+    return _rescaled_lhs("airy-to-s1", a, tau1, tau2, u, v, backend, opts)
 
 
 def rescaled_pearcey_lhs(a: float, tau1: float, tau2: float, u: float, v: float,
                          backend: str = "saddle",
                          opts: QuadOptions | None = None) -> KernelValue:
-    """``a**(-1/3) * K_pearcey(2 tau/a**(2/3); u/a**(1/3)+a, v/a**(1/3)+a)``.
-
-    SADDLE: (s2 segment kernel) + (four-block steepest-path integral).
-    """
-    if a <= 0:
-        raise ValueError("rescaling parameter a must be positive")
-    opts = opts or QuadOptions()
-    if backend == "direct":
-        c = a ** (1.0 / 3.0)
-        val, err = _direct_quartic(2.0 * tau1 / c ** 2, 2.0 * tau2 / c ** 2,
-                                   u / c + a, v / c + a, 0.0, opts)
-        return KernelValue.wrap(val / c, err / c, "direct")
-    s2 = eval_kernel(KernelQuery("s2", tau1, tau2, u, v, opts=opts))
-    j_val, j_err = _saddle_J("pearcey", a, tau1, tau2, u, v, opts)
-    return KernelValue.wrap(s2.value.real + j_val, s2.error_estimate + j_err, "saddle")
+    """``a**(-1/3) * K_pearcey(2 tau/a**(2/3); u/a**(1/3)+a, v/a**(1/3)+a)``,
+    around s2."""
+    return _rescaled_lhs("pearcey-to-s2", a, tau1, tau2, u, v, backend, opts)
 
 
 def eval_kernel(q: KernelQuery) -> KernelValue:
-    """Evaluate one kernel query; see :class:`KernelQuery`.
-
-    The segment kernels (sine-ext, s1, s2) and the transition kernel are
-    always evaluated directly (their integrals are not oscillatory at
-    scale); airy-ext and pearcey-ext honor ``backend="saddle"`` through the
-    identity embedding of the rescaled forms at ``a = 1``.  A direct query
-    is the batch of one of :func:`eval_kernels`.
-    """
-    if q.backend == "saddle" and q.kernel == "airy-ext":
-        kv = rescaled_airy_lhs(1.0, q.tau1, q.tau2, q.u + 1.0, q.v + 1.0,
-                               "saddle", q.opts)
-        return KernelValue.wrap(kv.value, kv.error_estimate, "saddle")
-    if q.backend == "saddle" and q.kernel == "pearcey-ext":
-        kv = rescaled_pearcey_lhs(1.0, q.tau1 / 2.0, q.tau2 / 2.0,
-                                  q.u - 1.0, q.v - 1.0, "saddle", q.opts)
-        return KernelValue.wrap(kv.value, kv.error_estimate, "saddle")
+    """Evaluate one kernel query, as the batch of one of :func:`eval_kernels`."""
     return eval_kernels([q])[0]
+
+
+# The a = 1 embedding of the saddle kernels in the rescaled kernels:
+# K_airy(tau; u, v) is the Airy transition's rescaled kernel at
+# (tau, u + 1, v + 1), and K_pearcey(tau; u, v) the quartic one's at
+# (tau / 2, u - 1, v - 1).
+_EMBEDDING = {
+    "airy-ext": ("airy-to-s1", lambda t1, t2, u, v: (t1, t2, u + 1.0, v + 1.0)),
+    "pearcey-ext": ("pearcey-to-s2",
+                    lambda t1, t2, u, v: (t1 / 2.0, t2 / 2.0, u - 1.0, v - 1.0)),
+}
 
 
 # Direct double-integral queries per integrate_cauchy call: bounds the
@@ -484,9 +481,10 @@ def eval_kernels(queries) -> list[KernelValue]:
     refined and estimated on its own.  The direct double-integral queries
     (airy-ext, pearcey-ext, transition-a) are grouped by (kernel, tau1,
     tau2, a_param, options), and each group of up to ``_GROUP`` queries
-    shares its contours and one :func:`integrate_cauchy` call.  Saddle
-    queries go through :func:`eval_kernel` one at a time.  A query that
-    fails raises for the whole batch.
+    shares its contours and one :func:`integrate_cauchy` call.  A saddle
+    airy-ext or pearcey-ext query is the rescaled kernel of its transition
+    at ``a = 1``, one at a time.  A query that fails raises for the whole
+    batch.  :func:`eval_kernel` is the batch of one, for every backend.
     """
     queries = list(queries)
     out: list = [None] * len(queries)
@@ -499,7 +497,9 @@ def eval_kernels(queries) -> list[KernelValue]:
             directs.setdefault((q.kernel, q.tau1, q.tau2, q.a_param, q.opts),
                                []).append(k)
         else:
-            out[k] = eval_kernel(q)
+            transition, embed = _EMBEDDING[q.kernel]
+            out[k] = _rescaled_lhs(transition, 1.0, *embed(q.tau1, q.tau2, q.u, q.v),
+                                   "saddle", q.opts)
     for (kind, opts), ks in segments.items():
         dt = np.array([queries[k].tau1 - queries[k].tau2 for k in ks])
         dx = np.array([queries[k].u - queries[k].v for k in ks])

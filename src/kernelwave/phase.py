@@ -15,7 +15,9 @@ to
   seeded from a truncated power series at the saddle.  The march runs in
   Python scalar arithmetic: Horner on derivative coefficients that each
   :class:`PhaseSpec` derives once.  Evaluation returns ``zeta`` and, in the
-  same pass, ``zeta'``.
+  same pass, ``zeta'``,
+* state, in one table (:data:`TRANSITION_TABLE`), the constants of the two
+  transitions that more than one module reads.
 
 The branch paths are what the saddle-point integrators consume: they turn
 oscillatory contour integrals into real-line Gaussian integrals with smooth
@@ -43,6 +45,8 @@ __all__ = [
     "export_level_curve",
     "BranchPath",
     "make_branch_path",
+    "Transition",
+    "TRANSITION_TABLE",
     "airy_branch_paths",
     "pearcey_branch_paths",
 ]
@@ -147,9 +151,6 @@ class PathPolyline:
     arclength: np.ndarray
     saddle: complex
     direction: int  # +1 descent of Re f decreasing? see trace_steepest
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def trace_steepest(
@@ -408,38 +409,78 @@ def make_branch_path(
     )
 
 
+# ---------------------------------------------------------------------------
+# The two transitions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Transition:
+    """The constants of one transition that more than one module reads.
+
+    The rescaled kernel approaches the segment kernel ``kernel`` with
+    corrections that decay like ``a**(-beta*nu)``.  ``s = a**beta`` is the
+    Gaussian scale of the saddle blocks, and the mixed saddle pairing carries
+    the phase ``exp(i*sign*theta*s)``.  ``S`` and ``T`` are the ``(sigma,
+    first coefficient)`` of the two branch paths through the governing
+    saddle, the first saddle of ``phase``.
+    """
+
+    kernel: str
+    phase: PhaseSpec
+    S: tuple[int, complex]
+    T: tuple[int, complex]
+    beta: float
+    theta: float
+    sign: int
+
+    @property
+    def saddle(self) -> complex:
+        return self.phase.saddles[0]
+
+    def oscillation(self, a):
+        """``exp(i*sign*theta*a**beta)``, the mixed pairing's phase factor."""
+        return np.exp(1j * self.sign * self.theta * a ** self.beta)
+
+
+_PEARCEY_A1 = np.sqrt(2.0 / 3.0) * np.exp(2j * np.pi / 3)
+
+TRANSITION_TABLE = {
+    "airy-to-s1": Transition(
+        "s1", make_phase("airy-cubic"), (-1, np.exp(1j * np.pi / 4)),
+        (+1, np.exp(3j * np.pi / 4)), 1.5, 4.0 / 3.0, +1),
+    "pearcey-to-s2": Transition(
+        "s2", make_phase("pearcey-quartic"), (+1, _PEARCEY_A1),
+        (-1, 1j * _PEARCEY_A1), 4.0 / 3.0, 0.75 * np.sqrt(3.0), -1),
+}
+
+
+def _branch_paths(transition: str) -> dict[str, BranchPath]:
+    t = TRANSITION_TABLE[transition]
+    return {name: make_branch_path(t.phase, t.saddle, *getattr(t, name))
+            for name in ("S", "T")}
+
+
 @lru_cache(maxsize=4)
 def airy_branch_paths() -> dict[str, BranchPath]:
     """The two cubic-phase branch paths used by the saddle integrators.
 
-    ``P_S`` solves ``f(z) - f(i) = -x**2`` with ``z'(0) = exp(i*pi/4)``: the
-    descent parameterization through the upper saddle ``i`` running from
-    ``-infinity`` up to ``infinity * exp(i*pi/3)`` as ``x`` goes ``-inf ->
-    +inf``.  ``P_T`` is the same analytic branch evaluated on the imaginary
-    axis of the parameter, realized as its own real-parameter path solving
-    ``f(z) - f(i) = +y**2`` with ``z'(0) = exp(3i*pi/4)``; it runs from
-    ``+infinity`` to ``infinity * exp(2i*pi/3)``.
+    ``P_S`` is the descent parameterization through the upper saddle ``i``,
+    running from ``-infinity`` up to ``infinity * exp(i*pi/3)`` as ``x``
+    goes ``-inf -> +inf``.  ``P_T`` is the same analytic branch evaluated on
+    the imaginary axis of the parameter, realized as its own real-parameter
+    (ascent) path; it runs from ``+infinity`` to ``infinity * exp(2i*pi/3)``.
     """
-    phase = make_phase("airy-cubic")
-    p_s = make_branch_path(phase, 1j, -1, np.exp(1j * np.pi / 4))
-    p_t = make_branch_path(phase, 1j, +1, np.exp(3j * np.pi / 4))
-    return {"S": p_s, "T": p_t}
+    return _branch_paths("airy-to-s1")
 
 
 @lru_cache(maxsize=4)
 def pearcey_branch_paths() -> dict[str, BranchPath]:
     """The two quartic-phase branch paths through the saddle exp(i*pi/3).
 
-    ``P_S`` solves ``f(z) - f(p) = +x**2`` with ``z'(0) = sqrt(2/3) *
-    exp(2i*pi/3)`` (ascent parameterization, running from ``+infinity`` to
-    ``i*infinity``); ``P_T`` solves ``f(z) - f(p) = -y**2`` with ``z'(0) =
-    i * sqrt(2/3) * exp(2i*pi/3)`` (descent, running from ``infinity *
-    exp(i*pi/4)`` to ``infinity * exp(3i*pi/4)``).  Conjugate-saddle paths
+    ``P_S`` is the ascent parameterization, running from ``+infinity`` to
+    ``i*infinity``; ``P_T`` the descent one, running from ``infinity *
+    exp(i*pi/4)`` to ``infinity * exp(3i*pi/4)``.  Conjugate-saddle paths
     are obtained from these by reflection, not stored separately.
     """
-    phase = make_phase("pearcey-quartic")
-    p = complex(np.exp(1j * np.pi / 3))
-    a1 = np.sqrt(2.0 / 3.0) * np.exp(2j * np.pi / 3)
-    p_s = make_branch_path(phase, p, +1, a1)
-    p_t = make_branch_path(phase, p, -1, 1j * a1)
-    return {"S": p_s, "T": p_t}
+    return _branch_paths("pearcey-to-s2")

@@ -39,6 +39,7 @@ from .kernels import (
     rescaled_airy_lhs,
     rescaled_pearcey_lhs,
 )
+from .phase import TRANSITION_TABLE
 from .quadrature import QuadOptions
 
 __all__ = [
@@ -73,10 +74,6 @@ ACCEPTANCE_WINDOWS: dict[str, dict[int, tuple[float, float]]] = {
     "airy-to-s1": {0: (-1.7, -1.3), 1: (-3.35, -2.65), 2: (-4.9, -4.1)},
     "pearcey-to-s2": {0: (-1.55, -1.15), 1: (-3.0, -2.35)},
 }
-
-# The nu-th correction term decays like ``a**(-beta*nu)``, so the residual of
-# the N-term partial sum has the theoretical slope ``-beta*(N+1)``.
-_TERM_DECAY = {"airy-to-s1": 1.5, "pearcey-to-s2": 4.0 / 3.0}
 
 # Residual samples per oscillation period when a slope fit uses the envelope.
 _ENVELOPE_SAMPLES = 7
@@ -154,21 +151,16 @@ class ResidualTable:
             raise ValueError("residuals must be nonnegative")
 
 
-def _phase_theta(transition: str, a: np.ndarray | float):
-    """Oscillation phase of the leading correction at parameter ``a``."""
-    if transition == "airy-to-s1":
-        return 4.0 / 3.0 * np.asarray(a, dtype=float) ** 1.5
-    return 0.75 * np.sqrt(3.0) * np.asarray(a, dtype=float) ** (4.0 / 3.0)
-
-
 def _phase_inverse(transition: str, theta: float) -> float:
-    """Inverse of :func:`_phase_theta`."""
+    """The ``a`` at which the leading correction's oscillation phase
+    ``TRANSITION_TABLE[transition].theta * a**beta`` equals ``theta``."""
     if transition == "airy-to-s1":
         return (0.75 * theta) ** (2.0 / 3.0)
     return (theta / (0.75 * np.sqrt(3.0))) ** 0.75
 
 
 def _lhs_function(transition: str):
+    # By name from this module's globals: perfbench/spans.py wraps them.
     return rescaled_airy_lhs if transition == "airy-to-s1" else rescaled_pearcey_lhs
 
 
@@ -200,14 +192,15 @@ def residual_study(
     a_arr = np.asarray(a_values, dtype=float)
     if a_arr.ndim != 1 or a_arr.size < 3:
         raise ValueError("a_values must contain at least 3 values")
-    if np.any(a_arr <= 0) or np.any(np.diff(a_arr) <= 0):
-        raise ValueError("a_values must be positive and strictly increasing")
+    if (not np.all(np.isfinite(a_arr)) or np.any(a_arr <= 0)
+            or np.any(np.diff(a_arr) <= 0)):
+        raise ValueError("a_values must be finite, positive and strictly increasing")
     opts = opts or QuadOptions()
     lhs_fn = _lhs_function(transition)
-    kernel_name = "s1" if transition == "airy-to-s1" else "s2"
+    t = TRANSITION_TABLE[transition]
 
     base_kv = eval_kernel(
-        KernelQuery(kernel=kernel_name, tau1=tau1, tau2=tau2, u=u, v=v, opts=opts)
+        KernelQuery(kernel=t.kernel, tau1=tau1, tau2=tau2, u=u, v=v, opts=opts)
     )
     base = base_kv.value.real
     coeffs = (
@@ -239,7 +232,7 @@ def residual_study(
     def envelope_window(j: int):
         """Residuals over one oscillation period starting at anchor j."""
         if j not in env_cache:
-            theta0 = float(_phase_theta(transition, a_arr[j]))
+            theta0 = float(t.theta * np.asarray(a_arr[j]) ** t.beta)
             a_hi = _phase_inverse(transition, theta0 + 2.0 * np.pi)
             samples = np.linspace(a_arr[j], a_hi, _ENVELOPE_SAMPLES)
             rs = np.empty((N_max + 1, samples.size))
@@ -338,7 +331,9 @@ def table_summary_json(table: ResidualTable) -> str:
     verdicts = {}
     for N, (lo, hi) in windows.items():
         if N < table.slopes.size:
-            theory = -_TERM_DECAY[table.transition] * (N + 1)
+            # the nu-th term decays like a**(-beta*nu): the N-term residual
+            # has the slope -beta*(N+1)
+            theory = -TRANSITION_TABLE[table.transition].beta * (N + 1)
             verdicts[str(N)] = {
                 "window": [lo, hi],
                 "slope": float(table.slopes[N]),
@@ -386,28 +381,6 @@ class CrossCheckReport:
     @property
     def n_flagged(self) -> int:
         return sum(r.flagged for r in self.rows)
-
-    @property
-    def max_discrepancy(self) -> float:
-        return max((r.discrepancy for r in self.rows), default=0.0)
-
-    def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write(
-            "label,u,v,tau1,tau2,a_param,value_a_re,value_a_im,"
-            "value_b_re,value_b_im,discrepancy,combined_error,flagged\n"
-        )
-        for r in self.rows:
-            u, v, t1, t2 = r.point
-            ap = "" if r.a_param is None else f"{r.a_param:.17g}"
-            buf.write(
-                f"{r.label},{u:.17g},{v:.17g},{t1:.17g},{t2:.17g},{ap},"
-                f"{r.value_a.real:.17g},{r.value_a.imag:.17g},"
-                f"{r.value_b.real:.17g},{r.value_b.imag:.17g},"
-                f"{r.discrepancy:.17g},{r.combined_error:.17g},"
-                f"{int(r.flagged)}\n"
-            )
-        return buf.getvalue()
 
 
 def _pair_row(label, point, a_param, kv_a: KernelValue, kv_b: KernelValue) -> CrossCheckRow:

@@ -64,9 +64,19 @@ def test_eval_malformed_inputs_exit_1(capsys, tmp_path):
     assert code == 1 and "kernel" in err
 
     bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"kernel": "s1", "u": "much"}\n')
-    code, _, err = run(capsys, "eval", "--input", str(bad))
-    assert code == 1 and "line 1" in err
+    good = '{"kernel": "s1"}\n'
+    for text, line in [
+        ('{"kernel": "s1", "u": "much"}\n', 1),
+        ('{"kernel": "s1", "u": null}\n', 1),
+        ('{"kernel": "s1", "tau1": [0.5]}\n', 1),
+        (good + '[1, 2]\n', 2),
+        (good + '"s1"\n', 2),
+        (good + 'null\n', 2),
+    ]:
+        bad.write_text(text)
+        code, out, err = run(capsys, "eval", "--input", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: line {line}: malformed query"), text
 
     code, _, err = run(capsys, "eval", "--input", str(tmp_path / "missing.jsonl"))
     assert code == 1
@@ -207,6 +217,11 @@ def test_expand_rows_match_library(capsys):
 def test_expand_requires_point(capsys):
     code, _, err = run(capsys, "expand", "--transition", "airy", "--a", "6")
     assert code == 1
+    # and a finite positive a, and a nonnegative N
+    for extra in (["--a", "5,inf"], ["--a", "5,nan"], ["--a", "0"], ["--N", "-1"]):
+        argv = ["expand", "--transition", "airy", "--point", "0,0,0,0", "--a", "6"]
+        code, out, err = run(capsys, *argv, *extra)
+        assert code == 1 and out == "" and err.startswith("error:"), extra
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +314,15 @@ def test_sweep_seeded_determinism(tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize("flag,value", [("--tau1", "0"), ("--tau2", "0.5"),
+                                        ("--grid-u", "0:1:3"), ("--grid-v", "0,1")])
+def test_sweep_random_rejects_grid_flags(capsys, flag, value):
+    # --random draws all four coordinates, so these flags would be ignored
+    code, out, err = run(capsys, "sweep", "--kernel", "s1", "--random", "2",
+                         "--seed", "1", f"{flag}={value}")
+    assert code == 1 and out == "" and flag in err
+
+
 def test_sweep_round_trip_through_eval(tmp_path):
     sw, re_out = tmp_path / "sweep.csv", tmp_path / "re.csv"
     assert main([
@@ -354,7 +378,9 @@ def test_config_rejects_malformed_line(capsys, tmp_path):
     (["eval"], "kernel=s1\nu=much\n", "much"),
     (["eval"], "kernel=s1\nbogus-key=1\n", "bogus-key"),
     (["eval"], "kernel=s1\nseed=3\n", "seed"),  # an option of sweep only
-], ids=["choice", "trace-choice", "type", "unknown-key", "other-command-key"])
+    (["sweep"], "kernel=s1\nrandom=2\ntau1=0.5\n", "--tau1"),  # ignored by --random
+], ids=["choice", "trace-choice", "type", "unknown-key", "other-command-key",
+        "random-ignores"])
 def test_config_rejects_what_the_flag_would(capsys, tmp_path, argv, text, named):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

@@ -297,6 +297,10 @@ def test_partial_sum_validates_n():
         expansion_partial_sum("airy-to-s1", -1, 0, 0, 0, 0, 4.0)
     with pytest.raises(ValueError):
         expansion_partial_sum("airy-to-s1", 99, 0, 0, 0, 0, 4.0)
+    # and a: finite and positive
+    for a in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            expansion_partial_sum("airy-to-s1", 1, 0, 0, 0, 0, a)
 
 
 def test_coefficients_json_dump():

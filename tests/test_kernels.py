@@ -302,7 +302,7 @@ def test_saddle_J_evaluates_each_branch_path_once_per_rule(monkeypatch):
         return zeta(self, x, *args, **kwargs)
 
     monkeypatch.setattr(BranchPath, "zeta", counted)
-    for kind in ("airy", "pearcey"):
+    for kind in ("airy-to-s1", "pearcey-to-s2"):
         shapes.clear()
         kernels._saddle_J(kind, 6.0, 0.2, -0.3, 0.9, 0.7, QuadOptions())
         vectors = [shape for shape in shapes if shape != (2,)]
@@ -380,6 +380,13 @@ def test_query_validation():
 def test_query_rejects_non_finite_inputs(field, bad):
     with pytest.raises(ValueError, match=field):
         KernelQuery("transition-a", **{"a_param": 1.0, field: bad})
+    # the rescaled kernels take the same numbers, with a for a_param
+    name = "a" if field == "a_param" else field
+    args = {"a": 3.0, "tau1": 0.0, "tau2": 0.0, "u": 0.0, "v": 0.0, name: bad}
+    for lhs in (rescaled_airy_lhs, rescaled_pearcey_lhs):
+        for backend in ("saddle", "direct"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                lhs(**args, backend=backend)
 
 
 def test_kernel_value_wrap_records_imag_residual():

@@ -153,6 +153,9 @@ def test_residual_study_rejects_bad_arguments():
         residual_study("airy-to-sine", (0, 0, 0, 0), DEFAULT_A_GRID, 0)
     with pytest.raises(ValueError):
         residual_study("airy-to-s1", (0, 0, 0, 0), (4.0, 4.0, 5.0), 0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            residual_study("airy-to-s1", (0, 0, 0, 0), DEFAULT_A_GRID[:-1] + (bad,), 0)
 
 
 def test_residual_study_noise_floor_exclusion():
@@ -181,11 +184,7 @@ def test_cross_validate_rows_and_identities():
     assert any("s1-vs-s2" in lbl for lbl in labels)
     assert any("transition0-vs-quartic" in lbl for lbl in labels)
     assert report.n_flagged == 0
-    assert report.max_discrepancy < 1e-8
-
-    csv = report.to_csv()
-    assert csv.splitlines()[0].startswith("label,")
-    assert len(csv.strip().splitlines()) == 1 + len(report.rows)
+    assert max(r.discrepancy for r in report.rows) < 1e-8
 
 
 def test_cross_validate_without_identities():
