@@ -48,6 +48,7 @@ from .expansion import (
     symmetry_starred_c,
 )
 from .kernels import (
+    BACKENDS,
     KERNEL_NAMES,
     KernelQuery,
     KernelValue,
@@ -95,7 +96,7 @@ from .verify import (
     ResidualTable,
     check_windows,
     cross_validate,
-    fit_loglog_slope,
+    fit_rate,
     residual_study,
     table_summary_json,
     table_to_csv,
@@ -114,9 +115,9 @@ __all__ = [
     "export_level_curve", "BranchPath", "make_branch_path",
     "airy_branch_paths", "pearcey_branch_paths",
     # kernels
-    "KERNEL_NAMES", "KernelQuery", "KernelValue", "heat_term", "eval_kernel",
-    "eval_kernels", "rescaled_airy_lhs", "rescaled_pearcey_lhs", "relation_connS",
-    "relation_connSS", "transition_interpolation_check",
+    "KERNEL_NAMES", "BACKENDS", "KernelQuery", "KernelValue", "heat_term",
+    "eval_kernel", "eval_kernels", "rescaled_airy_lhs", "rescaled_pearcey_lhs",
+    "relation_connS", "relation_connSS", "transition_interpolation_check",
     # series
     "SeriesUsageError", "SingularSeriesError", "BranchError",
     "DegenerateSaddleError", "TruncatedSeries1", "TruncatedSeries2",
@@ -129,7 +130,7 @@ __all__ = [
     "coefficients_to_json",
     # verify
     "RateFitError", "PrecisionError", "ResidualTable", "ACCEPTANCE_WINDOWS",
-    "DEFAULT_A_GRID", "DEFAULT_STUDY_POINTS", "fit_loglog_slope",
+    "DEFAULT_A_GRID", "DEFAULT_STUDY_POINTS", "fit_rate",
     "residual_study", "check_windows", "table_to_csv", "table_summary_json",
     "CrossCheckRow", "CrossCheckReport", "cross_validate",
 ]

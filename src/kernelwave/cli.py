@@ -38,7 +38,7 @@ from .expansion import (
     expansion_partial_sum,
     gauss_moments,
 )
-from .kernels import KERNEL_NAMES, KernelQuery, KernelValue, eval_kernels
+from .kernels import BACKENDS, KERNEL_NAMES, KernelQuery, KernelValue, eval_kernels
 from .kernels import eval_kernel  # noqa: F401  (perfbench/spans.py traces this name)
 from .phase import export_level_curve, make_phase, trace_steepest
 from .quadrature import GeometryError, QuadOptions
@@ -463,7 +463,7 @@ def _add_rows(sp: argparse.ArgumentParser) -> None:
     """The options of the commands that write kernel rows (eval, sweep)."""
     _add_output(sp, "csv")
     _add_quad(sp)
-    sp.add_argument("--backend", choices=("direct", "saddle"), default="direct")
+    sp.add_argument("--backend", choices=BACKENDS, default="direct")
     sp.add_argument("--warn-tol", type=float, default=1e-6)
     sp.add_argument("--kernel", choices=KERNEL_NAMES)
     sp.add_argument("--tau1", type=float, default=0.0)

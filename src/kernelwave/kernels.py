@@ -77,9 +77,11 @@ __all__ = [
     "relation_connSS",
     "transition_interpolation_check",
     "KERNEL_NAMES",
+    "BACKENDS",
 ]
 
 KERNEL_NAMES = ("airy-ext", "pearcey-ext", "sine-ext", "s1", "s2", "transition-a")
+BACKENDS = ("direct", "saddle")
 
 _DELTA = 0.25  # default contour vertex offset for the DIRECT geometry
 _TWO_PI_I_SQ = (2j * np.pi) ** 2  # = -4*pi^2
@@ -101,8 +103,8 @@ class KernelQuery:
     def __post_init__(self):
         if self.kernel not in KERNEL_NAMES:
             raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}")
-        if self.backend not in ("direct", "saddle"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
         for name in ("tau1", "tau2", "u", "v", "a_param"):
             x = getattr(self, name)
             if x is not None and not math.isfinite(x):
@@ -419,6 +421,8 @@ def _rescaled_lhs(transition: str, a: float, tau1: float, tau2: float, u: float,
             raise ValueError(f"{name} must be finite, got {x!r}")
     if a <= 0:
         raise ValueError("rescaling parameter a must be positive")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     opts = opts or QuadOptions()
     if backend == "direct":
         if transition == "airy-to-s1":

@@ -2,14 +2,17 @@
 
 The residual of the rescaled kernel against an ``N``-term partial sum decays
 like a power of the rescaling parameter ``a``; this module measures that
-power empirically.  The leading neglected term oscillates through zero as a
-function of ``a``, so a slope fit over raw residuals at fixed anchor values
-can be badly corrupted by near-zero samples.  The *envelope* strategy
-replaces each anchor by the maximum residual over one full oscillation
-period starting at the anchor (together with the ``a`` where the maximum is
-attained, so the fitted points genuinely lie on the decay curve).  Residuals
-that sink below a multiple of the quadrature error estimate are excluded as
-noise.
+power empirically.  The leading neglected term is ``a**-(beta*(N+1))``
+times a constant plus an oscillation ``Re(c*exp(i*theta(a)))`` whose phase
+``theta(a)`` is known (``TRANSITION_TABLE[transition].oscillation``), so it
+passes through zero as a function of ``a`` and a log-log fit of the
+residual's magnitude would be biased by near-zero samples.  Instead the
+signed residual at the anchors is fitted to ``a**p * (c0 + c1 cos(theta) +
+c2 sin(theta))``, with ``c`` projected out by linear least squares and ``p``
+found by a one-dimensional search (variable projection, Golub & Pereyra,
+SIAM J. Numer. Anal. 10 (1973) 413-432).  Each anchor costs one evaluation
+of the rescaled kernel.  Residuals at or below a multiple of the quadrature
+error estimate are excluded as noise.
 
 Dual-backend cross-validation evaluates the same queries through the two
 independent quadrature routes (plain contour geometry versus
@@ -31,6 +34,7 @@ from .expansion import (
     correction_term,
 )
 from .kernels import (
+    BACKENDS,
     KernelQuery,
     KernelValue,
     eval_kernel,
@@ -49,7 +53,7 @@ __all__ = [
     "ACCEPTANCE_WINDOWS",
     "DEFAULT_A_GRID",
     "DEFAULT_STUDY_POINTS",
-    "fit_loglog_slope",
+    "fit_rate",
     "residual_study",
     "check_windows",
     "table_to_csv",
@@ -61,11 +65,11 @@ __all__ = [
 
 
 class RateFitError(RuntimeError):
-    """Raised when a slope fit lacks enough usable points."""
+    """Raised when a rate fit's points cannot determine a rate."""
 
 
 class PrecisionError(RuntimeError):
-    """Raised when every residual sits below the quadrature noise floor."""
+    """Raised when fewer than 3 residuals clear the quadrature noise floor."""
 
 
 # Slope acceptance windows per (transition, N): the theoretical exponent of
@@ -75,8 +79,9 @@ ACCEPTANCE_WINDOWS: dict[str, dict[int, tuple[float, float]]] = {
     "pearcey-to-s2": {0: (-1.55, -1.15), 1: (-3.0, -2.35)},
 }
 
-# Residual samples per oscillation period when a slope fit uses the envelope.
-_ENVELOPE_SAMPLES = 7
+# Exponents scanned by a rate fit's coarse search, before refinement; far
+# wider than the theoretical slopes, -4/3 to -4.5.
+_EXPONENT_GRID = np.linspace(-20.0, 10.0, 601)
 
 # Default anchor grid: geometric-ish spacing; the saddle backend stays
 # accurate well beyond 14, the plain geometry loses ground to cancellation.
@@ -93,43 +98,17 @@ DEFAULT_STUDY_POINTS: tuple[tuple[float, float, float, float], ...] = (
 )
 
 
-def fit_loglog_slope(xs, ys) -> tuple[float, float]:
-    """Ordinary least squares slope of log(ys) against log(xs).
-
-    Returns ``(slope, stderr)`` where ``stderr`` is the usual OLS standard
-    error of the slope estimate (zero for an exact power law).
-    """
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise RateFitError("xs and ys must be 1-d arrays of equal length")
-    if x.size < 3:
-        raise RateFitError(f"need at least 3 points for a slope fit, got {x.size}")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise RateFitError("slope fits need strictly positive xs and ys")
-    lx, ly = np.log(x), np.log(y)
-    dx = lx - lx.mean()
-    dy = ly - ly.mean()
-    sxx = float(dx @ dx)
-    if sxx == 0.0:
-        raise RateFitError("xs are all identical; slope is undefined")
-    slope = float(dx @ dy) / sxx
-    resid = dy - slope * dx
-    dof = x.size - 2
-    stderr = float(np.sqrt((resid @ resid) / dof / sxx)) if dof > 0 else 0.0
-    return slope, stderr
-
-
 @dataclass(frozen=True)
 class ResidualTable:
     """Residuals of N-term partial sums over an ``a`` grid, with fitted rates.
 
     ``residuals[N][j]`` is ``|rescaled LHS(a_j) - partial_sum(N, a_j)|``;
-    ``slopes[N]``/``slope_ci[N]`` the fitted log-log rate and its standard
-    error; ``fit_points[N]`` the (a, residual) pairs actually used by the
-    fit (envelope maxima when the envelope strategy was active, see
-    ``envelope_used``); ``noise_floor[j]`` the exclusion threshold derived
-    from the quadrature error estimates.
+    ``slopes[N]``/``slope_ci[N]`` the exponent fitted by :func:`fit_rate`
+    to the signed residuals and its nonlinear least-squares standard error;
+    ``fit_points[N]`` the (a, residual) pairs of the anchors the fit used,
+    those above ``noise_floor[j]``, the exclusion threshold derived from the
+    quadrature error estimates.  ``envelope_used`` is all False; it is kept
+    for readers of the field.
     """
 
     transition: str
@@ -151,12 +130,54 @@ class ResidualTable:
             raise ValueError("residuals must be nonnegative")
 
 
-def _phase_inverse(transition: str, theta: float) -> float:
-    """The ``a`` at which the leading correction's oscillation phase
-    ``TRANSITION_TABLE[transition].theta * a**beta`` equals ``theta``."""
-    if transition == "airy-to-s1":
-        return (0.75 * theta) ** (2.0 / 3.0)
-    return (theta / (0.75 * np.sqrt(3.0))) ** 0.75
+def fit_rate(a_values, residuals, oscillation) -> tuple[float, float]:
+    """Fit signed residuals to ``a**p * (c0 + c1 cos(theta) + c2 sin(theta))``.
+
+    ``oscillation[j]`` is ``exp(i*theta(a_j))``.  Below 5 points the two
+    phase columns are dropped and the model is the plain power law
+    ``c0 * a**p``.  The model is linear in ``c`` and nonlinear only in
+    ``p``, so ``c`` is projected out (variable projection): with ``P`` the
+    projector onto the columns, which does not depend on ``p``, ``p``
+    minimizes the scale-free cost ``|(I - P) y|**2 / |y|**2`` of
+    ``y = residuals * a**-p``, over a coarse grid refined around its
+    minimum.  Returns ``(p, stderr)``, the nonlinear least-squares standard
+    error of ``p`` with the row weights ``a**-p`` frozen at the optimum.
+    """
+    a = np.asarray(a_values, dtype=float)
+    r = np.asarray(residuals, dtype=float)
+    osc = np.asarray(oscillation, dtype=complex)
+    if not a.shape == r.shape == osc.shape or a.ndim != 1:
+        raise RateFitError("a_values, residuals and oscillation must be 1-d of equal length")
+    if a.size < 3:
+        raise RateFitError(f"need at least 3 points for a rate fit, got {a.size}")
+    if np.any(a <= 0) or np.ptp(a) == 0:
+        raise RateFitError("a_values must be positive and not all equal")
+    cols = [np.ones_like(a)] + ([osc.real, osc.imag] if a.size >= 5 else [])
+    q = np.linalg.qr(np.column_stack(cols))[0]
+    log_a = np.log(a)
+
+    def off_basis(y):
+        """``(I - P) y``, column by column."""
+        return y - q @ (q.T @ y)
+
+    def cost(ps):
+        y = r[:, None] * np.exp(-np.outer(log_a, ps))
+        return np.sum(off_basis(y) ** 2, axis=0) / np.sum(y**2, axis=0)
+
+    p = float(_EXPONENT_GRID[np.argmin(cost(_EXPONENT_GRID))])
+    step = _EXPONENT_GRID[1] - _EXPONENT_GRID[0]
+    while step > 1e-12:
+        ps = np.linspace(p - step, p + step, 21)
+        p = float(ps[np.argmin(cost(ps))])
+        step = ps[1] - ps[0]
+
+    # Gauss-Newton covariance of p with c free: the p column of the
+    # Jacobian, log(a) times the fitted shape, projected off the columns.
+    y = r * a**-p
+    misfit = off_basis(y)
+    dp = off_basis(log_a * (y - misfit))
+    sigma2 = float(misfit @ misfit) / (a.size - q.shape[1] - 1)
+    return p, float(np.sqrt(sigma2 / (dp @ dp)))
 
 
 def _lhs_function(transition: str):
@@ -176,16 +197,16 @@ def residual_study(
 ) -> ResidualTable:
     """Measure the decay rate of partial-sum residuals over an ``a`` grid.
 
-    For each ``N`` in ``0..N_max`` the residual ``|LHS(a) - partial_sum(N)|``
-    is formed at every anchor ``a``.  Slopes come from an OLS fit on logs;
-    points below ``noise_multiplier`` times the combined quadrature error
-    estimate are excluded.  When the fit of the raw anchor residuals has a
-    standard error above 0.2 (or too few usable points), each anchor is
-    replaced by the maximum residual over one oscillation period, sampled
-    at ``_ENVELOPE_SAMPLES`` points.
+    For each ``N`` in ``0..N_max`` the signed residual ``LHS(a) -
+    partial_sum(N)`` is formed at every anchor ``a``, one LHS evaluation per
+    anchor.  Anchors whose residual is at or below ``noise_multiplier``
+    times the combined quadrature error estimate are excluded, and
+    :func:`fit_rate` fits the rest with the transition's known phase.
     """
     if transition not in TRANSITIONS:
         raise ValueError(f"unknown transition {transition!r}; expected one of {TRANSITIONS}")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     if N_max < 0:
         raise ValueError("N_max must be nonnegative")
     u, v, tau1, tau2 = (float(c) for c in point)
@@ -202,84 +223,38 @@ def residual_study(
     base_kv = eval_kernel(
         KernelQuery(kernel=t.kernel, tau1=tau1, tau2=tau2, u=u, v=v, opts=opts)
     )
-    base = base_kv.value.real
     coeffs = (
         build_amplitudes(transition, u, v, tau1, tau2, order=2 * N_max)
         if N_max >= 1
         else None
     )
 
-    def residuals_at(a: float) -> tuple[np.ndarray, float]:
-        """Residual for every N at one parameter value, plus its noise floor."""
-        kv = lhs_fn(a, tau1, tau2, u, v, backend, opts)
-        err = kv.error_estimate + base_kv.error_estimate
-        partial = base
-        out = np.empty(N_max + 1)
-        out[0] = abs(kv.value.real - partial)
-        for nu in range(1, N_max + 1):
-            partial += correction_term(coeffs, nu, a)
-            out[nu] = abs(kv.value.real - partial)
-        return out, noise_multiplier * err
-
-    res = np.empty((N_max + 1, a_arr.size))
+    signed = np.empty((N_max + 1, a_arr.size))
     floor = np.empty(a_arr.size)
     for j, a in enumerate(a_arr):
-        res[:, j], floor[j] = residuals_at(float(a))
-
-    # Lazily computed envelope samples, shared across all N.
-    env_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def envelope_window(j: int):
-        """Residuals over one oscillation period starting at anchor j."""
-        if j not in env_cache:
-            theta0 = float(t.theta * np.asarray(a_arr[j]) ** t.beta)
-            a_hi = _phase_inverse(transition, theta0 + 2.0 * np.pi)
-            samples = np.linspace(a_arr[j], a_hi, _ENVELOPE_SAMPLES)
-            rs = np.empty((N_max + 1, samples.size))
-            fl = np.empty(samples.size)
-            rs[:, 0], fl[0] = res[:, j], floor[j]
-            for m in range(1, samples.size):
-                rs[:, m], fl[m] = residuals_at(float(samples[m]))
-            env_cache[j] = (samples, rs, fl)
-        return env_cache[j]
+        kv = lhs_fn(float(a), tau1, tau2, u, v, backend, opts)
+        floor[j] = noise_multiplier * (kv.error_estimate + base_kv.error_estimate)
+        partial = base_kv.value.real
+        signed[0, j] = kv.value.real - partial
+        for nu in range(1, N_max + 1):
+            partial += correction_term(coeffs, nu, float(a))
+            signed[nu, j] = kv.value.real - partial
+    res = np.abs(signed)
+    oscillation = t.oscillation(a_arr)
 
     slopes = np.empty(N_max + 1)
     cis = np.empty(N_max + 1)
-    env_used: list[bool] = []
     fit_points: list[tuple[np.ndarray, np.ndarray]] = []
     for N in range(N_max + 1):
         usable = res[N] > floor
-        if not usable.any():
+        if usable.sum() < 3:
             raise PrecisionError(
-                f"every N={N} residual sits below the noise floor; tighten "
+                f"N={N}: fewer than 3 residuals clear the noise floor; tighten "
                 f"quadrature options or use the saddle backend"
             )
-        plain: tuple[float, float] | None = None
-        if usable.sum() >= 3:
-            plain = fit_loglog_slope(a_arr[usable], res[N][usable])
-        if plain is not None and not plain[1] > 0.2:
-            slopes[N], cis[N] = plain
-            env_used.append(False)
-            fit_points.append((a_arr[usable], res[N][usable]))
-            continue
-        pts_a: list[float] = []
-        pts_r: list[float] = []
-        for j in range(a_arr.size):
-            samples, rs, fl = envelope_window(j)
-            ok = rs[N] > fl
-            if not ok.any():
-                continue
-            m = int(np.argmax(np.where(ok, rs[N], -np.inf)))
-            pts_a.append(float(samples[m]))
-            pts_r.append(float(rs[N][m]))
-        if len(pts_a) < 3:
-            raise PrecisionError(
-                f"N={N}: fewer than 3 envelope maxima clear the noise floor; "
-                f"tighten quadrature options or use the saddle backend"
-            )
-        slopes[N], cis[N] = fit_loglog_slope(pts_a, pts_r)
-        env_used.append(True)
-        fit_points.append((np.asarray(pts_a), np.asarray(pts_r)))
+        slopes[N], cis[N] = fit_rate(a_arr[usable], signed[N][usable],
+                                     oscillation[usable])
+        fit_points.append((a_arr[usable], res[N][usable]))
 
     return ResidualTable(
         transition=transition,
@@ -290,7 +265,7 @@ def residual_study(
         slope_ci=cis,
         noise_floor=floor,
         backend=backend,
-        envelope_used=tuple(env_used),
+        envelope_used=(False,) * (N_max + 1),
         fit_points=tuple(fit_points),
     )
 

@@ -82,6 +82,15 @@ def test_eval_malformed_inputs_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+def test_eval_unknown_backend_exits_1(capsys, tmp_path):
+    code, out, err = run(capsys, "eval", "--kernel", "s1", "--backend", "Direct")
+    assert code == 1 and "Direct" in err and out == ""
+    batch = tmp_path / "queries.jsonl"
+    batch.write_text('{"kernel": "airy-ext", "backend": "magic"}\n')
+    code, out, err = run(capsys, "eval", "--input", str(batch))
+    assert code == 1 and "unknown backend 'magic'" in err and out == ""
+
+
 @pytest.mark.parametrize("kernel,value", [("s1", "nan"), ("airy-ext", "nan"),
                                           ("airy-ext", "inf")])
 def test_eval_non_finite_input_exits_1(capsys, kernel, value):
@@ -269,14 +278,16 @@ def test_verify_check_single_point_passes(capsys):
 
 
 def test_verify_check_flags_preasymptotic_point(capsys):
-    # at this point the next-order term still dominates at a=4, so the
-    # fitted N=1 slope for the quartic transition sits outside its window
+    # on anchors 1..3 the higher-order terms still rival the first neglected
+    # one, so the fitted N=0 slope for the quartic transition sits outside
+    # its window
     code, out, err = run(
         capsys, "verify", "--transition", "pearcey",
         "--points=-0.5,0.8,-0.7,0.4", "--n-max", "1", "--check",
+        "--a-grid", "1,1.25,1.5,1.75,2,2.5,3",
     )
     assert code == 1
-    assert "check failed" in err
+    assert "check failed" in err and "N=0" in err
 
 
 def test_verify_csv_format(capsys):

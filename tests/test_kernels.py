@@ -375,6 +375,13 @@ def test_query_validation():
         KernelQuery("s1", backend="magic")
 
 
+@pytest.mark.parametrize("backend", ["magic", "Direct", ""])
+def test_rescaled_kernels_reject_unknown_backend(backend):
+    for lhs in (rescaled_airy_lhs, rescaled_pearcey_lhs):
+        with pytest.raises(ValueError, match="unknown backend"):
+            lhs(3.0, 0.1, 0.0, 0.2, 0.1, backend)
+
+
 @pytest.mark.parametrize("field", ["tau1", "tau2", "u", "v", "a_param"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_query_rejects_non_finite_inputs(field, bad):

@@ -8,16 +8,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kernelwave import verify
 from kernelwave.kernels import KernelQuery
+from kernelwave.phase import TRANSITION_TABLE
 from kernelwave.verify import (
     ACCEPTANCE_WINDOWS,
     DEFAULT_A_GRID,
+    DEFAULT_STUDY_POINTS,
     PrecisionError,
     RateFitError,
     ResidualTable,
     check_windows,
     cross_validate,
-    fit_loglog_slope,
+    fit_rate,
     residual_study,
     table_summary_json,
     table_to_csv,
@@ -30,34 +33,73 @@ from kernelwave.verify import (
 
 
 def test_fit_recovers_exact_power_law():
+    # below 5 points the phase columns drop: a plain (signed) power law
     a = np.array([2.0, 4.0, 8.0, 16.0])
-    slope, stderr = fit_loglog_slope(a, 5.0 * a ** -3.0)
-    assert abs(slope + 3.0) < 1e-12
+    slope, stderr = fit_rate(a, -5.0 * a ** -3.0, np.exp(1j * a))
+    assert abs(slope + 3.0) < 1e-10
     assert stderr < 1e-12
 
 
 def test_fit_constant_has_zero_slope():
     a = np.array([1.0, 2.0, 3.0, 4.0])
-    slope, _ = fit_loglog_slope(a, np.full(4, 0.7))
-    assert abs(slope) < 1e-12
+    slope, _ = fit_rate(a, np.full(4, 0.7), np.exp(1j * a))
+    assert abs(slope) < 1e-10
 
 
 def test_fit_with_mild_noise_stays_close():
     rng = np.random.default_rng(0)
     a = np.geomspace(2, 40, 12)
     ys = a ** -2.5 * np.exp(rng.normal(0, 0.02, size=12))
-    slope, stderr = fit_loglog_slope(a, ys)
-    assert abs(slope + 2.5) < 0.05
-    assert stderr < 0.05
+    for t in TRANSITION_TABLE.values():
+        slope, stderr = fit_rate(a, ys, t.oscillation(a))
+        assert abs(slope + 2.5) < 0.05
+        assert stderr < 0.05
 
 
 def test_fit_input_validation():
+    osc = np.ones(3)
     with pytest.raises(RateFitError):
-        fit_loglog_slope([1.0, 2.0], [1.0, 2.0])
+        fit_rate([1.0, 2.0], [1.0, 2.0], osc[:2])
     with pytest.raises(RateFitError):
-        fit_loglog_slope([1.0, 2.0, 3.0], [1.0, -2.0, 3.0])
+        fit_rate([1.0, 2.0, 3.0], [1.0, 2.0], osc)
     with pytest.raises(RateFitError):
-        fit_loglog_slope([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
+        fit_rate([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], osc)
+    with pytest.raises(RateFitError):
+        fit_rate([-1.0, 2.0, 3.0], [1.0, 2.0, 3.0], osc)
+
+
+_C = (0.3, -1.1, 0.7)
+
+
+def _oscillating(transition, p, a):
+    osc = TRANSITION_TABLE[transition].oscillation(a)
+    return a**p * (_C[0] + _C[1] * osc.real + _C[2] * osc.imag), osc
+
+
+@pytest.mark.parametrize("transition", list(TRANSITION_TABLE))
+def test_fit_rate_recovers_exponent_with_known_phase(transition):
+    a = np.asarray(DEFAULT_A_GRID)
+    for p in (-1.5, -4.0 / 3.0, -4.5):
+        r, osc = _oscillating(transition, p, a)
+        slope, stderr = fit_rate(a, r, osc)
+        assert abs(slope - p) < 1e-8 and stderr < 1e-6
+
+
+@pytest.mark.parametrize("transition", list(TRANSITION_TABLE))
+def test_fit_rate_stderr_covers_noisy_exponent(transition):
+    # noise of 1e-3 relative to the envelope a**p |c|; with 7 points and 4
+    # parameters |p_hat - p| / stderr follows Student's t with 3 degrees of
+    # freedom, which stays within 3 for 94% of draws
+    rng = np.random.default_rng(17)
+    a = np.asarray(DEFAULT_A_GRID)
+    for p in (-1.5, -2.65, -4.5):
+        r, osc = _oscillating(transition, p, a)
+        scale = 1e-3 * np.linalg.norm(_C) * a**p
+        fits = np.array([fit_rate(a, r + scale * rng.standard_normal(a.size), osc)
+                         for _ in range(100)])
+        slope, stderr = fits.T
+        assert np.all((stderr > 0) & np.isfinite(stderr))
+        assert np.mean(np.abs(slope - p) <= 3.0 * stderr) >= 0.85
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +188,39 @@ def test_residual_study_smoke():
     assert check_windows(table) == []
     lo, hi = ACCEPTANCE_WINDOWS["airy-to-s1"][0]
     assert lo <= table.slopes[0] <= hi
+
+
+@pytest.mark.parametrize("transition", list(TRANSITION_TABLE))
+def test_residual_study_evaluates_lhs_once_per_anchor(monkeypatch, transition):
+    calls = []
+    name = "rescaled_airy_lhs" if transition == "airy-to-s1" else "rescaled_pearcey_lhs"
+    lhs = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda a, *args: calls.append(a) or lhs(a, *args))
+    n_max = max(ACCEPTANCE_WINDOWS[transition])
+    table = residual_study(transition, DEFAULT_STUDY_POINTS[1], DEFAULT_A_GRID, n_max)
+    assert calls == list(DEFAULT_A_GRID)
+    assert table.envelope_used == (False,) * (n_max + 1)
+
+
+def test_default_studies_have_positive_slope_ci():
+    # the benchmark's self-test moves a slope 10 standard errors past a
+    # window edge, so a zero standard error would leave it inside
+    for transition in TRANSITION_TABLE:
+        n_max = max(ACCEPTANCE_WINDOWS[transition])
+        for point in DEFAULT_STUDY_POINTS:
+            table = residual_study(transition, point, DEFAULT_A_GRID, n_max)
+            assert np.all(table.slope_ci > 0) and np.all(np.isfinite(table.slope_ci))
+
+
+def test_residual_study_rejects_unknown_backend_before_evaluating(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("evaluated a kernel")
+    monkeypatch.setattr(verify, "eval_kernel", never)
+    monkeypatch.setattr(verify, "rescaled_airy_lhs", never)
+    for backend in ("Direct", "magic"):
+        with pytest.raises(ValueError, match="unknown backend"):
+            residual_study("airy-to-s1", (0.9, 0.7, 0.2, -0.3), DEFAULT_A_GRID, 0,
+                           backend=backend)
 
 
 def test_residual_study_rejects_bad_arguments():
