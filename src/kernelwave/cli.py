@@ -17,9 +17,9 @@ through the same actions (type, choices, store_true) as the flags.
 Exit codes: 0 success, 1 error (bad input or a failed ``--check``),
 2 completed with accuracy warnings.  A batch or sweep is one
 :func:`~kernelwave.kernels.eval_kernels` call, and rows come out in input
-order.  The segment kernels of a batch are integrated together, and so are
-its direct airy-ext, pearcey-ext and transition-a rows that share both
-times (and ``a``): each such group is one Cauchy-matrix bilinear form.
+order.  Its segment-kernel rows are integrated together, and its other rows
+that share the backend and both times (and ``a``) form one group: one
+bilinear form (direct) or one steepest-path rule (saddle).
 """
 
 from __future__ import annotations

@@ -30,17 +30,12 @@ Two evaluation geometries are implemented:
 Keeping both backends gives an internal cross-validation oracle: they share
 no geometry, yet must agree to quadrature accuracy.
 
-The segment and direct evaluators take arrays.  :func:`eval_kernels`
-evaluates all the segment-kernel queries of a batch that share a kernel and
-options in one batched single-integral call.  It evaluates the direct
-airy-ext, pearcey-ext and transition-a queries that share a kernel, both
-times, the transition parameter and options, up to ``_GROUP`` at a time,
-as one Cauchy-matrix bilinear form
-(:func:`~kernelwave.quadrature.integrate_cauchy`): their contours are
-truncated and refined on the group's upper envelope, and one GEMM gives all
-their values.  A saddle airy-ext or pearcey-ext query is the rescaled
-kernel of its transition at ``a = 1``.  :func:`eval_kernel` is the batch of
-one, for every backend.
+Every evaluator takes arrays, and :func:`eval_kernels` makes one evaluator
+call per group of a batch: segment queries per (kernel, options); direct
+queries per (kernel, times, transition parameter, options) as one
+Cauchy-matrix bilinear form (:func:`~kernelwave.quadrature.integrate_cauchy`);
+saddle queries per (kernel, times, options) on one shared rule, with one
+branch-path evaluation per rule.  :func:`eval_kernel` is the batch of one.
 """
 
 from __future__ import annotations
@@ -195,14 +190,6 @@ def _segment_kernel(kind: str, dt: np.ndarray, dx: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _batch(u, v):
-    """``(u, v)`` as arrays, and whether they came as scalars."""
-    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-    u, v = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
-                               np.atleast_1d(np.asarray(v, dtype=float)))
-    return u, v, scalar
-
-
 def _contour(contour: Contour, p, opts: QuadOptions) -> Contour:
     """``contour`` truncated and refined on the upper envelope of a batch of
     exponents, ``max_j Re p(z)_j``."""
@@ -214,14 +201,13 @@ def _direct_airy(tau1: float, tau2: float, u, v, opts: QuadOptions, *,
                  sigma_vertex: float = _DELTA, gamma_vertex: float = -_DELTA):
     """Cubic-phase double integral on offset V contours, minus heat term.
 
-    ``u`` and ``v`` may be arrays: the batch shares the contours, truncated
-    and refined on its upper envelope, and one :func:`integrate_cauchy`
-    call.  Returns arrays ``(values, errors)``, or scalars for scalar
-    ``u`` and ``v``.
+    The batch of ``(u, v)`` shares the contours, truncated and refined on
+    its upper envelope, and one :func:`integrate_cauchy` call.  Returns
+    arrays ``(values, errors)``.
     """
     if sigma_vertex <= gamma_vertex:
         raise GeometryError("zeta contour must stay right of the omega contour")
-    u, v, scalar = _batch(u, v)
+    u, v = np.atleast_1d(u, v)
 
     def p_zeta(z):
         return z ** 3 / 3.0 - v * z - tau2 * z * z
@@ -235,7 +221,7 @@ def _direct_airy(tau1: float, tau2: float, u, v, opts: QuadOptions, *,
                                 _contour(gam, p_omega, opts), opts)
     val = val / _TWO_PI_I_SQ - heat_term(tau1 - tau2, u - v, "four-pi")
     err = err / (4.0 * np.pi ** 2)
-    return (complex(val[0]), float(err[0])) if scalar else (val, err)
+    return val, err
 
 
 def _direct_quartic(tau1: float, tau2: float, u, v, a_cubic: float,
@@ -249,7 +235,7 @@ def _direct_quartic(tau1: float, tau2: float, u, v, a_cubic: float,
     envelope monotone decaying along its rays.  The two V's form one omega
     node set.  Batches of ``(u, v)`` as in :func:`_direct_airy`.
     """
-    u, v, scalar = _batch(u, v)
+    u, v = np.atleast_1d(u, v)
 
     def p_zeta(z):
         return -(z ** 4) / 4.0 + a_cubic * z ** 3 / 3.0 - 0.5 * tau2 * z * z - v * z
@@ -267,7 +253,7 @@ def _direct_quartic(tau1: float, tau2: float, u, v, a_cubic: float,
         (_contour(right_v, p_omega, opts), _contour(left_v, p_omega, opts)), opts)
     val = val / _TWO_PI_I_SQ - heat_term(tau1 - tau2, u - v, "two-pi")
     err = err / (4.0 * np.pi ** 2)
-    return (complex(val[0]), float(err[0])) if scalar else (val, err)
+    return val, err
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +316,17 @@ _SADDLE_SPECS = {
 
 
 def _saddle_blocks(paths, specs, s: float, X: float, n: int, tau1: float,
-                   tau2: float, u: float, v: float) -> np.ndarray:
-    """The blocks (+,+), (-,-), (+,-) and (-,+) of J on the ``n``-node rule.
+                   tau2: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The blocks (+,+), (-,-), (+,-) and (-,+) of J on the ``n``-node rule,
+    as a (4, queries) array for the arrays ``u`` and ``v``.
 
     Every coordinate the blocks need is in one vector ``A``: the tensor
     grid ``xs`` on ``[-X, X]``, and the polar rule's ``p`` and ``q`` (the
     polar blocks are the eight images of that octant).  Each branch path is
     evaluated once on ``c = [A, -A]``; a minus map ``x -> R(P(-x))`` at
-    ``c`` is the reflected plus map at the swapped half.  Each map gives
-    one factor per coordinate: ``dz exp(-v z - tau2 z**2 - s c**2)`` for a
-    zeta map and ``dw exp(u w + tau1 w**2 - s c**2)`` for an omega map.
+    ``c`` is the reflected plus map at the swapped half.  Each map gives,
+    ``_SADDLE_BYTES`` at a time, one factor per coordinate and query:
+    ``dz exp(-v z - tau2 z**2 - s c**2)`` or ``dw exp(u w + tau1 w**2 - s c**2)``.
     """
     xs, wx = _symmetric_grid(X, s, n)
     radial = _grid_from_boundaries(_graded_boundaries(1.0, s * X * X), n)
@@ -348,59 +335,84 @@ def _saddle_blocks(paths, specs, s: float, X: float, n: int, tau1: float,
     c = np.concatenate([A, -A])
     at = {name: paths[name].zeta(c, with_derivative=True) for name in ("S", "T")}
     maps = []
-    for (name, reflect), (lin, quad) in zip(specs, ((-v, -tau2), (-v, -tau2),
-                                                    (u, tau1), (u, tau1))):
+    for name, reflect in specs:
         z, dz = at[name]
         if reflect is not None:
             z, dz = reflect(np.roll(z, A.size)), -reflect(np.roll(dz, A.size))
-        maps.append((z, dz * np.exp(lin * z + quad * z * z - s * c * c)))
-    (zp, fp), (zm, fm), (wp, gp), (wm, gm) = maps
+        maps.append((z, dz))
+    (zp, _), (zm, _), (wp, _), (wm, _) = maps
+    gauss = s * c * c
+
+    def factors(u, v):
+        # In place: every fresh (coordinates x queries) temporary costs page faults.
+        for (z, dz), lin, quad in zip(maps, (-v, -v, u, u), (-tau2, -tau2, tau1, tau1)):
+            e = np.multiply.outer(z, lin)
+            e += (quad * z * z - gauss)[:, None]
+            np.exp(e, out=e)
+            e *= dz[:, None]
+            yield e
 
     nx = xs.size
     iq = nx + p.size + np.arange(q.size).reshape(q.shape)
     ix, iy = polar_images(nx + np.arange(p.size), iq, lambda i: i + A.size)
 
     def polar(z, f, w, g):
-        return np.sum(W * f[ix] * g[iy] / (z[ix] - w[iy]))
+        k = (W / (z[ix] - w[iy])).ravel()
+        return np.einsum("k,kb,kb->b", k, np.take(f, ix.ravel(), 0), np.take(g, iy.ravel(), 0))
 
     def tensor(z, f, w, g):
-        # (wx f)^T C (wx g) with the Cauchy matrix C; einsum keeps this small
-        # product out of BLAS, whose threads cost more to wake than it takes.
-        return np.einsum("i,ij,j->", wx * f[:nx], 1.0 / (z[:nx, None] - w[:nx]),
-                         wx * g[:nx])
+        # (wx f)^T C (wx g); waking BLAS threads would cost more than einsum.
+        cg = np.einsum("ij,jb->ib", 1.0 / (z[:nx, None] - w[:nx]), wx[:, None] * g[:nx])
+        return np.einsum("ib,ib->b", wx[:, None] * f[:nx], cg)
 
-    return np.array([polar(zp, fp, wp, gp), polar(zm, fm, wm, gm),
-                     tensor(zp, fp, wm, gm), tensor(zm, fm, wp, gp)])
+    step = max(1, _SADDLE_BYTES // (16 * (4 * c.size + 2 * ix.size)))
+    blocks = np.empty((4, u.size), dtype=complex)
+    for j in range(0, u.size, step):
+        fp, fm, gp, gm = factors(u[j:j + step], v[j:j + step])
+        blocks[:, j:j + step] = [polar(zp, fp, wp, gp), polar(zm, fm, wm, gm),
+                                 tensor(zp, fp, wm, gm), tensor(zm, fm, wp, gp)]
+    return blocks
 
 
-def _saddle_J(transition: str, a: float, tau1: float, tau2: float, u: float,
-              v: float, opts: QuadOptions) -> tuple[complex, float]:
-    """The four-block steepest-path double integral J of either transition.
+def _saddle_J(transition: str, a: float, tau1: float, tau2: float,
+              u: np.ndarray, v: np.ndarray, opts: QuadOptions):
+    """The four-block steepest-path double integral J of either transition
+    at arrays ``u`` and ``v`` that share ``a`` and both times.
 
     The Gaussian scale is ``s = a**beta`` and the mixed blocks carry the
     transition's oscillation phase (see ``_SADDLE_SPECS``).  Blocks through
     coincident saddles are polar cells; mixed-saddle blocks are plain tensor
-    Gaussians (the paths stay a distance ~2 / ~sqrt(3) apart).  Each block
-    is taken on two rules (see :func:`_saddle_blocks`), and the estimate
-    sums their differences.
+    Gaussians (the paths stay a distance ~2 / ~sqrt(3) apart).  The queries
+    share one half-width, from the largest ``|u|`` and ``|v|``, and two rules
+    (see :func:`_saddle_blocks`); the estimate sums the rules' differences.
     """
     t, specs = TRANSITION_TABLE[transition], _SADDLE_SPECS[transition]
     # Called by name from this module's globals: perfbench/spans.py wraps them.
     paths = airy_branch_paths() if transition == "airy-to-s1" else pearcey_branch_paths()
     s = a ** t.beta
     phase_pm = t.oscillation(a)
+    umax, vmax = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
 
     def growth(X):
         m = max(float(np.max(np.abs(p.zeta(np.array([X, -X]))))) for p in paths.values())
-        return abs(v) * m + abs(tau2) * m * m + abs(u) * m + abs(tau1) * m * m
+        return vmax * m + abs(tau2) * m * m + umax * m + abs(tau1) * m * m
 
     X = _truncation_halfwidth(s, opts.ray_truncation_budget, growth)
     n = max(12, opts.nodes_per_panel // 2)
     lo, hi = (_saddle_blocks(paths, specs, s, X, m, tau1, tau2, u, v)
               for m in (n, n + n // 2 + 1))
-    factors = np.array([1.0, 1.0, phase_pm, np.conj(phase_pm)])
-    total, err = complex(factors @ hi), float(np.sum(np.abs(hi - lo)))
+    phases = np.array([1.0, 1.0, phase_pm, np.conj(phase_pm)])
+    total, err = phases @ hi, np.sum(np.abs(hi - lo), axis=0)
     return total / _TWO_PI_I_SQ, err / (4.0 * np.pi ** 2)
+
+
+def _saddle_kernel(transition: str, a: float, tau1: float, tau2: float,
+                   u: np.ndarray, v: np.ndarray, opts: QuadOptions):
+    """The SADDLE route, (segment kernel) + J, at ``u``, ``v`` sharing times."""
+    seg, seg_err = _segment_kernel(TRANSITION_TABLE[transition].kernel,
+                                   np.full(u.shape, tau1 - tau2), u - v, opts)
+    j_val, j_err = _saddle_J(transition, a, tau1, tau2, u, v, opts)
+    return seg + j_val, seg_err + j_err
 
 
 # ---------------------------------------------------------------------------
@@ -424,20 +436,19 @@ def _rescaled_lhs(transition: str, a: float, tau1: float, tau2: float, u: float,
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     opts = opts or QuadOptions()
-    if backend == "direct":
-        if transition == "airy-to-s1":
-            val, err = _direct_airy(tau1 / a, tau2 / a, u / np.sqrt(a) - a,
-                                    v / np.sqrt(a) - a, opts)
-            sa = 1.0 / np.sqrt(a)
-            return KernelValue.wrap(sa * val, sa * err, "direct")
-        c = a ** (1.0 / 3.0)
-        val, err = _direct_quartic(2.0 * tau1 / c ** 2, 2.0 * tau2 / c ** 2,
-                                   u / c + a, v / c + a, 0.0, opts)
-        return KernelValue.wrap(val / c, err / c, "direct")
-    seg, seg_err = _segment_kernel(TRANSITION_TABLE[transition].kernel,
-                                   np.array([tau1 - tau2]), np.array([u - v]), opts)
-    j_val, j_err = _saddle_J(transition, a, tau1, tau2, u, v, opts)
-    return KernelValue.wrap(seg.tolist()[0] + j_val, seg_err.tolist()[0] + j_err, "saddle")
+    if backend == "saddle":
+        val, err = _saddle_kernel(transition, a, tau1, tau2, np.array([u]),
+                                  np.array([v]), opts)
+        return KernelValue.wrap(val[0], err[0], "saddle")
+    if transition == "airy-to-s1":
+        kv = eval_kernel(KernelQuery("airy-ext", tau1 / a, tau2 / a, u / np.sqrt(a) - a,
+                                     v / np.sqrt(a) - a, opts=opts))
+        sa = 1.0 / np.sqrt(a)
+        return KernelValue.wrap(sa * kv.value, sa * kv.error_estimate, "direct")
+    c = a ** (1.0 / 3.0)
+    kv = eval_kernel(KernelQuery("pearcey-ext", 2.0 * tau1 / c ** 2, 2.0 * tau2 / c ** 2,
+                                 u / c + a, v / c + a, opts=opts))
+    return KernelValue.wrap(kv.value / c, kv.error_estimate / c, "direct")
 
 
 def rescaled_airy_lhs(a: float, tau1: float, tau2: float, u: float, v: float,
@@ -474,55 +485,51 @@ _EMBEDDING = {
 # Direct double-integral queries per integrate_cauchy call: bounds the
 # exponent matrices of one group, about 16 bytes per query and node.
 _GROUP = 256
+# Saddle factor bytes held at once: about 1.3 MB per query (default options).
+_SADDLE_BYTES = 32 << 20
 
 
 def eval_kernels(queries) -> list[KernelValue]:
     """Evaluate a batch of queries; the values come back in input order.
 
-    The segment-kernel queries are grouped by (kernel, options), and each
-    group is one batched :func:`integrate_single` call, whose integrand sees
-    at most ``quadrature._CHUNK`` points per call; every integral in it is
-    refined and estimated on its own.  The direct double-integral queries
-    (airy-ext, pearcey-ext, transition-a) are grouped by (kernel, tau1,
-    tau2, a_param, options), and each group of up to ``_GROUP`` queries
-    shares its contours and one :func:`integrate_cauchy` call.  A saddle
-    airy-ext or pearcey-ext query is the rescaled kernel of its transition
-    at ``a = 1``, one at a time.  A query that fails raises for the whole
-    batch.  :func:`eval_kernel` is the batch of one, for every backend.
+    Segment-kernel queries are grouped by (kernel, options), each group one
+    batched :func:`integrate_single` call that refines and estimates every
+    integral on its own.  The double-integral queries
+    (airy-ext, pearcey-ext, transition-a) are grouped by (kernel, backend,
+    tau1, tau2, a_param, options); transition-a is always direct.  A direct
+    group of up to ``_GROUP`` queries shares its contours and one
+    :func:`integrate_cauchy` call; a saddle group is the rescaled kernel of
+    its transition at ``a = 1`` on one rule.  A failing query fails the batch.
     """
     queries = list(queries)
     out: list = [None] * len(queries)
-    segments: dict = {}
-    directs: dict = {}
+    groups: dict = {}
     for k, q in enumerate(queries):
-        if q.kernel in _SEGMENT_KERNELS:
-            segments.setdefault((q.kernel, q.opts), []).append(k)
-        elif q.backend == "direct" or q.kernel == "transition-a":
-            directs.setdefault((q.kernel, q.tau1, q.tau2, q.a_param, q.opts),
-                               []).append(k)
+        if q.kernel in _SEGMENT_KERNELS:  # times differ within a group
+            key = (q.kernel, "direct", q.opts, None, None, None)
         else:
-            transition, embed = _EMBEDDING[q.kernel]
-            out[k] = _rescaled_lhs(transition, 1.0, *embed(q.tau1, q.tau2, q.u, q.v),
-                                   "saddle", q.opts)
-    for (kind, opts), ks in segments.items():
-        dt = np.array([queries[k].tau1 - queries[k].tau2 for k in ks])
-        dx = np.array([queries[k].u - queries[k].v for k in ks])
-        vals, errs = _segment_kernel(kind, dt, dx, opts)
-        # Real by construction: no imaginary residual to report.
-        for k, val, err in zip(ks, vals.tolist(), errs.tolist()):
-            out[k] = KernelValue(complex(val), 0.0, err, "direct")
-    for (kind, tau1, tau2, a_param, opts), group in directs.items():
-        for j in range(0, len(group), _GROUP):
-            ks = group[j:j + _GROUP]
+            backend = q.backend if q.kernel in _EMBEDDING else "direct"
+            key = (q.kernel, backend, q.opts, q.tau1, q.tau2, q.a_param)
+        groups.setdefault(key, []).append(k)
+    for (kind, backend, opts, tau1, tau2, a_param), group in groups.items():
+        step = _GROUP if backend == "direct" and kind not in _SEGMENT_KERNELS else len(group)
+        for j in range(0, len(group), step):
+            ks = group[j:j + step]
             u = np.array([queries[k].u for k in ks])
             v = np.array([queries[k].v for k in ks])
-            if kind == "airy-ext":
+            if kind in _SEGMENT_KERNELS:
+                dt = np.array([queries[k].tau1 - queries[k].tau2 for k in ks])
+                vals, errs = _segment_kernel(kind, dt, u - v, opts)
+            elif backend == "saddle":
+                transition, embed = _EMBEDDING[kind]
+                vals, errs = _saddle_kernel(transition, 1.0, *embed(tau1, tau2, u, v), opts)
+            elif kind == "airy-ext":
                 vals, errs = _direct_airy(tau1, tau2, u, v, opts)
             else:
                 a_cubic = 0.0 if kind == "pearcey-ext" else float(a_param)
                 vals, errs = _direct_quartic(tau1, tau2, u, v, a_cubic, opts)
-            for k, val, err in zip(ks, vals.tolist(), errs.tolist()):
-                out[k] = KernelValue.wrap(val, err, "direct")
+            for k, val, err in zip(ks, vals.astype(complex).tolist(), errs.tolist()):
+                out[k] = KernelValue(val, abs(val.imag), err, backend)
     return out
 
 
@@ -566,20 +573,19 @@ def transition_interpolation_check(a: float, tau1: float, tau2: float,
     a**(1/3) v), K_airy(tau; u, v))`` -- the pair converges as ``a`` grows.
     For ``a = 0`` the prefactor and argument rescalings degenerate, so the
     unrescaled pair ``(K_0(tau; u, v), K_pearcey(tau; u, v))`` is returned
-    instead; these must agree identically.  The quartic side comes from the
-    saddle backend, so the pair compares two independent geometries.
+    instead; these must agree identically, and the quartic side comes from
+    the saddle backend, so the pair compares two independent geometries.
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
     opts = opts or QuadOptions()
     if a == 0:
-        val0, err0 = _direct_quartic(tau1, tau2, u, v, 0.0, opts)
-        lhs = KernelValue.wrap(val0, err0, "direct")
-        return lhs, eval_kernel(KernelQuery("pearcey-ext", tau1, tau2, u, v,
-                                            backend="saddle", opts=opts))
+        return tuple(eval_kernels([
+            KernelQuery("transition-a", tau1, tau2, u, v, a_param=0.0, opts=opts),
+            KernelQuery("pearcey-ext", tau1, tau2, u, v, backend="saddle", opts=opts)]))
     c = a ** (1.0 / 3.0)
-    val, err = _direct_quartic(2.0 * c ** 2 * tau1, 2.0 * c ** 2 * tau2,
-                               c * u, c * v, a, opts)
-    lhs = KernelValue.wrap(c * val, c * err, "direct")
-    va, ea = _direct_airy(tau1, tau2, u, v, opts)
-    return lhs, KernelValue.wrap(va, ea, "direct")
+    kt, rhs = eval_kernels([
+        KernelQuery("transition-a", 2.0 * c ** 2 * tau1, 2.0 * c ** 2 * tau2, c * u,
+                    c * v, a_param=a, opts=opts),
+        KernelQuery("airy-ext", tau1, tau2, u, v, opts=opts)])
+    return KernelValue.wrap(c * kt.value, c * kt.error_estimate, "direct"), rhs

@@ -272,8 +272,8 @@ def gl_unit(n: int):
 _EPS = np.finfo(float).eps
 _ROUNDOFF = 200.0 * _EPS
 
-# Integrand points per call of the double rule, whatever the number of panel
-# pairs: bounds the node and value arrays held at once.
+# Integrand points per call of the single and double rules, whatever the
+# number of panels or panel pairs: bounds the node and value arrays held.
 _CHUNK = 1 << 13
 
 

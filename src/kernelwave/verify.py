@@ -34,14 +34,17 @@ from .expansion import (
     correction_term,
 )
 from .kernels import (
+    _EMBEDDING as _SADDLE_ROUTES,
     BACKENDS,
     KernelQuery,
     KernelValue,
     eval_kernel,
+    eval_kernels,
     relation_connS,
     relation_connSS,
     rescaled_airy_lhs,
     rescaled_pearcey_lhs,
+    transition_interpolation_check,
 )
 from .phase import TRANSITION_TABLE
 from .quadrature import QuadOptions
@@ -380,44 +383,34 @@ def cross_validate(
 ) -> CrossCheckReport:
     """Evaluate each query through both backends and flag disagreements.
 
+    Each side is one :func:`~kernelwave.kernels.eval_kernels` batch.  A
+    kernel without a saddle route (not airy-ext or pearcey-ext) raises.
+
     With ``include_identity_checks`` the report also carries, for every
     distinct point appearing in the queries, the kernel-family identities
     (the pi-rescaled s1 versus extended-sine relation, the gauged s2 versus
     s1 relation, and the a=0 transition kernel versus the saddle-backend
     quartic kernel), each evaluated as an independent left/right pair.
     """
-    rows: list[CrossCheckRow] = []
     for q in queries:
-        kv_d = eval_kernel(replace(q, backend="direct"))
-        kv_s = eval_kernel(replace(q, backend="saddle"))
-        rows.append(
-            _pair_row(
-                f"{q.kernel} direct-vs-saddle",
-                (q.u, q.v, q.tau1, q.tau2),
-                q.a_param,
-                kv_d,
-                kv_s,
-            )
-        )
+        if q.kernel not in _SADDLE_ROUTES:
+            raise ValueError(f"{q.kernel} has no saddle route to compare against; "
+                             f"only {' and '.join(_SADDLE_ROUTES)} have one")
+    direct = eval_kernels([replace(q, backend="direct") for q in queries])
+    saddle = eval_kernels([replace(q, backend="saddle") for q in queries])
+    rows = [_pair_row(f"{q.kernel} direct-vs-saddle", (q.u, q.v, q.tau1, q.tau2),
+                      q.a_param, kv_d, kv_s)
+            for q, kv_d, kv_s in zip(queries, direct, saddle)]
     if include_identity_checks:
-        seen: set[tuple[float, float, float, float]] = set()
+        first_opts: dict = {}
         for q in queries:
-            pt = (q.u, q.v, q.tau1, q.tau2)
-            if pt in seen:
-                continue
-            seen.add(pt)
+            first_opts.setdefault((q.u, q.v, q.tau1, q.tau2), q.opts)
+        for pt, opts in first_opts.items():
             u, v, t1, t2 = pt
-            lhs, rhs = relation_connS(t1, t2, u, v, q.opts)
-            rows.append(_pair_row("identity sine-vs-s1", pt, None, lhs, rhs))
-            lhs, rhs = relation_connSS(t1, t2, u, v, q.opts)
-            rows.append(_pair_row("identity s1-vs-s2", pt, None, lhs, rhs))
-            kv0 = eval_kernel(
-                KernelQuery(kernel="transition-a", tau1=t1, tau2=t2, u=u, v=v,
-                            a_param=0.0, opts=q.opts)
-            )
-            kvp = eval_kernel(
-                KernelQuery(kernel="pearcey-ext", tau1=t1, tau2=t2, u=u, v=v,
-                            backend="saddle", opts=q.opts)
-            )
-            rows.append(_pair_row("identity transition0-vs-quartic", pt, 0.0, kv0, kvp))
+            for label, (lhs, rhs), a_param in (
+                    ("identity sine-vs-s1", relation_connS(t1, t2, u, v, opts), None),
+                    ("identity s1-vs-s2", relation_connSS(t1, t2, u, v, opts), None),
+                    ("identity transition0-vs-quartic",
+                     transition_interpolation_check(0.0, t1, t2, u, v, opts), 0.0)):
+                rows.append(_pair_row(label, pt, a_param, lhs, rhs))
     return CrossCheckReport(rows=tuple(rows))

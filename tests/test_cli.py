@@ -173,6 +173,31 @@ def test_eval_mixed_batch_exit_codes(capsys, tmp_path):
     assert out == ""
 
 
+def test_eval_saddle_batch_matches_row_by_row_calls(capsys, tmp_path):
+    # airy-ext and pearcey-ext rows at two shared time pairs form four
+    # saddle groups; rows still come out in input order
+    rows_in = [(k, t1, t2, u, v) for k, (t1, t2), (u, v) in zip(
+        ["airy-ext", "pearcey-ext", "pearcey-ext", "airy-ext"] * 3,
+        [(0.3, -0.2), (0.3, -0.2), (-0.1, 0.25)] * 4,
+        [(0.5 * i - 1.5, 1.0 - 0.25 * i) for i in range(12)])]
+    batch = tmp_path / "saddle.csv"
+    batch.write_text("kernel,tau1,tau2,u,v\n" + "".join(
+        f"{k},{t1},{t2},{u},{v}\n" for k, t1, t2, u, v in rows_in))
+    code, out, _ = run(capsys, "eval", "--backend", "saddle", "--input", str(batch))
+    assert code == 0
+    rows = [r.split(",") for r in out.strip().splitlines()[1:]]
+    assert [(r[0], *map(float, r[2:6])) for r in rows] == rows_in
+    for row, (k, t1, t2, u, v) in zip(rows, rows_in):
+        code, one, _ = run(capsys, "eval", "--backend", "saddle", "--kernel", k,
+                           "--tau1", str(t1), "--tau2", str(t2), "--u", str(u),
+                           "--v", str(v))
+        want = one.strip().splitlines()[1].split(",")
+        assert code == 0 and row[9] == want[9] == "saddle"
+        err = min(float(row[8]), float(want[8]))
+        assert abs(complex(float(row[6]), float(row[7]))
+                   - complex(float(want[6]), float(want[7]))) <= err
+
+
 def test_eval_json_format(capsys):
     code, out, _ = run(
         capsys, "eval", "--kernel", "s1", "--u", "1", "--v", "1", "--format", "json"

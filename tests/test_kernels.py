@@ -166,6 +166,25 @@ def test_eval_kernels_groups_direct_queries_that_share_times(monkeypatch):
         assert 0.5 <= got.error_estimate / want.error_estimate <= 2.0, q
 
 
+def test_eval_kernels_groups_saddle_queries_that_share_times(monkeypatch):
+    # Saddle airy-ext and pearcey-ext queries sharing (kernel, tau1, tau2)
+    # share one rule; a small byte budget splits each group into chunks.
+    monkeypatch.setattr(kernels, "_SADDLE_BYTES", 8 << 20)
+    rng = np.random.default_rng(13)
+    qs = [KernelQuery("airy-ext", t1, t2, *rng.uniform(-2, 2, 2), backend="saddle")
+          for t1, t2 in ((0.3, -0.2), (-0.4, 0.1)) for _ in range(20)]
+    qs += [KernelQuery("pearcey-ext", t1, t2, *rng.uniform(-1.5, 1.5, 2), backend="saddle")
+           for t1, t2 in ((0.2, 0.2), (-0.1, 0.35)) for _ in range(10)]
+    qs = [qs[k] for k in rng.permutation(len(qs))]
+
+    batch = eval_kernels(qs)
+    for q, got in zip(qs, batch):
+        want = eval_kernel(q)
+        assert got.backend_used == want.backend_used == "saddle", q
+        assert abs(got.value - want.value) <= min(got.error_estimate, want.error_estimate), q
+        assert 0.5 <= got.error_estimate / want.error_estimate <= 2.0, q
+
+
 def test_airy_block_matches_scipy_within_its_estimates():
     # The whole equal-time tau = 0 block of the 16-node Gauss-Legendre grid
     # on [-3, 3] in one batch, against scipy's Airy kernel.
@@ -290,7 +309,8 @@ def test_equal_time_saddle_airy_lhs_matches_scipy(a):
 
 def test_saddle_J_evaluates_each_branch_path_once_per_rule(monkeypatch):
     # the blocks gather their factors from one 1-D coordinate vector per
-    # rule; the truncation half-width's fixed point probes +-X only
+    # rule, whatever the number of queries and chunks; the truncation
+    # half-width's fixed point probes +-X only
     from kernelwave.phase import BranchPath
 
     kernels.airy_branch_paths(), kernels.pearcey_branch_paths()  # built already
@@ -302,9 +322,12 @@ def test_saddle_J_evaluates_each_branch_path_once_per_rule(monkeypatch):
         return zeta(self, x, *args, **kwargs)
 
     monkeypatch.setattr(BranchPath, "zeta", counted)
+    monkeypatch.setattr(kernels, "_SADDLE_BYTES", 1)  # one query per chunk
+    u, v = np.array([0.9, -0.4, 1.3, 0.0, 0.5]), np.array([0.7, 0.2, -1.1, 0.0, 0.5])
     for kind in ("airy-to-s1", "pearcey-to-s2"):
         shapes.clear()
-        kernels._saddle_J(kind, 6.0, 0.2, -0.3, 0.9, 0.7, QuadOptions())
+        vals, errs = kernels._saddle_J(kind, 6.0, 0.2, -0.3, u, v, QuadOptions())
+        assert vals.shape == errs.shape == u.shape, kind
         vectors = [shape for shape in shapes if shape != (2,)]
         assert len(vectors) == 4, kind  # 2 branch paths x 2 rules
         assert all(len(shape) == 1 and shape[0] > 2 for shape in vectors), kind

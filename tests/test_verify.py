@@ -264,8 +264,20 @@ def test_cross_validate_rows_and_identities():
 
 def test_cross_validate_without_identities():
     report = cross_validate(
-        [KernelQuery("sine-ext", 0.1, -0.2, 0.4, 0.0)],
+        [KernelQuery("airy-ext", 0.1, -0.2, 0.4, 0.0)],
         include_identity_checks=False,
     )
     assert len(report.rows) == 1
-    assert report.rows[0].flagged is False
+    row = report.rows[0]
+    assert row.flagged is False
+    # two independent geometries: equal to quadrature accuracy, not bitwise
+    assert row.value_a != row.value_b
+    assert row.discrepancy <= row.combined_error
+
+
+@pytest.mark.parametrize("kernel", ["sine-ext", "s1", "s2", "transition-a"])
+def test_cross_validate_rejects_kernels_without_saddle_route(kernel):
+    a = 1.0 if kernel == "transition-a" else None
+    with pytest.raises(ValueError, match=f"{kernel}.*airy-ext and pearcey-ext"):
+        cross_validate([KernelQuery("airy-ext", 0.1, 0.0, 0.2, 0.1),
+                        KernelQuery(kernel, 0.1, -0.2, 0.4, 0.0, a_param=a)])
