@@ -52,6 +52,9 @@ from .kernels import (
     KERNEL_NAMES,
     KernelQuery,
     KernelValue,
+    QueryError,
+    check_columns,
+    eval_columns,
     eval_kernel,
     eval_kernels,
     heat_term,
@@ -115,8 +118,9 @@ __all__ = [
     "export_level_curve", "BranchPath", "make_branch_path",
     "airy_branch_paths", "pearcey_branch_paths",
     # kernels
-    "KERNEL_NAMES", "BACKENDS", "KernelQuery", "KernelValue", "heat_term",
-    "eval_kernel", "eval_kernels", "rescaled_airy_lhs", "rescaled_pearcey_lhs",
+    "KERNEL_NAMES", "BACKENDS", "KernelQuery", "KernelValue", "QueryError",
+    "heat_term", "check_columns", "eval_columns", "eval_kernel", "eval_kernels",
+    "rescaled_airy_lhs", "rescaled_pearcey_lhs",
     "relation_connS", "relation_connSS", "transition_interpolation_check",
     # series
     "SeriesUsageError", "SingularSeriesError", "BranchError",

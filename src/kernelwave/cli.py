@@ -15,11 +15,15 @@ the flags its command reads, and the values of a ``--config`` file pass
 through the same actions (type, choices, store_true) as the flags.
 
 Exit codes: 0 success, 1 error (bad input or a failed ``--check``),
-2 completed with accuracy warnings.  A batch or sweep is one
-:func:`~kernelwave.kernels.eval_kernels` call, and rows come out in input
-order.  Its segment-kernel rows are integrated together, and its other rows
-that share the backend and both times (and ``a``) form one group: one
-bilinear form (direct) or one steepest-path rule (saddle).
+2 completed with accuracy warnings.  A batch or sweep goes through as
+columns: each field is read for every row at once, the columns are checked
+and evaluated by one :func:`~kernelwave.kernels.eval_columns` call, and each
+output column is formatted at once; rows come out in input order.  A
+malformed batch names the line of its first bad row.  The ``sine-ext`` rows
+are a closed form, each other segment kernel's rows are integrated
+together, and the other rows that share the backend and both times (and
+``a``) form one group: one bilinear form (direct) or one steepest-path rule
+(saddle).
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import argparse
 import json
 import sys
 from io import StringIO
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -38,7 +44,14 @@ from .expansion import (
     expansion_partial_sum,
     gauss_moments,
 )
-from .kernels import BACKENDS, KERNEL_NAMES, KernelQuery, KernelValue, eval_kernels
+from .kernels import (
+    BACKENDS,
+    KERNEL_NAMES,
+    KernelQuery,
+    QueryError,
+    check_columns,
+    eval_columns,
+)
 from .kernels import eval_kernel  # noqa: F401  (perfbench/spans.py traces this name)
 from .phase import export_level_curve, make_phase, trace_steepest
 from .quadrature import GeometryError, QuadOptions
@@ -93,135 +106,177 @@ def _parse_grid(text: str) -> np.ndarray:
 # eval / sweep rows
 # ---------------------------------------------------------------------------
 
-
-def _query_row(q: KernelQuery, kv: KernelValue) -> str:
-    a = "" if q.a_param is None else _g(q.a_param)
-    return (
-        f"{q.kernel},{a},{_g(q.tau1)},{_g(q.tau2)},{_g(q.u)},{_g(q.v)},"
-        f"{_g(kv.value.real)},{_g(kv.value.imag)},{_g(kv.error_estimate)},"
-        f"{kv.backend_used}"
-    )
+_PARSE_ERRORS = (KeyError, IndexError, TypeError, ValueError)
+_ROW_FIELDS = ("kernel", "a", "tau1", "tau2", "u", "v", "backend")
 
 
-def _query_json(q: KernelQuery, kv: KernelValue) -> str:
-    obj = {
-        "kernel": q.kernel,
-        "tau1": q.tau1,
-        "tau2": q.tau2,
-        "u": q.u,
-        "v": q.v,
-        "re": kv.value.real,
-        "im": kv.value.imag,
-        "err": kv.error_estimate,
-        "backend": kv.backend_used,
-    }
-    if q.a_param is not None:
-        obj["a"] = q.a_param
-    return json.dumps(obj)
+class _Fields:
+    """Reads a batch field by field, each field over every row at once.
 
+    A field that fails on a row ends the batch there: later fields read only
+    the rows before it.  So the fault kept is that of the first bad row, and
+    within that row, of its first field in reading order.
+    """
 
-def _query(kernel, tau1, tau2, u, v, a, backend: str, opts: QuadOptions) -> KernelQuery:
-    """The one place the CLI builds a query: numbers become floats, and
-    ``a`` stays None when absent."""
-    return KernelQuery(
-        kernel=kernel, tau1=float(tau1), tau2=float(tau2), u=float(u), v=float(v),
-        a_param=None if a is None else float(a), backend=backend, opts=opts,
-    )
+    def __init__(self, rows: list):
+        self.n, self.fault = len(rows), None
 
-
-def _queries_from_jsonl(
-    lines: list[str], args: argparse.Namespace, opts: QuadOptions
-) -> list[KernelQuery]:
-    out = []
-    for i, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
+    def map(self, fn, values) -> list:
+        values = values[:self.n]
         try:
-            obj = json.loads(line)
-            out.append(
-                _query(
-                    obj["kernel"], obj.get("tau1", 0.0), obj.get("tau2", 0.0),
-                    obj.get("u", 0.0), obj.get("v", 0.0),
-                    obj.get("a", obj.get("a_param")),
-                    obj.get("backend", args.backend), opts,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"line {i + 1}: malformed query ({exc})") from exc
-    return out
+            return list(map(fn, values))
+        except _PARSE_ERRORS:
+            out = []
+            for k, x in enumerate(values):
+                try:
+                    out.append(fn(x))
+                except _PARSE_ERRORS as exc:
+                    self.n, self.fault = k, exc
+                    return out
+            raise  # unreachable: the fault is found above
+
+    def columns(self, kernel, tau1, tau2, u, v, a, backend) -> dict:
+        """The columns of the rows read, checked (:func:`check_columns`); then
+        the faulty row, if any, raises :class:`QueryError`."""
+        a = a[:self.n]
+        cols = dict(kernel=kernel[:self.n], tau1=np.array(tau1[:self.n], dtype=float),
+                    tau2=np.array(tau2[:self.n], dtype=float),
+                    u=np.array(u[:self.n], dtype=float), v=np.array(v[:self.n], dtype=float),
+                    a=np.array([np.nan if x is None else x for x in a], dtype=float),
+                    a_given=np.array([x is not None for x in a], dtype=bool),
+                    backend=backend[:self.n])
+        check_columns(**cols)
+        if self.fault is not None:
+            raise QueryError(str(self.fault), self.n)
+        return cols
 
 
-def _queries_from_csv(
-    lines: list[str], args: argparse.Namespace, opts: QuadOptions
-) -> list[KernelQuery]:
-    header = lines[0].strip().split(",")
-    idx = {name: k for k, name in enumerate(header)}
+def _optional_float(x) -> float | None:
+    return None if x is None else float(x)
+
+
+# Rows read at once: bounds the fields, each a Python object, held at a time.
+_READ_ROWS = 1024
+
+
+def _read_columns(read, lines: list[str], *args) -> dict:
+    """``read(chunk, *args)`` over ``_READ_ROWS`` lines at a time, the columns
+    joined; a bad row's :class:`QueryError` carries its index in ``lines``."""
+    chunks = []
+    for start in range(0, max(len(lines), 1), _READ_ROWS):
+        try:
+            chunks.append(read(lines[start:start + _READ_ROWS], *args))
+        except QueryError as exc:
+            raise QueryError(str(exc), start + exc.row) from exc
+    return {k: list(chain.from_iterable(c[k] for c in chunks)) if isinstance(first, list)
+            else np.concatenate([c[k] for c in chunks]) for k, first in chunks[0].items()}
+
+
+def _columns_from_jsonl(lines: list[str], backend: str) -> dict:
+    f = _Fields(lines)
+    objs = f.map(json.loads, lines)
+    kernel = f.map(lambda obj: obj["kernel"], objs)
+    objs = objs[:f.n]
+    coords = [f.map(float, [obj.get(name, 0.0) for obj in objs])
+              for name in ("tau1", "tau2", "u", "v")]
+    a = f.map(_optional_float, [obj.get("a", obj.get("a_param")) for obj in objs])
+    return f.columns(kernel, *coords, a, [obj.get("backend", backend) for obj in objs])
+
+
+def _header_index(header: str) -> dict:
+    idx = {name: k for k, name in enumerate(header.strip().split(","))}
     for col in ("kernel", "tau1", "tau2", "u", "v"):
         if col not in idx:
             raise ValueError(f"CSV header misses required column {col!r}")
-    out = []
-    for i, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        try:
-            a_txt = parts[idx["a"]].strip() if "a" in idx else ""
-            backend = parts[idx["backend"]].strip() if "backend" in idx else ""
-            out.append(
-                _query(
-                    parts[idx["kernel"]].strip(), parts[idx["tau1"]],
-                    parts[idx["tau2"]], parts[idx["u"]], parts[idx["v"]],
-                    a_txt or None, backend or args.backend, opts,
-                )
-            )
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {i}: malformed CSV row ({exc})") from exc
-    return out
+    return idx
 
 
-def _emit_rows(args: argparse.Namespace, queries: list[KernelQuery]) -> int:
-    values = eval_kernels(queries)
-    buf = StringIO()
-    if args.format == "csv":
-        buf.write(_EVAL_HEADER + "\n")
-        for q, kv in zip(queries, values):
-            buf.write(_query_row(q, kv) + "\n")
-    else:
-        for q, kv in zip(queries, values):
-            buf.write(_query_json(q, kv) + "\n")
-    _write_output(args, buf.getvalue())
-    warned = any(
-        kv.error_estimate > args.warn_tol or kv.imag_residual > 1e-9
-        for kv in values
-    )
-    if warned:
+def _columns_from_csv(lines: list[str], idx: dict, backend: str) -> dict:
+    rows = [line.split(",") for line in lines]
+    f = _Fields(rows)
+    f.map(itemgetter(max(idx[c] for c in _ROW_FIELDS if c in idx)), rows)  # short rows
+
+    def text(name):
+        return list(map(itemgetter(idx[name]), rows[:f.n]))
+
+    kernel = list(map(str.strip, text("kernel")))
+    backends = ([b.strip() or backend for b in text("backend")] if "backend" in idx
+                else [backend] * f.n)
+    coords = [f.map(float, text(name)) for name in ("tau1", "tau2", "u", "v")]
+    a = (f.map(_optional_float, [t.strip() or None for t in text("a")]) if "a" in idx
+         else [None] * f.n)
+    return f.columns(kernel, *coords, a, backends)
+
+
+def _g_column(x: np.ndarray) -> list[str]:
+    """``_g`` of every number, each distinct value formatted once."""
+    values, inverse = np.unique(np.asarray(x, dtype=float).view(np.int64),
+                                return_inverse=True)
+    text = np.array([_g(y) for y in values.view(float).tolist()], dtype=object)
+    return text[inverse.ravel()].tolist()
+
+
+def _format_rows(fmt: str, cols: dict, re, im, err, used) -> str:
+    """The output rows of a batch: CSV lines (with header) or JSON lines."""
+    numbers = (cols["tau1"], cols["tau2"], cols["u"], cols["v"], re, im, err)
+    a = zip(cols["a"].tolist(), cols["a_given"])
+    if fmt == "csv":
+        fields = zip(cols["kernel"], (_g(x) if given else "" for x, given in a),
+                     *map(_g_column, numbers), used.tolist())
+        return "\n".join([_EVAL_HEADER, *map(",".join, fields), ""])
+    lines = []
+    for kernel, *row, backend, (x, given) in zip(
+            cols["kernel"], *(np.asarray(c).tolist() for c in numbers), used.tolist(), a):
+        obj = dict(zip(("kernel", "tau1", "tau2", "u", "v", "re", "im", "err", "backend"),
+                       (kernel, *row, backend)))
+        lines.append(json.dumps({**obj, "a": x} if given else obj) + "\n")
+    return "".join(lines)
+
+
+def _emit_rows(args: argparse.Namespace, cols: dict) -> int:
+    """Evaluate a batch of columns in one :func:`eval_columns` call and write
+    its rows."""
+    re, im, err, used = eval_columns(opts=_quad_options(args), **cols)
+    _write_output(args, _format_rows(args.format, cols, re, im, err, used))
+    if np.any((err > args.warn_tol) | (np.abs(im) > 1e-9)):
         print("warning: some rows exceed the accuracy thresholds", file=sys.stderr)
         return 2
     return 0
 
 
+def _single_columns(n: int, args: argparse.Namespace, tau1, tau2, u, v) -> dict:
+    """Columns of ``n`` rows of the flags' kernel, ``a`` and backend."""
+    a = args.a_param
+    return dict(kernel=[args.kernel] * n, tau1=tau1, tau2=tau2, u=u, v=v,
+                a=np.full(n, np.nan if a is None else a),
+                a_given=np.full(n, a is not None), backend=[args.backend] * n)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
-    opts = _quad_options(args)
-    if args.input:
-        with open(args.input) as fh:
-            lines = fh.readlines()
-        if not lines:
-            raise ValueError("empty batch input")
-        first = lines[0].lstrip()
-        if first.startswith("{"):
-            queries = _queries_from_jsonl(lines, args, opts)
-        else:
-            queries = _queries_from_csv(lines, args, opts)
-    else:
+    if not args.input:
         if args.kernel is None:
             raise ValueError("eval needs --kernel or --input")
-        queries = [
-            _query(args.kernel, args.tau1, args.tau2, args.u, args.v,
-                   args.a_param, args.backend, opts)
-        ]
-    return _emit_rows(args, queries)
+        return _emit_rows(args, _single_columns(
+            1, args, *([x] for x in (args.tau1, args.tau2, args.u, args.v))))
+    with open(args.input) as fh:
+        lines = fh.readlines()
+    if not lines:
+        raise ValueError("empty batch input")
+    jsonl = lines[0].lstrip().startswith("{")
+    body = lines[0 if jsonl else 1:]
+    rows = list(filter(None, map(str.strip, body)))  # blank lines are skipped
+    try:
+        if jsonl:
+            cols = _read_columns(_columns_from_jsonl, rows, args.backend)
+        else:
+            cols = _read_columns(_columns_from_csv, rows, _header_index(lines[0]),
+                                 args.backend)
+        return _emit_rows(args, cols)
+    except QueryError as exc:
+        numbers = [i for i, line in enumerate(body, start=len(lines) - len(body) + 1)
+                   if line.strip()]
+        what = "query" if jsonl else "CSV row"
+        raise ValueError(f"line {numbers[exc.row]}: malformed {what} ({exc})") from exc
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -236,18 +291,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"--random draws u, v, tau1 and tau2 from the box; "
                              f"it takes no {', '.join(given)}")
         rng = np.random.default_rng(args.seed)
-        points = rng.uniform(args.box_lo, args.box_hi, size=(args.random, 4))
+        u, v, t1, t2 = rng.uniform(args.box_lo, args.box_hi, size=(args.random, 4)).T
     else:
-        t1, t2 = (0.0 if t is None else t for t in (args.tau1, args.tau2))
         us, vs = (_parse_grid("-1:1:5" if g is None else g)
                   for g in (args.grid_u, args.grid_v))
-        points = [(u, v, t1, t2) for u in us for v in vs]
-    opts = _quad_options(args)
-    queries = [
-        _query(args.kernel, t1, t2, u, v, args.a_param, args.backend, opts)
-        for u, v, t1, t2 in points
-    ]
-    return _emit_rows(args, queries)
+        u, v = (g.ravel() for g in np.meshgrid(us, vs, indexing="ij"))
+        t1, t2 = (np.full(u.size, 0.0 if t is None else t) for t in (args.tau1, args.tau2))
+    return _emit_rows(args, _single_columns(u.size, args, t1, t2, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +467,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _write_output(args, "\n".join(json_lines) + "\n")
     if args.cross_check:
         qs = [
-            _query("airy-ext", t1, t2, u, v, None, "direct", opts)
+            KernelQuery("airy-ext", t1, t2, u, v, opts=opts)
             for (u, v, t1, t2) in points
         ]
         report = cross_validate(qs)

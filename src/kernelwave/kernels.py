@@ -30,16 +30,26 @@ Two evaluation geometries are implemented:
 Keeping both backends gives an internal cross-validation oracle: they share
 no geometry, yet must agree to quadrature accuracy.
 
-Every evaluator takes arrays, and :func:`eval_kernels` makes one evaluator
-call per group of a batch: segment queries per (kernel, options); direct
-queries per (kernel, times, transition parameter, options) as one
-Cauchy-matrix bilinear form (:func:`~kernelwave.quadrature.integrate_cauchy`);
-saddle queries per (kernel, times, options) on one shared rule, with one
-branch-path evaluation per rule.  :func:`eval_kernel` is the batch of one.
+The extended sine kernel needs neither: it is a Gaussian integral over
+``[0, pi]``, evaluated in closed form through the Faddeeva function
+(:func:`_sine_ext`).  Its two relatives ``s1`` and ``s2`` are integrated
+along their segments (:func:`_segment_kernel`).
+
+Every evaluator takes arrays.  :func:`eval_columns` is the one core: it
+checks a batch given as columns (:func:`check_columns`, the rules
+:class:`KernelQuery` also applies) and makes one evaluator call per group:
+segment queries per kernel; direct queries per (kernel, times, transition
+parameter) as one Cauchy-matrix bilinear form
+(:func:`~kernelwave.quadrature.integrate_cauchy`); saddle queries per
+(kernel, times) on one shared rule, with one branch-path evaluation per
+rule.  :func:`eval_kernels` turns a list of queries into those columns, and
+:func:`eval_kernel` is the batch of one.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -66,6 +76,9 @@ __all__ = [
     "heat_term",
     "eval_kernel",
     "eval_kernels",
+    "eval_columns",
+    "check_columns",
+    "QueryError",
     "rescaled_airy_lhs",
     "rescaled_pearcey_lhs",
     "relation_connS",
@@ -77,6 +90,7 @@ __all__ = [
 
 KERNEL_NAMES = ("airy-ext", "pearcey-ext", "sine-ext", "s1", "s2", "transition-a")
 BACKENDS = ("direct", "saddle")
+_TRANSITION = KERNEL_NAMES.index("transition-a")
 
 _DELTA = 0.25  # default contour vertex offset for the DIRECT geometry
 _TWO_PI_I_SQ = (2j * np.pi) ** 2  # = -4*pi^2
@@ -96,19 +110,59 @@ class KernelQuery:
     opts: QuadOptions = field(default_factory=QuadOptions)
 
     def __post_init__(self):
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(f"unknown kernel {self.kernel!r}; expected one of {KERNEL_NAMES}")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
-        for name in ("tau1", "tau2", "u", "v", "a_param"):
-            x = getattr(self, name)
-            if x is not None and not math.isfinite(x):
-                raise ValueError(f"{name} must be finite, got {x!r}")
-        if self.kernel == "transition-a":
-            if self.a_param is None or self.a_param < 0:
-                raise ValueError("transition-a requires a_param >= 0")
-        elif self.a_param is not None:
-            raise ValueError("a_param is only meaningful for transition-a")
+        a = self.a_param
+        check_columns([self.kernel], [self.tau1], [self.tau2], [self.u], [self.v],
+                      [np.nan if a is None else a], [self.backend], [a is not None])
+
+
+class QueryError(ValueError):
+    """A query that breaks one of :func:`check_columns`' rules; ``row`` is
+    its index in the batch."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def _codes(values, names) -> np.ndarray:
+    """Index of each value in ``names``; -1 for a value that is none of them."""
+    index = {name: k for k, name in enumerate(names)}
+    try:
+        return np.fromiter(map(index.get, values, itertools.repeat(-1)), np.intp, len(values))
+    except TypeError:  # an unhashable value, which names nothing
+        return np.array([index.get(x, -1) if isinstance(x, str) else -1 for x in values],
+                        dtype=np.intp)
+
+
+def check_columns(kernel, tau1, tau2, u, v, a, backend, a_given):
+    """The rules every query obeys, over a batch given as columns.
+
+    A row names a known kernel and backend; its times and coordinates are
+    finite; ``a`` (``a_param``) is given for ``transition-a`` rows only,
+    finite and nonnegative.  ``a_given`` says which rows give ``a``.
+    Raises :class:`QueryError` for the first row that breaks a rule, naming
+    the first rule it breaks in that order.  Returns the rows' kernel and
+    backend indices in ``KERNEL_NAMES`` and ``BACKENDS``.
+    """
+    kcode, bcode = _codes(kernel, KERNEL_NAMES), _codes(backend, BACKENDS)
+    a, a_given = np.asarray(a, dtype=float), np.asarray(a_given, dtype=bool)
+    transition = kcode == _TRANSITION
+    finite = [(~np.isfinite(np.asarray(x, dtype=float)), name, x)
+              for name, x in (("tau1", tau1), ("tau2", tau2), ("u", u), ("v", v))]
+    rules = [
+        (kcode < 0, lambda r: f"unknown kernel {kernel[r]!r}; expected one of {KERNEL_NAMES}"),
+        (bcode < 0, lambda r: f"unknown backend {backend[r]!r}; expected one of {BACKENDS}"),
+        *((bad, lambda r, name=name, x=x: f"{name} must be finite, got {float(x[r])!r}")
+          for bad, name, x in finite),
+        (a_given & ~np.isfinite(a), lambda r: f"a_param must be finite, got {float(a[r])!r}"),
+        (transition & ~(a_given & (a >= 0)), lambda r: "transition-a requires a_param >= 0"),
+        (~transition & a_given, lambda r: "a_param is only meaningful for transition-a"),
+    ]
+    firsts = [int(np.argmax(bad)) if bad.any() else len(kcode) for bad, _ in rules]
+    row = min(firsts)
+    if row < len(kcode):
+        raise QueryError(rules[firsts.index(row)][1](row), row)
+    return kcode, bcode
 
 
 @dataclass(frozen=True)
@@ -149,31 +203,103 @@ def heat_term(dt, dx, variance: str):
 
 
 # ---------------------------------------------------------------------------
-# Segment kernels (single integrals)
+# Segment kernels: the extended sine kernel in closed form, s1 and s2 by
+# quadrature
 # ---------------------------------------------------------------------------
 
 _SEGMENT_KERNELS = ("sine-ext", "s1", "s2")
+_EPS = float(np.finfo(float).eps)
+_LOG_MAX = float(np.log(np.finfo(float).max))
+# Relative error bound of _faddeeva as computed, against the exact w: the
+# largest seen over the closed upper half-plane is 1.3e-15 (tests check the
+# bound against scipy's wofz and mpmath).
+_W_REL = 4e-15
+
+
+@functools.cache
+def _weideman(n: int = 40) -> tuple[float, np.ndarray]:
+    """Scale ``L`` and polynomial coefficients (highest degree first) of
+    Weideman's ``n``-term rational approximation of the Faddeeva function
+    (SIAM J. Numer. Anal. 31 (1994) 1497-1518): the FFT of
+    ``exp(-t**2) (L**2 + t**2)`` sampled at ``t = L tan(theta / 2)``."""
+    m = 2 * n
+    L = math.sqrt(n / math.sqrt(2.0))
+    t = L * np.tan(np.arange(-m + 1, m) * np.pi / (2 * m))
+    f = np.concatenate([[0.0], np.exp(-t * t) * (L * L + t * t)])
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return L, a[n:0:-1]
+
+
+def _faddeeva(z: np.ndarray) -> np.ndarray:
+    """``w(z) = exp(-z**2) erfc(-i z)`` for ``Im z >= 0``, to relative error
+    ``_W_REL``.  Dividing by ``L - i z`` twice, rather than by its square,
+    keeps ``|z|`` up to the largest double from overflowing."""
+    L, coef = _weideman()
+    d = L - 1j * z
+    return 2.0 * np.polyval(coef, (L + 1j * z) / d) / d / d + 1.0 / (math.sqrt(math.pi) * d)
+
+
+def _sine_ext(dt: np.ndarray, dx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The extended sine kernel ``(1/pi) int_0^pi exp(-dt w^2/2) cos(dx w) dw``
+    minus, for ``dt > 0``, the heat term: arrays ``(values, errors)``.
+
+    With ``r = sqrt(|dt| / 2)``, ``e = pi^2 r^2`` and ``w`` the Faddeeva
+    function:
+
+    * ``dt = 0`` is ``sinc(dx)``.
+    * ``dt > 0``: the integral over ``[0, inf)`` is the heat term, so the
+      kernel is minus the tail beyond ``pi``,
+      ``-Re(exp(-e + i pi dx) w(dx/(2r) + i pi r)) / (2 sqrt(pi) r)``.
+    * ``dt < 0``: the integral is ``erfi`` at its two ends.  With ``-|dx|``
+      for ``dx`` (the cosine is even) both ends are ``w`` in the upper
+      half-plane, and the end at 0 is ``w`` on the imaginary axis, which is
+      real, so only the end at ``pi`` is left:
+      ``-Im(exp(e - i pi |dx|) w(-pi r + i |dx|/(2r))) / (2 sqrt(pi) r)``.
+
+    The estimate is that end term's size times ``_W_REL``, plus 16 eps for
+    the arithmetic (the condition number ``|z w'(z) / w(z)|`` is below 1.5
+    in the upper half-plane, so rounded arguments cost a few eps), plus 2 eps
+    times ``e``, whose rounding the exponential magnifies.  As ``dt -> 0-``
+    the end term grows like ``|dt|**-1/2`` while the kernel stays within
+    ``(e/3) exp(e)`` of ``sinc(dx)``; a row takes ``sinc(dx)`` with that
+    bound where it is the smaller.  Raises :class:`GeometryError` where the
+    integrand overflows on ``[0, pi]``.
+    """
+    val, err = np.sinc(dx), np.full(dt.shape, 4.0 * _EPS)
+    rows = np.flatnonzero(dt)
+    if not rows.size:
+        return val, err
+    pos = dt[rows] > 0
+    r = np.sqrt(np.abs(dt[rows])) * math.sqrt(0.5)
+    e = (0.5 * np.pi ** 2) * np.abs(dt[rows])  # to 1.5 eps: pi^2, then one product
+    if np.any(e[~pos] > _LOG_MAX):
+        raise GeometryError("non-finite integrand value on a panel")
+    x = np.where(pos, dx[rows], -np.abs(dx[rows]))
+    z = np.where(pos, x / (2.0 * r) + 1j * np.pi * r, -np.pi * r - 1j * x / (2.0 * r))
+    t = np.exp(np.where(pos, -e, e) + 1j * np.pi * np.fmod(x, 2.0)) * _faddeeva(z)
+    scale = 1.0 / (2.0 * math.sqrt(math.pi) * r)
+    val[rows] = -np.where(pos, t.real, t.imag) * scale
+    err[rows] = np.abs(t) * scale * (_W_REL + _EPS * (16.0 + 2.0 * e))
+    bound = e / 3.0 * np.exp(np.minimum(e, 1.0)) + 4.0 * _EPS  # (e/3) exp(e) for e <= 1
+    near = rows[~pos & (e <= 1.0) & (bound < err[rows])]
+    val[near], err[near] = np.sinc(dx[near]), bound[np.searchsorted(rows, near)]
+    return val, err
 
 
 def _segment_kernel(kind: str, dt: np.ndarray, dx: np.ndarray,
                     opts: QuadOptions) -> tuple[np.ndarray, np.ndarray]:
     """Segment kernels at arrays of time differences ``dt = tau1 - tau2``
-    and space differences ``dx = u - v``: arrays ``(values, errors)``, from
-    one batched :func:`integrate_single` call, real by construction.
+    and space differences ``dx = u - v``: arrays ``(values, errors)``, real
+    by construction.
 
-    Each integrand is Hermitian-symmetric about its segment's midpoint, so
-    the segment integral is twice the real part of the integral from the
-    midpoint to the end, taken in the segment's direction.
+    ``sine-ext`` is :func:`_sine_ext`'s closed form.  ``s1`` and ``s2`` are
+    one batched :func:`integrate_single` call each: their integrands are
+    Hermitian-symmetric about the segment's midpoint, so the segment
+    integral is twice the real part of the integral from the midpoint to
+    the end, taken in the segment's direction.
     """
     if kind == "sine-ext":
-        # The quadratic term damps for dt > 0: exp(-dt w^2 / 2).  This is
-        # the sign for which the pi-rescaled s1 kernel reproduces this
-        # kernel exactly (substitute w -> i w / pi in the s1 segment).
-        f = lambda w, i: np.exp(-0.5 * dt[i] * w * w + 1j * dx[i] * w)
-        val, err = integrate_single(f, Contour.polyline([0.0, np.pi]), opts,
-                                    batch=len(dt))
-        # (2 Re val) / (2 pi)
-        return val.real / np.pi - heat_term(dt, dx, "two-pi"), err / np.pi
+        return _sine_ext(dt, dx)
     if kind not in ("s1", "s2"):
         raise ValueError(kind)
     # s1 runs over [-i, i], s2 over [e^{-i pi/3}, e^{i pi/3}]: both upward.
@@ -482,6 +608,10 @@ _EMBEDDING = {
 }
 
 
+# Per kernel index: is it a segment kernel, does it have a saddle route.
+_IS_SEGMENT = np.array([k in _SEGMENT_KERNELS for k in KERNEL_NAMES])
+_HAS_SADDLE = np.array([k in _EMBEDDING for k in KERNEL_NAMES])
+
 # Direct double-integral queries per integrate_cauchy call: bounds the
 # exponent matrices of one group, about 16 bytes per query and node.
 _GROUP = 256
@@ -489,47 +619,90 @@ _GROUP = 256
 _SADDLE_BYTES = 32 << 20
 
 
+def _groups(kcode: np.ndarray, used: np.ndarray, tau1: np.ndarray, tau2: np.ndarray,
+            a: np.ndarray) -> list[np.ndarray]:
+    """The rows of each group, in order of first appearance, each group's
+    rows in input order.  Segment rows group by kernel (their times differ
+    within a group); the others by (kernel, backend used, tau1, tau2, a)."""
+    groups = [np.flatnonzero(kcode == c) for c in np.flatnonzero(_IS_SEGMENT)]
+    groups = [g for g in groups if g.size]
+    rows = np.flatnonzero(~_IS_SEGMENT[kcode])
+    keys = zip(kcode[rows].tolist(), used[rows].tolist(), tau1[rows].tolist(),
+               tau2[rows].tolist(), np.where(kcode[rows] == _TRANSITION, a[rows], 0.0).tolist())
+    timed: dict = {}
+    for k, key in zip(rows.tolist(), keys):
+        timed.setdefault(key, []).append(k)
+    return sorted(groups + [np.array(g) for g in timed.values()], key=lambda g: g[0])
+
+
+def eval_columns(kernel, tau1, tau2, u, v, a, backend, opts: QuadOptions | None = None,
+                 *, a_given=None):
+    """Evaluate a batch given as columns: the core of every evaluation.
+
+    ``kernel`` and ``backend`` are sequences of names; ``tau1``, ``tau2``,
+    ``u``, ``v`` and ``a`` are numbers, ``a`` NaN on rows that give none
+    (``a_given``, by default where ``a`` is not NaN, says which rows give
+    one).  The batch is checked by :func:`check_columns`, which raises
+    :class:`QueryError` naming the first bad row.  Returns arrays ``(re, im,
+    err, backend_used)`` in row order.
+
+    Segment rows are grouped by kernel: ``sine-ext`` in closed form, ``s1``
+    and ``s2`` each one batched :func:`integrate_single` call that refines
+    and estimates every integral on its own.  The double-integral rows
+    (airy-ext, pearcey-ext, transition-a) are grouped by (kernel, backend,
+    tau1, tau2, a); transition-a is always direct.  A direct group of up to
+    ``_GROUP`` rows shares its contours and one :func:`integrate_cauchy`
+    call; a saddle group is the rescaled kernel of its transition at
+    ``a = 1`` on one rule.  A failing group fails the batch.
+    """
+    opts = opts or QuadOptions()
+    tau1, tau2, u, v, a = (np.asarray(x, dtype=float) for x in (tau1, tau2, u, v, a))
+    if a_given is None:
+        a_given = ~np.isnan(a)
+    kcode, bcode = check_columns(kernel, tau1, tau2, u, v, a, backend, a_given)
+    n = kcode.size
+    re, im, err = np.zeros(n), np.zeros(n), np.zeros(n)
+    used = np.where(_HAS_SADDLE[kcode], bcode, 0)
+    for rows in _groups(kcode, used, tau1, tau2, a):
+        kind, group_backend = KERNEL_NAMES[kcode[rows[0]]], BACKENDS[used[rows[0]]]
+        t1, t2, a_param = (float(x[rows[0]]) for x in (tau1, tau2, a))
+        step = _GROUP if group_backend == "direct" and kind not in _SEGMENT_KERNELS else rows.size
+        for j in range(0, rows.size, step):
+            ks = rows[j:j + step]
+            if kind in _SEGMENT_KERNELS:
+                vals, errs = _segment_kernel(kind, tau1[ks] - tau2[ks], u[ks] - v[ks], opts)
+            elif group_backend == "saddle":
+                transition, embed = _EMBEDDING[kind]
+                vals, errs = _saddle_kernel(transition, 1.0, *embed(t1, t2, u[ks], v[ks]), opts)
+            elif kind == "airy-ext":
+                vals, errs = _direct_airy(t1, t2, u[ks], v[ks], opts)
+            else:
+                a_cubic = 0.0 if kind == "pearcey-ext" else a_param
+                vals, errs = _direct_quartic(t1, t2, u[ks], v[ks], a_cubic, opts)
+            re[ks], im[ks], err[ks] = vals.real, vals.imag, errs
+    return re, im, err, np.asarray(BACKENDS)[used]
+
+
 def eval_kernels(queries) -> list[KernelValue]:
     """Evaluate a batch of queries; the values come back in input order.
 
-    Segment-kernel queries are grouped by (kernel, options), each group one
-    batched :func:`integrate_single` call that refines and estimates every
-    integral on its own.  The double-integral queries
-    (airy-ext, pearcey-ext, transition-a) are grouped by (kernel, backend,
-    tau1, tau2, a_param, options); transition-a is always direct.  A direct
-    group of up to ``_GROUP`` queries shares its contours and one
-    :func:`integrate_cauchy` call; a saddle group is the rescaled kernel of
-    its transition at ``a = 1`` on one rule.  A failing query fails the batch.
+    The queries become the columns of one :func:`eval_columns` call per
+    set of options.
     """
     queries = list(queries)
     out: list = [None] * len(queries)
-    groups: dict = {}
+    by_opts: dict = {}
     for k, q in enumerate(queries):
-        if q.kernel in _SEGMENT_KERNELS:  # times differ within a group
-            key = (q.kernel, "direct", q.opts, None, None, None)
-        else:
-            backend = q.backend if q.kernel in _EMBEDDING else "direct"
-            key = (q.kernel, backend, q.opts, q.tau1, q.tau2, q.a_param)
-        groups.setdefault(key, []).append(k)
-    for (kind, backend, opts, tau1, tau2, a_param), group in groups.items():
-        step = _GROUP if backend == "direct" and kind not in _SEGMENT_KERNELS else len(group)
-        for j in range(0, len(group), step):
-            ks = group[j:j + step]
-            u = np.array([queries[k].u for k in ks])
-            v = np.array([queries[k].v for k in ks])
-            if kind in _SEGMENT_KERNELS:
-                dt = np.array([queries[k].tau1 - queries[k].tau2 for k in ks])
-                vals, errs = _segment_kernel(kind, dt, u - v, opts)
-            elif backend == "saddle":
-                transition, embed = _EMBEDDING[kind]
-                vals, errs = _saddle_kernel(transition, 1.0, *embed(tau1, tau2, u, v), opts)
-            elif kind == "airy-ext":
-                vals, errs = _direct_airy(tau1, tau2, u, v, opts)
-            else:
-                a_cubic = 0.0 if kind == "pearcey-ext" else float(a_param)
-                vals, errs = _direct_quartic(tau1, tau2, u, v, a_cubic, opts)
-            for k, val, err in zip(ks, vals.astype(complex).tolist(), errs.tolist()):
-                out[k] = KernelValue(val, abs(val.imag), err, backend)
+        by_opts.setdefault(q.opts, []).append(k)
+    for opts, ks in by_opts.items():
+        qs = [queries[k] for k in ks]
+        re, im, err, used = eval_columns(
+            [q.kernel for q in qs], [q.tau1 for q in qs], [q.tau2 for q in qs],
+            [q.u for q in qs], [q.v for q in qs],
+            [np.nan if q.a_param is None else q.a_param for q in qs],
+            [q.backend for q in qs], opts, a_given=[q.a_param is not None for q in qs])
+        for k, r, i, e, b in zip(ks, re.tolist(), im.tolist(), err.tolist(), used.tolist()):
+            out[k] = KernelValue(complex(r, i), abs(i), e, b)
     return out
 
 
@@ -541,7 +714,10 @@ def eval_kernels(queries) -> list[KernelValue]:
 def relation_connS(tau1: float, tau2: float, u: float, v: float,
                    opts: QuadOptions | None = None) -> tuple[KernelValue, KernelValue]:
     """Both sides of the s1 <-> extended-sine rescaling identity:
-    ``pi * K_s1(pi^2 tau/2; pi u, pi v)`` versus ``K_sine(tau; u, v)``."""
+    ``pi * K_s1(pi^2 tau/2; pi u, pi v)`` versus ``K_sine(tau; u, v)``.
+
+    The two sides share no code: s1 is integrated along its segment, the
+    extended sine kernel is a closed form in the Faddeeva function."""
     opts = opts or QuadOptions()
     s1 = eval_kernel(KernelQuery(
         "s1", np.pi ** 2 * tau1 / 2.0, np.pi ** 2 * tau2 / 2.0,

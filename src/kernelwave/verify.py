@@ -390,7 +390,9 @@ def cross_validate(
     distinct point appearing in the queries, the kernel-family identities
     (the pi-rescaled s1 versus extended-sine relation, the gauged s2 versus
     s1 relation, and the a=0 transition kernel versus the saddle-backend
-    quartic kernel), each evaluated as an independent left/right pair.
+    quartic kernel), each evaluated as an independent left/right pair.  In
+    "identity sine-vs-s1" s1 is segment quadrature and the extended sine
+    kernel its closed form, so the pair compares two code paths.
     """
     for q in queries:
         if q.kernel not in _SADDLE_ROUTES:

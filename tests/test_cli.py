@@ -7,9 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from kernelwave import cli
 from kernelwave.cli import main
 from kernelwave.expansion import fluc_s1
+from kernelwave.kernels import BACKENDS, KERNEL_NAMES, KernelQuery, eval_kernels
 
 
 def run(capsys, *argv):
@@ -206,6 +210,190 @@ def test_eval_json_format(capsys):
     obj = json.loads(out.strip())
     assert obj["kernel"] == "s1"
     assert abs(obj["re"] - 1 / np.pi) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# batch rows: the bulk formatter against one row at a time
+# ---------------------------------------------------------------------------
+
+
+def _g(x):
+    return f"{x:.17g}"
+
+
+def _query_row(q, kv):
+    a = "" if q.a_param is None else _g(q.a_param)
+    return (f"{q.kernel},{a},{_g(q.tau1)},{_g(q.tau2)},{_g(q.u)},{_g(q.v)},"
+            f"{_g(kv.value.real)},{_g(kv.value.imag)},{_g(kv.error_estimate)},"
+            f"{kv.backend_used}")
+
+
+def _query_json(q, kv):
+    obj = {"kernel": q.kernel, "tau1": q.tau1, "tau2": q.tau2, "u": q.u, "v": q.v,
+           "re": kv.value.real, "im": kv.value.imag, "err": kv.error_estimate,
+           "backend": kv.backend_used}
+    if q.a_param is not None:
+        obj["a"] = q.a_param
+    return json.dumps(obj)
+
+
+def _expected(queries, fmt):
+    """The output of a batch, one row at a time from eval_kernels."""
+    values = eval_kernels(queries)
+    if fmt == "csv":
+        return "".join(["kernel,a,tau1,tau2,u,v,re,im,err,backend\n",
+                        *(_query_row(q, kv) + "\n" for q, kv in zip(queries, values))])
+    return "".join(_query_json(q, kv) + "\n" for q, kv in zip(queries, values))
+
+
+# (kernel, tau1, tau2, u, v, a, backend); "" is the default
+_ROWS = [("airy-ext", 0.3, -0.2, 0.15, 0.05, "", "direct"),
+         ("airy-ext", 0.3, -0.2, -0.6, 0.5, "", "saddle"),
+         ("pearcey-ext", -0.1, 0.2, 0.4, 0.3, "", ""),
+         ("pearcey-ext", -0.1, 0.2, 0.4, -0.3, "", "saddle"),
+         ("transition-a", 0.2, -0.1, 0.3, 0.1, "1.5", ""),
+         ("transition-a", 0.2, -0.1, -0.3, 0.1, "0", "direct"),
+         ("s1", -0.2, 0.4, 0.6, -0.5, "", ""), ("s2", 0.1, -0.3, -0.2, 0.5, "", ""),
+         ("sine-ext", 0.5, 0.0, 0.3, 0.1, "", ""), ("sine-ext", -1.0, 0.0, 3.7, -0.2, "", ""),
+         ("airy-ext", 0.3, -0.2, 0.7, 0.05, "", ""), ("s1", 0.0, 0.0, 1.0, 0.25, "", "direct")]
+_QUERIES = [KernelQuery(k, t1, t2, u, v, a_param=float(a) if a else None,
+                        backend=b or "direct") for k, t1, t2, u, v, a, b in _ROWS]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eval_csv_batch_equals_rows_formatted_one_at_a_time(monkeypatch, tmp_path, fmt):
+    # blank lines and fields padded with spaces, with a and backend columns;
+    # the rows are read five at a time
+    monkeypatch.setattr(cli, "_READ_ROWS", 5)
+    batch = tmp_path / "mixed.csv"
+    lines = ["kernel,tau1,tau2,u,v,a,backend", ""]
+    for k, (kernel, t1, t2, u, v, a, b) in enumerate(_ROWS):
+        lines += [f" {kernel} , {t1},{t2} , {u},{v}, {a} ,{b} "] + ["  "] * (k % 3 == 1)
+    batch.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.txt"
+    assert main(["eval", "--input", str(batch), "--format", fmt, "--output", str(out)]) == 0
+    assert out.read_text() == _expected(_QUERIES, fmt)
+
+
+def test_eval_jsonl_batch_equals_rows_formatted_one_at_a_time(tmp_path):
+    batch = tmp_path / "mixed.jsonl"
+    with open(batch, "w") as fh:
+        for kernel, t1, t2, u, v, a, b in _ROWS:
+            obj = {"kernel": kernel, "tau1": t1, "tau2": t2, "u": u, "v": v}
+            obj.update({"a": float(a)} if a else {}, **({"backend": b} if b else {}))
+            fh.write(json.dumps(obj) + "\n\n")
+    out = tmp_path / "out.txt"
+    assert main(["eval", "--input", str(batch), "--output", str(out)]) == 0
+    assert out.read_text() == _expected(_QUERIES, "csv")
+
+
+@pytest.mark.parametrize("kernel,extra", [("sine-ext", []), ("s2", []),
+                                          ("airy-ext", ["--backend", "saddle"]),
+                                          ("transition-a", ["--a-param", "0.75"])])
+def test_sweep_random_equals_rows_formatted_one_at_a_time(tmp_path, kernel, extra):
+    out = tmp_path / "out.txt"
+    assert main(["sweep", "--kernel", kernel, "--random", "6", "--seed", "3",
+                 "--output", str(out), *extra]) == 0
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 4))
+    backend = extra[1] if extra[:1] == ["--backend"] else "direct"
+    a = 0.75 if kernel == "transition-a" else None
+    queries = [KernelQuery(kernel, t1, t2, u, v, a_param=a, backend=backend)
+               for u, v, t1, t2 in points.tolist()]
+    assert out.read_text() == _expected(queries, "csv")
+
+
+_NUMBER = st.one_of(st.floats(-1.0, 1.0),
+                    st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+
+
+@given(kernel=st.sampled_from(KERNEL_NAMES + ("nope",)),
+       backend=st.sampled_from(BACKENDS + ("magic",)),
+       coords=st.tuples(_NUMBER, _NUMBER, _NUMBER, _NUMBER),
+       a=st.one_of(st.none(), st.floats(-1.0, 1.0), st.just(float("nan"))),
+       fmt=st.sampled_from(["csv", "jsonl"]))
+def test_cli_accepts_the_rows_kernel_query_accepts(tmp_path_factory, kernel, backend,
+                                                   coords, a, fmt):
+    try:
+        KernelQuery(kernel, *coords, a_param=a, backend=backend)
+        accepted = True
+    except ValueError:
+        accepted = False
+    batch = tmp_path_factory.mktemp("parity") / f"row.{fmt}"
+    if fmt == "csv":
+        batch.write_text("kernel,tau1,tau2,u,v,a,backend\n" + ",".join(
+            [kernel, *map(repr, coords), "" if a is None else repr(a), backend]) + "\n")
+    else:
+        obj = dict(zip(("kernel", "tau1", "tau2", "u", "v", "backend"),
+                       (kernel, *coords, backend)))
+        batch.write_text(json.dumps(obj if a is None else {**obj, "a": a}) + "\n")
+    code = main(["eval", "--input", str(batch), "--output", str(batch.with_suffix(".out"))])
+    assert (code in (0, 2)) == accepted and code in (0, 1, 2)
+
+
+_GOOD_CSV = "s1,0,0,0.5,0.1,,"
+_BAD_CSV = [
+    ("s1,0,0,nan,0.1,,", "u must be finite, got nan"),
+    ("s1,inf,0,0,0,,", "tau1 must be finite, got inf"),
+    ("nope,0,0,0,0,,", "unknown kernel 'nope'"),
+    ("s1,0,0,0,0,,magic", "unknown backend 'magic'"),
+    ("s1,0,0,0,0,1.5,", "a_param is only meaningful for transition-a"),
+    ("transition-a,0,0,0,0,-1,", "transition-a requires a_param >= 0"),
+    ("transition-a,0,0,0,0,,", "transition-a requires a_param >= 0"),
+    ("s1,0,0", "list index out of range"),
+    ("s1,0,0,much,0,,", "could not convert string to float: 'much'"),
+]
+_GOOD_JSON = '{"kernel": "s1", "u": 0.5}'
+_BAD_JSON = [
+    ('{"kernel": "s1", "u": NaN}', "u must be finite, got nan"),
+    ('{"kernel": "s1", "tau1": Infinity}', "tau1 must be finite, got inf"),
+    ('{"kernel": "nope"}', "unknown kernel 'nope'"),
+    ('{"kernel": "s1", "backend": "magic"}', "unknown backend 'magic'"),
+    ('{"kernel": "s1", "a": 1.5}', "a_param is only meaningful for transition-a"),
+    ('{"kernel": "transition-a", "a": -1}', "transition-a requires a_param >= 0"),
+    ('{"kernel": "transition-a"}', "transition-a requires a_param >= 0"),
+    ('{"u": 0.5}', "'kernel'"),
+    ('{"kernel": "s1", "u": "much"}', "could not convert string to float: 'much'"),
+]
+
+
+@pytest.mark.parametrize("read_rows", [1, 1024])
+@pytest.mark.parametrize("fmt,row,message", [("csv", *c) for c in _BAD_CSV]
+                         + [("jsonl", *c) for c in _BAD_JSON])
+def test_eval_batch_names_the_line_of_its_bad_row(monkeypatch, capsys, tmp_path, fmt, row,
+                                                  message, read_rows):
+    # a good row, a blank line, the bad row, and a good row after it
+    monkeypatch.setattr(cli, "_READ_ROWS", read_rows)
+    good = _GOOD_CSV if fmt == "csv" else _GOOD_JSON
+    lines = [good, "", row, good]
+    if fmt == "csv":
+        lines.insert(0, "kernel,tau1,tau2,u,v,a,backend")
+    batch = tmp_path / f"bad.{fmt}"
+    batch.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "eval", "--input", str(batch))
+    what = "CSV row" if fmt == "csv" else "query"
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: line {len(lines) - 1}: malformed {what} ({message}")
+    assert err.endswith(")\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("read_rows", [1, 2, 1024])
+def test_eval_batch_reports_its_first_bad_row(monkeypatch, capsys, tmp_path, read_rows):
+    # A row that cannot be read after one that breaks a query rule, and the
+    # other way round: the earlier line is named, whether or not the two
+    # rows are read together.  Within a row, a number that cannot be read
+    # comes before the kernel's name.
+    monkeypatch.setattr(cli, "_READ_ROWS", read_rows)
+    header = "kernel,tau1,tau2,u,v\n"
+    for body, line, message in [
+            ("s1,0,0,0,0\nnope,0,0,0,0\ns1,0,0,much,0\n", 3, "unknown kernel 'nope'"),
+            ("s1,0,0,much,0\nnope,0,0,0,0\n", 2, "could not convert"),
+            ("nope,0,0,much,0\n", 2, "could not convert"),
+            ("s1,0,nan,0,0\ns1,0\n", 2, "tau2 must be finite")]:
+        batch = tmp_path / "bad.csv"
+        batch.write_text(header + body)
+        code, out, err = run(capsys, "eval", "--input", str(batch))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: line {line}: malformed CSV row (") and message in err
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,146 @@ def test_airy_ext_origin_is_derivative_squared():
 
 
 # ---------------------------------------------------------------------------
+# the extended sine kernel's closed form against mpmath and the quadrature
+# ---------------------------------------------------------------------------
+
+
+def _mp_faddeeva(z):
+    """w(z) at 30 digits from mpmath's erfc."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        z = mp.mpc(z)
+        return mp.exp(-z * z) * mp.erfc(-1j * z)
+
+
+def _mp_sine_ext(dt, dx):
+    """The extended sine kernel at 30 digits: the closed form's algebra on
+    mpmath's erfc, which shares no arithmetic with the package."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        dt, dx = mp.mpf(dt), mp.mpf(dx)
+        if dt == 0:
+            return mp.sinc(mp.pi * dx)
+        r = mp.sqrt(abs(dt) / 2)
+        if dt > 0:
+            t = mp.exp(-(mp.pi * r) ** 2 + 1j * mp.pi * dx) * _mp_faddeeva(
+                dx / (2 * r) + 1j * mp.pi * r)
+            return -mp.re(t) / (2 * mp.sqrt(mp.pi) * r)
+        t = mp.exp((mp.pi * r) ** 2 - 1j * mp.pi * abs(dx)) * _mp_faddeeva(
+            -mp.pi * r + 1j * abs(dx) / (2 * r))
+        return -mp.im(t) / (2 * mp.sqrt(mp.pi) * r)
+
+
+def _mp_sine_ext_by_quadrature(dt, dx):
+    """The defining integral by mpmath's quadrature, minus the heat term."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        dt, dx = mp.mpf(dt), mp.mpf(dx)
+        f = lambda w: mp.exp(-dt * w * w / 2) * mp.cos(dx * w)
+        k = mp.quad(f, mp.linspace(0, mp.pi, 2 + int(abs(dx)) // 2)) / mp.pi
+        if dt > 0:
+            k -= mp.exp(-dx * dx / (2 * dt)) / mp.sqrt(2 * mp.pi * dt)
+        return k
+
+
+# dt at which the integrand exp(-dt w^2 / 2) reaches the largest double at w = pi
+_OVERFLOW_DT = -2.0 * kernels._LOG_MAX / np.pi ** 2
+
+
+def _sine_gate_points():
+    """210 seeded (dt, dx) points: a grid through the steep and the
+    overflowing corners, and a log-uniform cloud."""
+    rng = np.random.default_rng(19)
+    dts = [0.0] + [s * t for t in (2.0 ** -21, 1e-3, 0.5, 1.0, 5.0, 20.0) for s in (1, -1)]
+    dts += [-140.0, 0.999 * _OVERFLOW_DT]
+    dxs = [0.0, 1e-9, 0.5, 1.0, 2.5, 3.999, 7.3, -13.7, 25.0, 50.0]
+    pts = [(dt, dx) for dt in dts for dx in dxs]
+    pts += [(float(rng.choice([-1.0, 1.0]) * np.exp(rng.uniform(-16.0, 3.0))),
+             float(rng.uniform(-50.0, 50.0))) for _ in range(60)]
+    return np.array(pts).T
+
+
+def test_sine_ext_closed_form_within_its_estimate():
+    from kernelwave.quadrature import Contour, integrate_single
+
+    dt, dx = _sine_gate_points()
+    assert dt.size >= 200
+    val, err = kernels._sine_ext(dt, dx)
+    # mpmath at 30 digits, whose own error is below 1e-25 of the value
+    ref = np.array([float(_mp_sine_ext(t, x)) for t, x in zip(dt, dx)])
+    ratio = np.abs(val - ref) / (err + 1e-25 * np.abs(ref))
+    # the old quadrature on the defining integral, within its own estimate
+    q, q_err = integrate_single(lambda w, i: np.exp(-0.5 * dt[i] * w * w + 1j * dx[i] * w),
+                                Contour.polyline([0.0, np.pi]), QuadOptions(), batch=dt.size)
+    quad = q.real / np.pi - heat_term(dt, dx, "two-pi")
+    quad_ratio = np.abs(val - quad) / (err + q_err / np.pi)
+    for name, r in (("mpmath", ratio), ("quadrature", quad_ratio)):
+        print(f"|K - {name}| / err over {r.size} points: median {np.median(r):.3g}, "
+              f"90% {np.quantile(r, 0.9):.3g}, max {r.max():.3g}")
+    assert (ratio <= 1.0).all(), np.column_stack([dt, dx, ratio])[ratio > 1.0]
+    assert (quad_ratio <= 1.0).all(), np.column_stack([dt, dx, quad_ratio])[quad_ratio > 1.0]
+    # the mpmath reference's algebra, against quadrature of the defining integral
+    for t, x in list(zip(dt, dx))[::20]:
+        if t <= 5.0:  # beyond, the heat term cancels more than 30 digits hold
+            a, b = _mp_sine_ext(t, x), _mp_sine_ext_by_quadrature(t, x)
+            assert abs(a - b) <= 1e-25 * max(1, abs(b)), (t, x)
+
+
+def test_sine_ext_overflow_is_a_geometry_error():
+    from kernelwave.quadrature import GeometryError
+
+    val, _ = kernels._sine_ext(np.array([0.999 * _OVERFLOW_DT]), np.array([0.3]))
+    assert np.isfinite(val).all()
+    for dt in (1.001 * _OVERFLOW_DT, -300.0):
+        with pytest.raises(GeometryError, match="non-finite"):
+            kernels._sine_ext(np.array([dt, 0.5]), np.array([0.3, 0.3]))
+
+
+def test_faddeeva_within_its_bound():
+    # The arguments the closed form uses, for 2**-21 <= |dt| <= the overflow
+    # edge and |dx| <= 50, and a grid of the closed upper half-plane.
+    from scipy.special import wofz
+
+    r = np.sqrt(0.5 * np.geomspace(2.0 ** -21, -_OVERFLOW_DT, 60))[:, None]
+    x = np.concatenate([[0.0], np.geomspace(1e-9, 50.0, 40)])[None, :]
+    grid_x = np.concatenate([-np.geomspace(1e-3, 1e3, 60), [0.0], np.geomspace(1e-3, 1e3, 60)])
+    grid_y = np.concatenate([[0.0], np.geomspace(1e-8, 1e3, 50)])
+    z = np.concatenate([(x / (2 * r) + 1j * np.pi * r).ravel(),
+                        (-np.pi * r + 1j * x / (2 * r)).ravel(),
+                        (grid_x[:, None] + 1j * grid_y[None, :]).ravel()])
+    w = kernels._faddeeva(z)
+    ref = wofz(z)
+    off = np.abs(w - ref) > kernels._W_REL * np.abs(ref)
+    # scipy's wofz errs by up to ~4e-14 near the real axis around |x| ~ 9;
+    # there mpmath decides
+    worst = 0.0
+    for zk, wk in zip(z[off], w[off]):
+        exact = complex(_mp_faddeeva(zk))
+        worst = max(worst, abs(wk - exact) / abs(exact))
+    print(f"{off.sum()} of {z.size} points differ from wofz by more than the bound; "
+          f"against mpmath their largest relative error is {worst:.3g}")
+    assert worst <= kernels._W_REL
+    assert off.sum() < 0.05 * z.size
+
+
+def test_sine_ext_never_integrates(monkeypatch):
+    # So relation_connS and cross_validate's "identity sine-vs-s1" compare
+    # the closed form with s1's quadrature: two code paths.
+    def fail(*args, **kwargs):
+        raise AssertionError("sine-ext called integrate_single")
+
+    monkeypatch.setattr(kernels, "integrate_single", fail)
+    batch = eval_kernels([KernelQuery("sine-ext", t1, 0.2, 0.7, -0.4)
+                          for t1 in (0.9, 0.2, -0.5)])  # dt > 0, dt = 0, dt < 0
+    assert all(np.isfinite(kv.value) and kv.error_estimate < 1e-13 for kv in batch)
+    with pytest.raises(AssertionError, match="integrate_single"):
+        relation_connS(0.4, -0.2, 0.3, -0.5)  # its s1 side integrates
+
+
+# ---------------------------------------------------------------------------
 # realness, symmetry under shifts, deformation invariance
 # ---------------------------------------------------------------------------
 
