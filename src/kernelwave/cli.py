@@ -29,6 +29,8 @@ together, and the other rows that share the backend and both times (and
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import sys
 from io import StringIO
@@ -613,8 +615,10 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _apply_config(sp: argparse.ArgumentParser, path: str) -> None:
-    """Make the values of a config file the defaults of subcommand ``sp``.
+@contextlib.contextmanager
+def _config_defaults(sp: argparse.ArgumentParser, path: str):
+    """Make the values of a config file the defaults of subcommand ``sp``
+    for the duration of the block, then restore the built-in defaults.
 
     Each key is a long option of the subcommand, in ``-`` or ``_`` spelling.
     Its value goes through that option's own type and choices; a store_true
@@ -640,8 +644,17 @@ def _apply_config(sp: argparse.ArgumentParser, path: str) -> None:
     finally:
         sp.exit_on_error = True
     # Defaults must live on the chosen subparser: subcommands parse into a
-    # fresh namespace, so top-level defaults are clobbered.
+    # fresh namespace, so top-level defaults are clobbered.  The parser is
+    # built once per process, so they are put back afterwards.
+    saved, saved_actions = dict(sp._defaults), [(a, a.default) for a in sp._actions]
     sp.set_defaults(**vars(values))
+    try:
+        yield
+    finally:
+        sp._defaults.clear()
+        sp._defaults.update(saved)
+        for a, default in saved_actions:
+            a.default = default
 
 
 _COMMANDS = {
@@ -654,14 +667,20 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers, built on first use."""
+    return _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, sub_parsers = _build_parser()
+    parser, sub_parsers = _parser()
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _apply_config(sub_parsers[args.command], args.config)
-            args = parser.parse_args(argv)
+            with _config_defaults(sub_parsers[args.command], args.config):
+                args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse usage errors exit 2; remap to 1
         return 1 if exc.code else 0

@@ -5,7 +5,10 @@ rescaled left-hand sides whose large-parameter behavior the package studies.
 Two evaluation geometries are implemented:
 
 * DIRECT -- the defining ray contours, with vertices offset by ``+/-delta``
-  so the ``1/(zeta-omega)`` factor never becomes singular.  Loses precision
+  so the ``1/(zeta-omega)`` factor never becomes singular.  Each contour is
+  its own mirror image under conjugation, so only the upper half of the
+  zeta contour is integrated and the value is twice its real part
+  (:func:`_fold`): direct values are real by construction.  Loses precision
   to cancellation once the rescaling parameter grows beyond roughly 20 in
   double precision, and fails in parts of the plain parameter space too:
   ``airy-ext`` raises :class:`GeometryError` from ``tau1 = tau2 = -18`` on,
@@ -60,6 +63,7 @@ from .quadrature import (
     Contour,
     GeometryError,
     QuadOptions,
+    Ray,
     gl_unit,
     integrate_cauchy,
     integrate_double,  # noqa: F401  (perfbench/spans.py traces this name)
@@ -169,9 +173,11 @@ def check_columns(kernel, tau1, tau2, u, v, a, backend, a_given):
 class KernelValue:
     """Kernel evaluation result.
 
-    ``value`` keeps its (tiny) imaginary part rather than silently taking
-    the real part: realness on real arguments is a verified property, and
-    ``imag_residual`` reports it.
+    A saddle ``value`` keeps its (tiny) imaginary part rather than silently
+    taking the real part: realness on real arguments is a verified property,
+    and ``imag_residual`` reports it.  Direct and segment values are real by
+    construction, from a symmetry of their integrands, so their
+    ``imag_residual`` is 0.
     """
 
     value: complex
@@ -323,14 +329,33 @@ def _contour(contour: Contour, p, opts: QuadOptions) -> Contour:
     return refine_panels(truncate_rays(contour, env, opts.ray_truncation_budget), env)
 
 
+def _fold(val: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whole double integral over ``(2 pi i)**2``, and its estimate, from
+    the integral over the upper half of the zeta contour.
+
+    Each direct zeta and omega contour is its own mirror image under
+    conjugation with its orientation reversed, and for real times,
+    coordinates and ``a`` every exponent has ``p(conj z) = conj p(z)``.  So
+    the lower half of the zeta contour contributes the conjugate of the
+    upper half, the whole integral is ``2 Re(val)``, and it is real by
+    construction; its estimate is twice the half's.
+    """
+    # 2 Re(val) / (2 pi i)**2 = -Re(val) / (2 pi**2)
+    return -val.real / (2.0 * np.pi ** 2), err / (2.0 * np.pi ** 2)
+
+
 def _direct_airy(tau1: float, tau2: float, u, v, opts: QuadOptions, *,
                  sigma_vertex: float = _DELTA, gamma_vertex: float = -_DELTA):
     """Cubic-phase double integral on offset V contours, minus heat term.
 
-    The batch of ``(u, v)`` shares the contours, truncated and refined on
-    its upper envelope, and one :func:`integrate_cauchy` call.  Returns
-    arrays ``(values, errors)``.
+    The omega contour is the whole V through ``gamma_vertex``; the zeta
+    contour is only the upper ray of the V through ``sigma_vertex``, since
+    the lower ray gives the conjugate (see :func:`_fold`, which needs real
+    vertices).  The batch of ``(u, v)`` shares the contours, truncated and
+    refined on its upper envelope, and one :func:`integrate_cauchy` call.
+    Returns real arrays ``(values, errors)``.
     """
+    sigma_vertex, gamma_vertex = float(sigma_vertex), float(gamma_vertex)
     if sigma_vertex <= gamma_vertex:
         raise GeometryError("zeta contour must stay right of the omega contour")
     u, v = np.atleast_1d(u, v)
@@ -341,13 +366,11 @@ def _direct_airy(tau1: float, tau2: float, u, v, opts: QuadOptions, *,
     def p_omega(w):
         return -(w ** 3) / 3.0 + u * w + tau1 * w * w
 
-    sig = Contour.vee(sigma_vertex, np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3))
+    sig = Contour((Ray(sigma_vertex, np.exp(1j * np.pi / 3)),))
     gam = Contour.vee(gamma_vertex, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3))
-    val, err = integrate_cauchy(p_zeta, p_omega, _contour(sig, p_zeta, opts),
-                                _contour(gam, p_omega, opts), opts)
-    val = val / _TWO_PI_I_SQ - heat_term(tau1 - tau2, u - v, "four-pi")
-    err = err / (4.0 * np.pi ** 2)
-    return val, err
+    val, err = _fold(*integrate_cauchy(p_zeta, p_omega, _contour(sig, p_zeta, opts),
+                                       _contour(gam, p_omega, opts), opts))
+    return val - heat_term(tau1 - tau2, u - v, "four-pi"), err
 
 
 def _direct_quartic(tau1: float, tau2: float, u, v, a_cubic: float,
@@ -359,7 +382,9 @@ def _direct_quartic(tau1: float, tau2: float, u, v, a_cubic: float,
     (and zeta gains ``+a z**3/3``).  The right V of the X is placed at the
     cubic term's critical point ``max(2 delta, a)``, which keeps the
     envelope monotone decaying along its rays.  The two V's form one omega
-    node set.  Batches of ``(u, v)`` as in :func:`_direct_airy`.
+    node set.  The zeta contour is the vertical line through ``+delta``, of
+    which only the upper ray is integrated (see :func:`_fold`).  Batches of
+    ``(u, v)`` as in :func:`_direct_airy`.
     """
     u, v = np.atleast_1d(u, v)
 
@@ -370,16 +395,14 @@ def _direct_quartic(tau1: float, tau2: float, u, v, a_cubic: float,
         return (w ** 4) / 4.0 - a_cubic * w ** 3 / 3.0 + 0.5 * tau1 * w * w + u * w
 
     delta = _DELTA
-    zline = Contour.vee(delta, -1j, 1j)  # vertical line through +delta, upward
-    right_vertex = max(2.0 * delta, a_cubic)
+    zline = Contour((Ray(delta, 1j),))  # upper half of the line through +delta
+    right_vertex = float(max(2.0 * delta, a_cubic))
     right_v = Contour.vee(right_vertex, np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4))
     left_v = Contour.vee(-delta, np.exp(-3j * np.pi / 4), np.exp(3j * np.pi / 4))
-    val, err = integrate_cauchy(
+    val, err = _fold(*integrate_cauchy(
         p_zeta, p_omega, _contour(zline, p_zeta, opts),
-        (_contour(right_v, p_omega, opts), _contour(left_v, p_omega, opts)), opts)
-    val = val / _TWO_PI_I_SQ - heat_term(tau1 - tau2, u - v, "two-pi")
-    err = err / (4.0 * np.pi ** 2)
-    return val, err
+        (_contour(right_v, p_omega, opts), _contour(left_v, p_omega, opts)), opts))
+    return val - heat_term(tau1 - tau2, u - v, "two-pi"), err
 
 
 # ---------------------------------------------------------------------------

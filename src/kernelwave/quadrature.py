@@ -218,27 +218,36 @@ def truncate_rays(contour: Contour, phase_envelope, budget: float) -> Contour:
 
 _MAX_PANEL_LEN = 1.0
 _MAX_ENV_VAR = 8.0
+# A panel whose envelope stays this far below the contour's top, ln(1/eps)
+# + 1, holds an integrand under the round-off floor of every estimate.
+_TAIL_DROP = float(np.log(1.0 / np.finfo(float).eps)) + 1.0
 
 
 def refine_panels(contour: Contour, envelope=None) -> Contour:
     """Pre-split panels for quadrature efficiency.
 
-    Panels are subdivided to length at most ``_MAX_PANEL_LEN`` and, when an
-    envelope function is supplied, further until the envelope variation
-    across each panel is at most ``_MAX_ENV_VAR`` (so the integrand changes
-    by at most ``e**_MAX_ENV_VAR`` per panel).
+    Panels are subdivided to length at most ``_MAX_PANEL_LEN``.  When an
+    envelope function is supplied, it is first sampled on the given panels
+    for the contour's top value; a panel whose sampled maximum comes within
+    ``_TAIL_DROP`` of that top is split further until the envelope
+    variation across it is at most ``_MAX_ENV_VAR`` (so the integrand
+    changes by at most ``e**_MAX_ENV_VAR`` per panel).  Lower panels, such
+    as the far tails of truncated rays, lie below round-off relative to the
+    peak and are split for length only.
     """
     if not contour.is_finite:
         raise GeometryError("refine_panels requires a finite contour")
+    ts = np.linspace(0.0, 1.0, 9)
+    sample = lambda p: np.asarray(envelope(p.point(ts)), dtype=float)
+    low = (None if envelope is None
+           else max(sample(p).max() for p in contour.panels) - _TAIL_DROP)
 
     def need_split(p: StraightArc) -> bool:
         if p.length > _MAX_PANEL_LEN:
             return True
         if envelope is not None and p.length > 1e-3:
-            ts = np.linspace(0.0, 1.0, 9)
-            e = np.asarray(envelope(p.point(ts)), dtype=float)
-            if np.max(e) - np.min(e) > _MAX_ENV_VAR:
-                return True
+            e = sample(p)
+            return e.max() >= low and e.max() - e.min() > _MAX_ENV_VAR
         return False
 
     out = []

@@ -589,6 +589,19 @@ def test_config_before_subcommand_also_works(capsys, tmp_path):
     assert abs(float(out.strip().splitlines()[1].split(",")[6]) - 2 / np.pi) < 1e-10
 
 
+def test_config_does_not_leak_into_later_calls(capsys, tmp_path):
+    # The parser is built once per process; a config sets the defaults of
+    # the call that names it and of no later call.
+    before = run(capsys, "eval", "--kernel", "sine-ext", "--v", "0.5")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel=s1\nu=1\ntau1=0.25\nformat=json\nnodes_per_panel=24\n")
+    code, out, _ = run(capsys, "eval", "--config", str(cfg))
+    assert code == 0 and json.loads(out)["kernel"] == "s1"
+    assert run(capsys, "eval", "--kernel", "sine-ext", "--v", "0.5") == before
+    fresh = {name: sp.parse_args([]) for name, sp in cli._build_parser()[1].items()}
+    assert {name: sp.parse_args([]) for name, sp in cli._parser()[1].items()} == fresh
+
+
 def test_config_rejects_malformed_line(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kernel s1\n")

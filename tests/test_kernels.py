@@ -23,8 +23,15 @@ from kernelwave.kernels import (
     transition_interpolation_check,
 )
 from kernelwave import kernels
-from kernelwave.kernels import _direct_airy  # deformation-invariance check
-from kernelwave.quadrature import _CHUNK, QuadOptions
+from kernelwave.kernels import _direct_airy, _direct_quartic  # contour checks
+from kernelwave.quadrature import (
+    _CHUNK,
+    Contour,
+    QuadOptions,
+    integrate_cauchy,
+    refine_panels,
+    truncate_rays,
+)
 from kernelwave.verify import DEFAULT_STUDY_POINTS
 
 # Multiples of 2**-21: common shifts are exact, yet tau1 - tau2 can still be
@@ -240,11 +247,14 @@ def test_sine_ext_never_integrates(monkeypatch):
 
 
 def test_kernels_are_real_on_sample_points():
+    # Direct rows are real by construction (the conjugate fold); the saddle
+    # rows still check realness as a property of the computed value.
     rng = np.random.default_rng(5)
-    for kernel in ("sine-ext", "s1", "s2", "airy-ext", "pearcey-ext"):
+    rows = [(k, "direct") for k in ("sine-ext", "s1", "s2", "airy-ext", "pearcey-ext")]
+    for kernel, backend in rows + [("airy-ext", "saddle"), ("pearcey-ext", "saddle")]:
         t1, t2, u, v = rng.uniform(-1, 1, size=4)
-        kv = _val(kernel, t1, t2, u, v)
-        assert kv.imag_residual < 1e-9, kernel
+        kv = _val(kernel, t1, t2, u, v, backend=backend)
+        assert kv.imag_residual < 1e-9, (kernel, backend)
 
 
 @given(coord, coord, coord, coord, shift, shift)
@@ -368,6 +378,51 @@ def test_direct_airy_contour_deformation_invariance():
     ]
     for v in vals[1:]:
         assert abs(v - vals[0]) < 1e-9
+
+
+def _whole_contour_kernel(p_zeta, p_omega, zeta, omegas, dt, dx, variance, opts):
+    """A direct kernel integrated over the whole zeta contour, without the
+    conjugate fold: complex values and their estimates."""
+    def prep(c, p):
+        env = lambda z: np.real(p(np.asarray(z)[..., None])).max(axis=-1)
+        return refine_panels(truncate_rays(c, env, opts.ray_truncation_budget), env)
+
+    val, err = integrate_cauchy(p_zeta, p_omega, prep(zeta, p_zeta),
+                                tuple(prep(c, p_omega) for c in omegas), opts)
+    return val / (2j * np.pi) ** 2 - heat_term(dt, dx, variance), err / (4 * np.pi ** 2)
+
+
+def test_conjugate_fold_matches_the_whole_contour():
+    # The direct backend integrates the upper half of each zeta contour and
+    # takes 2 Re; here the whole contours are integrated, so realness is
+    # checked independently of the fold.
+    opts = QuadOptions()
+    rng = np.random.default_rng(20)
+    for _ in range(3):
+        t1, t2 = rng.uniform(-1, 1, 2)
+        u, v = rng.uniform(-3, 3, (2, 5))
+        whole, whole_err = _whole_contour_kernel(
+            lambda z: z ** 3 / 3 - v * z - t2 * z * z,
+            lambda w: -(w ** 3) / 3 + u * w + t1 * w * w,
+            Contour.vee(0.25, np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3)),
+            [Contour.vee(-0.25, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3))],
+            t1 - t2, u - v, "four-pi", opts)
+        val, err = _direct_airy(t1, t2, u, v, opts)
+        assert (np.abs(val - whole) <= err).all()
+        assert (np.abs(whole.imag) <= whole_err).all()
+    for a in (0.0, 0.7, 2.5):
+        t1, t2 = rng.uniform(-1, 1, 2)
+        u, v = rng.uniform(-2, 2, (2, 5))
+        whole, whole_err = _whole_contour_kernel(
+            lambda z: -(z ** 4) / 4 + a * z ** 3 / 3 - 0.5 * t2 * z * z - v * z,
+            lambda w: w ** 4 / 4 - a * w ** 3 / 3 + 0.5 * t1 * w * w + u * w,
+            Contour.vee(0.25, -1j, 1j),
+            [Contour.vee(max(0.5, a), np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)),
+             Contour.vee(-0.25, np.exp(-3j * np.pi / 4), np.exp(3j * np.pi / 4))],
+            t1 - t2, u - v, "two-pi", opts)
+        val, err = _direct_quartic(t1, t2, u, v, a, opts)
+        assert (np.abs(val - whole) <= err).all()
+        assert (np.abs(whole.imag) <= whole_err).all()
 
 
 def test_direct_airy_rejects_swapped_contours():

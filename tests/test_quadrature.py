@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from kernelwave import quadrature
 from kernelwave.quadrature import (
     AccuracyWarning,
     Contour,
@@ -42,6 +43,27 @@ def test_gaussian_on_real_line():
     val, err = integrate_single(lambda z: np.exp(-(z ** 2)), c, opts)
     assert abs(val - SQRT_PI) < 1e-12
     assert abs(val - SQRT_PI) <= max(err, 1e-12)
+
+
+def test_refine_panels_splits_tails_for_length_only(monkeypatch):
+    # With a budget-60 truncation the Gaussian's ray tails fall more than
+    # ln(1/eps) + 1 below the top at the vertex: there the envelope varies
+    # by more than _MAX_ENV_VAR per unit panel, yet panels are split only
+    # down to _MAX_PANEL_LEN.
+    opts = QuadOptions()
+    env = lambda z: np.real(-(z ** 2))
+    clipped = truncate_rays(_gaussian_line(), env, opts.ray_truncation_budget)
+    c = refine_panels(clipped, env)
+    ends = [env(np.array([p.za, p.zb])) for p in c.panels]
+    tails = [e for e in ends if e.max() < -quadrature._TAIL_DROP]
+    assert max(p.length for p in c.panels) <= quadrature._MAX_PANEL_LEN
+    assert any(np.ptp(e) > quadrature._MAX_ENV_VAR for e in tails)
+    # ... so fewer panels than splitting every panel for its variation.
+    monkeypatch.setattr(quadrature, "_TAIL_DROP", np.inf)
+    assert len(c.panels) < len(refine_panels(clipped, env).panels)
+    val, err = integrate_single(lambda z: np.exp(-(z ** 2)), c, opts)
+    assert abs(val - SQRT_PI) < 1e-12
+    assert abs(val - SQRT_PI) <= err
 
 
 @pytest.mark.parametrize("angle", [0.1, -0.35, np.pi / 8])
