@@ -19,14 +19,15 @@ Two evaluation geometries are implemented:
   saddles, parameterized analytically by branch paths (see
   :mod:`kernelwave.phase`), reducing the oscillatory double integral to
   four Gaussian blocks in real coordinates.  The four block maps of each
-  transition come from one table of (branch path, reflection) specs.  The
-  blocks through coincident saddles carry an integrable ``1/(zeta-omega)``
-  singularity handled by a polar substitution, whose octants are Duffy
-  triangles (:func:`~kernelwave.quadrature.polar_rule`); the other two are
-  tensor Gauss rules.  Every coordinate the four blocks need lies in one
-  1-D vector, so per rule each branch path is evaluated once, each map
-  gives one factor per coordinate, and each block is a sum of those
-  factors over the Cauchy kernel ``1/(zeta-omega)``, gathered by index.
+  transition come from one table of (branch path, reflection) specs.  All
+  four blocks are sums on one polar rule over the square, whose octants are
+  Duffy triangles (:func:`~kernelwave.quadrature.polar_rule`): it removes
+  the integrable ``1/(zeta-omega)`` singularity of the two blocks through
+  coincident saddles, and its radial panels follow the Gaussian weight of
+  all four.  Every coordinate the blocks need lies in one 1-D vector, so
+  per rule each branch path is evaluated once, each map gives one factor
+  per coordinate, and each block is a sum of those factors over the
+  Cauchy kernel ``1/(zeta-omega)``, gathered by index.
   The kernel is then (segment variant) + (block sum).  Stable for
   arbitrarily large rescaling parameters.
 
@@ -410,33 +411,17 @@ def _direct_quartic(tau1: float, tau2: float, u, v, a_cubic: float,
 # ---------------------------------------------------------------------------
 
 
-def _graded_boundaries(X: float, s: float, *, first: float = 0.7,
-                       growth: float = 1.6) -> np.ndarray:
-    """One-sided panel boundaries ``0 = b0 < ... <= X`` graded for the
-    Gaussian weight ``exp(-s x**2)``: first panel of width ``first/sqrt(s)``
-    growing geometrically outward."""
-    h = first / np.sqrt(s)
-    bs = [0.0]
-    while bs[-1] < X:
-        bs.append(min(X, bs[-1] + h))
-        h *= growth
-    return np.asarray(bs)
-
-
-def _grid_from_boundaries(bounds: np.ndarray, n: int):
-    """Concatenated GL nodes/weights on each panel [b_k, b_{k+1}]."""
+def _radial_rule(s: float, n: int):
+    """Gauss-Legendre nodes and weights on [0, 1], ``n`` per panel, on panels
+    graded for the Gaussian weight ``exp(-s x**2)``: the first of width
+    ``0.7/sqrt(s)``, each next one 1.6 times wider."""
+    h, bounds = 0.7 / np.sqrt(s), [0.0]
+    while bounds[-1] < 1.0:
+        bounds.append(min(1.0, bounds[-1] + h))
+        h *= 1.6
     xu, wu = gl_unit(n)
-    a = bounds[:-1]
-    h = np.diff(bounds)
-    nodes = (a[:, None] + h[:, None] * xu[None, :]).ravel()
-    weights = (h[:, None] * wu[None, :]).ravel()
-    return nodes, weights
-
-
-def _symmetric_grid(X: float, s: float, n: int):
-    b = _graded_boundaries(X, s)
-    bounds = np.concatenate([-b[::-1], b[1:]])
-    return _grid_from_boundaries(bounds, n)
+    a, h = np.asarray(bounds[:-1])[:, None], np.diff(bounds)[:, None]
+    return (a + h * xu).ravel(), (h * wu).ravel()
 
 
 def _truncation_halfwidth(s: float, budget: float, growth_bound) -> float:
@@ -469,18 +454,20 @@ def _saddle_blocks(paths, specs, s: float, X: float, n: int, tau1: float,
     """The blocks (+,+), (-,-), (+,-) and (-,+) of J on the ``n``-node rule,
     as a (4, queries) array for the arrays ``u`` and ``v``.
 
-    Every coordinate the blocks need is in one vector ``A``: the tensor
-    grid ``xs`` on ``[-X, X]``, and the polar rule's ``p`` and ``q`` (the
-    polar blocks are the eight images of that octant).  Each branch path is
-    evaluated once on ``c = [A, -A]``; a minus map ``x -> R(P(-x))`` at
-    ``c`` is the reflected plus map at the swapped half.  Each map gives,
+    All four blocks are sums over the square ``[-X, X]**2`` on one polar
+    rule: the eight images of the Duffy octant of
+    :func:`~kernelwave.quadrature.polar_rule`, with radial panels graded
+    for the Gaussian.  Every coordinate they need is in one vector ``A``,
+    the rule's ``p`` and ``q``.  Each branch path is evaluated once on
+    ``c = [A, -A]``; a minus map ``x -> R(P(-x))`` at ``c`` is the
+    reflected plus map at the swapped half.  Each map gives,
     ``_SADDLE_BYTES`` at a time, one factor per coordinate and query:
-    ``dz exp(-v z - tau2 z**2 - s c**2)`` or ``dw exp(u w + tau1 w**2 - s c**2)``.
+    ``dz exp(-v z - tau2 z**2 - s c**2)`` or ``dw exp(u w + tau1 w**2 - s c**2)``,
+    gathered once onto the rule's nodes and shared by the two blocks it
+    enters.
     """
-    xs, wx = _symmetric_grid(X, s, n)
-    radial = _grid_from_boundaries(_graded_boundaries(1.0, s * X * X), n)
-    p, q, W = polar_rule(X, n, radial)
-    A = np.concatenate([xs, p, q.ravel()])
+    p, q, W = polar_rule(X, n, _radial_rule(s * X * X, n))
+    A = np.concatenate([p, q.ravel()])
     c = np.concatenate([A, -A])
     at = {name: paths[name].zeta(c, with_derivative=True) for name in ("S", "T")}
     maps = []
@@ -501,25 +488,19 @@ def _saddle_blocks(paths, specs, s: float, X: float, n: int, tau1: float,
             e *= dz[:, None]
             yield e
 
-    nx = xs.size
-    iq = nx + p.size + np.arange(q.size).reshape(q.shape)
-    ix, iy = polar_images(nx + np.arange(p.size), iq, lambda i: i + A.size)
+    iq = p.size + np.arange(q.size).reshape(q.shape)
+    ix, iy = (i.ravel() for i in polar_images(np.arange(p.size), iq, lambda i: i + A.size))
+    W8 = np.tile(W.ravel(), 8)
+    # W / (zeta - omega) on the nodes of the blocks (+,+), (-,-), (+,-) and (-,+).
+    cauchy = [W8 / (z[ix] - w[iy]) for z, w in ((zp, wp), (zm, wm), (zp, wm), (zm, wp))]
 
-    def polar(z, f, w, g):
-        k = (W / (z[ix] - w[iy])).ravel()
-        return np.einsum("k,kb,kb->b", k, np.take(f, ix.ravel(), 0), np.take(g, iy.ravel(), 0))
-
-    def tensor(z, f, w, g):
-        # (wx f)^T C (wx g); waking BLAS threads would cost more than einsum.
-        cg = np.einsum("ij,jb->ib", 1.0 / (z[:nx, None] - w[:nx]), wx[:, None] * g[:nx])
-        return np.einsum("ib,ib->b", wx[:, None] * f[:nx], cg)
-
-    step = max(1, _SADDLE_BYTES // (16 * (4 * c.size + 2 * ix.size)))
+    step = max(1, _SADDLE_BYTES // (16 * (2 * c.size + 4 * ix.size)))
     blocks = np.empty((4, u.size), dtype=complex)
     for j in range(0, u.size, step):
-        fp, fm, gp, gm = factors(u[j:j + step], v[j:j + step])
-        blocks[:, j:j + step] = [polar(zp, fp, wp, gp), polar(zm, fm, wm, gm),
-                                 tensor(zp, fp, wm, gm), tensor(zm, fm, wp, gp)]
+        fp, fm, gp, gm = (np.take(e, i, 0) for e, i in
+                          zip(factors(u[j:j + step], v[j:j + step]), (ix, ix, iy, iy)))
+        blocks[:, j:j + step] = [np.einsum("k,kb,kb->b", k, f, g) for k, f, g in
+                                 zip(cauchy, (fp, fm, fp, fm), (gp, gm, gm, gp))]
     return blocks
 
 
@@ -529,11 +510,13 @@ def _saddle_J(transition: str, a: float, tau1: float, tau2: float,
     at arrays ``u`` and ``v`` that share ``a`` and both times.
 
     The Gaussian scale is ``s = a**beta`` and the mixed blocks carry the
-    transition's oscillation phase (see ``_SADDLE_SPECS``).  Blocks through
-    coincident saddles are polar cells; mixed-saddle blocks are plain tensor
-    Gaussians (the paths stay a distance ~2 / ~sqrt(3) apart).  The queries
-    share one half-width, from the largest ``|u|`` and ``|v|``, and two rules
-    (see :func:`_saddle_blocks`); the estimate sums the rules' differences.
+    transition's oscillation phase (see ``_SADDLE_SPECS``).  All four blocks
+    are polar cells on one rule: the polar substitution removes the
+    singularity of the blocks through coincident saddles, and the
+    mixed-saddle blocks, whose paths stay a distance ~2 / ~sqrt(3) apart,
+    are smooth Gaussians on the same nodes.  The queries share one
+    half-width, from the largest ``|u|`` and ``|v|``, and two rules (see
+    :func:`_saddle_blocks`); the estimate sums the rules' differences.
     """
     t, specs = TRANSITION_TABLE[transition], _SADDLE_SPECS[transition]
     # Called by name from this module's globals: perfbench/spans.py wraps them.
@@ -638,7 +621,7 @@ _HAS_SADDLE = np.array([k in _EMBEDDING for k in KERNEL_NAMES])
 # Direct double-integral queries per integrate_cauchy call: bounds the
 # exponent matrices of one group, about 16 bytes per query and node.
 _GROUP = 256
-# Saddle factor bytes held at once: about 1.3 MB per query (default options).
+# Saddle factor bytes held at once: about 1.8 MB per query (default options).
 _SADDLE_BYTES = 32 << 20
 
 

@@ -23,7 +23,7 @@ general adaptive primitive and the reference it is tested against.
 singularity over a square as the sum over the eight signed or swapped
 images of one octant, a Duffy triangle whose nodes and weights
 :func:`polar_rule` gives (Duffy, SIAM J. Numer. Anal. 19 (1982) 1260-1262).
-The saddle backend's coincident-saddle blocks use that rule directly, with
+The saddle backend's four blocks all use that rule directly, with
 :func:`polar_images` on indices into one coordinate vector.
 
 Integrands must be numpy-vectorized: they are called with broadcasted
@@ -33,6 +33,7 @@ also gets the integral index of each row of points).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,8 +92,10 @@ class QuadOptions:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "nodes_per_panel",
                      "max_refine_depth", "ray_truncation_budget"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"QuadOptions.{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"QuadOptions.{name} must be finite and positive, "
+                                 f"got {value!r}")
 
 
 @dataclass(frozen=True)

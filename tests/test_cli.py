@@ -103,6 +103,15 @@ def test_eval_non_finite_input_exits_1(capsys, kernel, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("option", ["--rel-tol=nan", "--rel-tol=inf", "--abs-tol=nan",
+                                    "--abs-tol=-inf"])
+def test_eval_non_finite_tolerance_exits_1(capsys, option):
+    code, out, err = run(capsys, "eval", "--kernel", "s1", "--tau1", "0.3", "--u", "0.5",
+                         option)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "finite and positive" in err
+
+
 def test_eval_overflowing_integrand_exits_1(capsys):
     # sine-ext's integrand exp(-dt w^2 / 2) overflows for dt = -300
     with warnings.catch_warnings(record=True) as caught:

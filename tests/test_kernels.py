@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import airy as scipy_airy
 
+from airy_oracle import airy_ext_oracle
 from kernelwave.kernels import (
     KernelQuery,
     KernelValue,
@@ -352,6 +353,27 @@ def test_airy_block_matches_scipy_within_its_estimates():
     ratio = np.abs(got - want) / err
     print(f"largest miss / err over the 256-entry block: {ratio.max():.3f}")
     assert (ratio <= 1.0).all()
+
+
+def test_airy_ext_cross_times_match_johansson_oracle():
+    # 30 seeded points, against Johansson's single integral of two Airy
+    # functions by scipy quadrature.  The strip 0 < tau1 - tau2 < 0.3 is
+    # skipped: there the oracle's (-inf, 0] integral decays too slowly.
+    rng = np.random.default_rng(21)
+    points = []
+    while len(points) < 30:
+        t1, t2, u, v = rng.uniform(-1.0, 1.0, 2).tolist() + rng.uniform(-3.0, 3.0, 2).tolist()
+        if not 0.0 < t1 - t2 < 0.3:
+            points.append((t1, t2, u, v))
+    want, want_err = np.array([airy_ext_oracle(*p) for p in points]).T
+    assert 5 <= sum(t1 > t2 for t1, t2, _, _ in points) <= 25  # both of its integrals
+    for backend in ("direct", "saddle"):
+        batch = eval_kernels([KernelQuery("airy-ext", *p, backend=backend) for p in points])
+        got = np.array([kv.value for kv in batch])
+        err = np.array([kv.error_estimate for kv in batch])
+        ratio = np.abs(got - want) / (err + want_err)
+        print(f"{backend}: largest miss / (err + oracle err) {ratio.max():.3f}")
+        assert (ratio <= 1.0).all(), backend
 
 
 def test_direct_airy_fails_fast_at_large_negative_times():

@@ -130,6 +130,10 @@ def test_quad_options_validation():
         QuadOptions(rel_tol=-1e-10)
     with pytest.raises(ValueError):
         QuadOptions(nodes_per_panel=0)
+    for name in ("rel_tol", "abs_tol", "ray_truncation_budget"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                QuadOptions(**{name: value})
 
 
 def test_accuracy_warning_on_exhausted_refinement():
