@@ -10,7 +10,7 @@ the predicted decay rates by residual slope studies.
 Public surface
 --------------
 ``quadrature``  contour primitives and adaptive Gauss--Legendre integration
-``phase``       polynomial phases, saddles, steepest paths, branch maps
+``phase``       polynomial phases, saddles, level curves, branch maps
 ``kernels``     kernel evaluation, rescaled left-hand sides, exact relations
 ``cseries``     truncated power-series arithmetic in one and two variables
 ``expansion``   amplitude coefficients, Gaussian moments, partial sums
@@ -66,14 +66,12 @@ from .kernels import (
 )
 from .phase import (
     BranchPath,
-    PathPolyline,
     PhaseSpec,
     airy_branch_paths,
     export_level_curve,
     make_branch_path,
     make_phase,
     pearcey_branch_paths,
-    trace_steepest,
 )
 from .quadrature import (
     AccuracyWarning,
@@ -114,8 +112,8 @@ __all__ = [
     "Contour", "truncate_rays", "refine_panels", "integrate_single",
     "integrate_double", "integrate_cauchy",
     # phase
-    "PhaseSpec", "make_phase", "PathPolyline", "trace_steepest",
-    "export_level_curve", "BranchPath", "make_branch_path",
+    "PhaseSpec", "make_phase", "export_level_curve", "BranchPath",
+    "make_branch_path",
     "airy_branch_paths", "pearcey_branch_paths",
     # kernels
     "KERNEL_NAMES", "BACKENDS", "KernelQuery", "KernelValue", "QueryError",

@@ -55,7 +55,7 @@ from .kernels import (
     eval_columns,
 )
 from .kernels import eval_kernel  # noqa: F401  (perfbench/spans.py traces this name)
-from .phase import export_level_curve, make_phase, trace_steepest
+from .phase import export_level_curve, make_branch_path, make_phase
 from .quadrature import GeometryError, QuadOptions
 from .verify import (
     ACCEPTANCE_WINDOWS,
@@ -94,6 +94,32 @@ def _parse_point(text: str) -> tuple[float, float, float, float]:
 
 def _parse_floats(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p.strip()]
+
+
+def _finite_float(text: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def _positive_float(text: str) -> float:
+    x = _finite_float(text)
+    if x <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return x
+
+
+def _parse_window(text: str) -> tuple[float, float, float, float]:
+    """'xmin,xmax,ymin,ymax': four finite values bounding a non-empty box."""
+    with contextlib.suppress(ValueError):
+        x0, x1, y0, y1 = (float(p) for p in text.split(","))
+        if np.all(np.isfinite([x0, x1, y0, y1])) and x0 < x1 and y0 < y1:
+            return x0, x1, y0, y1
+    raise argparse.ArgumentTypeError(
+        f"must be xmin,xmax,ymin,ymax, finite, with xmin < xmax and "
+        f"ymin < ymax; got {text!r}"
+    )
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -378,13 +404,24 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 # trace
 # ---------------------------------------------------------------------------
 
-_SADDLES = {
-    ("airy", "upper"): (1j, np.pi / 4, 3 * np.pi / 4),
-    ("airy", "lower"): (-1j, -np.pi / 4, -3 * np.pi / 4),
-    ("pearcey", "upper"): (np.exp(1j * np.pi / 3), 7 * np.pi / 6, 2 * np.pi / 3),
-    ("pearcey", "lower"): (np.exp(-1j * np.pi / 3), 5 * np.pi / 6, -2 * np.pi / 3),
-    ("pearcey", "real"): (-1.0 + 0j, np.pi / 2, 0.0),
-}
+_SADDLE_NAMES = ("upper", "lower", "real")  # in the order of PhaseSpec.saddles
+_RAY_DX = 0.01
+_RAY_BUDGET = 60.0  # largest |Re f - level| a ray reaches; it is x**2 there
+
+
+def _rays(phase, saddle: complex, max_arclength: float):
+    """The descent and ascent branch paths through ``saddle``, each split
+    at ``x = 0`` into two rays, sampled every ``_RAY_DX`` in ``x``."""
+    xs = _RAY_DX * np.arange(int(np.sqrt(_RAY_BUDGET) / _RAY_DX) + 1)
+    for sigma in (-1, +1):
+        path = make_branch_path(
+            phase, saddle, sigma, np.sqrt(2 * sigma / phase.ddf(saddle)),
+            x_max=xs[-1] + _RAY_DX,
+        )
+        for x in (xs, -xs):
+            z = path.zeta(x)
+            arclength = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(z)))))
+            yield z[arclength <= max_arclength]
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -392,35 +429,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise ValueError("trace needs --phase")
     kind = "airy-cubic" if args.phase == "airy" else "pearcey-quartic"
     phase = make_phase(kind)
-    buf = StringIO()
     if args.mode == "level":
-        window = tuple(args.window)
-        segments = export_level_curve(phase, args.level_im, window=window)
-        for seg in segments:
-            for z in seg:
-                buf.write(f"{_g(z.real)} {_g(z.imag)}\n")
-            buf.write("\n")
+        segments = export_level_curve(phase, args.level_im, window=args.window)
     else:
-        key = (args.phase, args.level)
-        if key not in _SADDLES:
+        k = _SADDLE_NAMES.index(args.level)
+        if k >= len(phase.saddles):
             raise ValueError(
                 f"no saddle named {args.level!r} for phase {args.phase!r}"
             )
-        saddle, desc_angle, asc_angle = _SADDLES[key]
-        rays = [
-            (desc_angle, True),
-            (desc_angle + np.pi, True),
-            (asc_angle, False),
-            (asc_angle + np.pi, False),
-        ]
-        for angle, descent in rays:
-            path = trace_steepest(
-                phase, saddle, angle, descent=descent,
-                max_arclength=args.max_arclength,
-            )
-            for z in path.points:
-                buf.write(f"{_g(z.real)} {_g(z.imag)}\n")
-            buf.write("\n")
+        segments = _rays(phase, phase.saddles[k], args.max_arclength)
+    buf = StringIO()
+    for seg in segments:
+        for z in seg:
+            buf.write(f"{_g(z.real)} {_g(z.imag)}\n")
+        buf.write("\n")
     _write_output(args, buf.getvalue())
     return 0
 
@@ -563,11 +585,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     st = add("trace", "steepest-path rays or level curves")
     _add_output(st)
     st.add_argument("--phase", choices=("airy", "pearcey"))
-    st.add_argument("--level", choices=("upper", "lower", "real"), default="upper")
+    st.add_argument("--level", choices=_SADDLE_NAMES, default="upper")
     st.add_argument("--mode", choices=("rays", "level"), default="rays")
-    st.add_argument("--level-im", type=float, default=0.0)
-    st.add_argument("--window", type=_parse_floats, default=[-4.0, 4.0, -4.0, 4.0])
-    st.add_argument("--max-arclength", type=float, default=8.0)
+    st.add_argument("--level-im", type=_finite_float, default=0.0)
+    st.add_argument("--window", type=_parse_window, default=(-4.0, 4.0, -4.0, 4.0))
+    st.add_argument("--max-arclength", type=_positive_float, default=8.0)
 
     sv = add("verify", "residual rate studies")
     _add_output(sv, "json")

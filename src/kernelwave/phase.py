@@ -5,10 +5,8 @@ contour integrals evaluated elsewhere in the package.  This module knows how
 to
 
 * describe the two built-in phases (cubic and quartic) together with their
-  saddle points and the constant levels ``f(saddle)``,
-* trace numerically exact steepest descent/ascent curves through a saddle by
-  integrating the unit-speed descent flow with Newton projection back onto
-  the level set of ``Im f``,
+  saddle points,
+* sample a level set of ``Im f`` for plotting,
 * construct *branch paths*: analytic reparameterizations ``x -> zeta(x)`` of
   a descent curve defined by ``f(zeta(x)) - f(saddle) = sigma * x**2``,
   continued globally in the real parameter ``x`` by dense Newton marching
@@ -21,7 +19,8 @@ to
 
 The branch paths are what the saddle-point integrators consume: they turn
 oscillatory contour integrals into real-line Gaussian integrals with smooth
-amplitudes.
+amplitudes.  They are the steepest descent/ascent curves through a saddle,
+so ``kernelwave trace`` samples them too.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from .cseries import (
 __all__ = [
     "PhaseSpec",
     "make_phase",
-    "PathPolyline",
-    "trace_steepest",
     "export_level_curve",
     "BranchPath",
     "make_branch_path",
@@ -79,23 +76,17 @@ class PhaseSpec:
 
     Attributes
     ----------
-    kind:
-        ``"airy-cubic"``, ``"pearcey-quartic"`` or ``"custom-polynomial"``.
     coeffs:
-        Ascending complex coefficients of ``f``.
+        Ascending coefficients of ``f``.
     saddles:
         Roots of ``f'`` relevant to the steepest-descent decomposition.
-    levels:
-        ``f(saddle)`` for each saddle, in matching order.
 
     The coefficients of ``f'`` and ``f''`` are derived once, so ``f``,
     ``df`` and ``ddf`` are plain Horner evaluations.
     """
 
-    kind: str
     coeffs: tuple[complex, ...]
     saddles: tuple[complex, ...]
-    levels: tuple[complex, ...]
     dcoeffs: tuple = field(init=False, repr=False, compare=False)
     ddcoeffs: tuple = field(init=False, repr=False, compare=False)
 
@@ -113,13 +104,12 @@ class PhaseSpec:
         return _horner(self.ddcoeffs, z)
 
 
-def make_phase(kind: str, coeffs=None) -> PhaseSpec:
-    """Build a :class:`PhaseSpec` for one of the supported phase kinds.
+def make_phase(kind: str) -> PhaseSpec:
+    """Build the :class:`PhaseSpec` of one of the two built-in phases.
 
     ``"airy-cubic"`` is ``f(z) = z**3/3 + z`` with saddles ``±i``;
     ``"pearcey-quartic"`` is ``f(z) = z**4/4 + z`` with saddles
-    ``exp(±i*pi/3)`` and ``-1``.  ``"custom-polynomial"`` accepts explicit
-    ascending coefficients and computes the saddle set from ``f'``.
+    ``exp(±i*pi/3)`` and ``-1``.
     """
     if kind == "airy-cubic":
         c = (0.0, 1.0, 0.0, 1.0 / 3.0)
@@ -127,100 +117,14 @@ def make_phase(kind: str, coeffs=None) -> PhaseSpec:
     elif kind == "pearcey-quartic":
         c = (0.0, 1.0, 0.0, 0.0, 0.25)
         saddles = (np.exp(1j * np.pi / 3), np.exp(-1j * np.pi / 3), -1.0 + 0j)
-    elif kind == "custom-polynomial":
-        if coeffs is None:
-            raise ValueError("custom-polynomial requires explicit coeffs")
-        c = tuple(complex(x) for x in coeffs)
-        saddles = tuple(np.roots(_derivative(c)[::-1]).astype(complex))
     else:
         raise ValueError(f"unknown phase kind {kind!r}")
-    levels = tuple(complex(_horner(c, s)) for s in saddles)
-    return PhaseSpec(kind=kind, coeffs=c, saddles=tuple(map(complex, saddles)), levels=levels)
+    return PhaseSpec(coeffs=c, saddles=tuple(map(complex, saddles)))
 
 
 # ---------------------------------------------------------------------------
-# Steepest descent tracing
+# Level curves
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathPolyline:
-    """A traced path: points ``z[k]`` with cumulative arclength ``s[k]``."""
-
-    points: np.ndarray
-    arclength: np.ndarray
-    saddle: complex
-    direction: int  # +1 descent of Re f decreasing? see trace_steepest
-
-
-def trace_steepest(
-    phase: PhaseSpec,
-    saddle: complex,
-    branch_angle: float,
-    *,
-    descent: bool = True,
-    step: float = 1e-2,
-    max_arclength: float = 12.0,
-    decay_budget: float = 60.0,
-) -> PathPolyline:
-    """Trace one steepest descent (or ascent) ray out of a saddle.
-
-    The curve solves ``dz/ds = ± conj(f'(z))/|f'(z)|`` which keeps ``Im f``
-    constant while ``Re f`` decreases (descent, ``+`` sign with our
-    convention below) or increases.  ``branch_angle`` selects which of the
-    rays leaving the saddle to follow: the first step leaves the saddle in
-    direction ``exp(i*branch_angle)``.
-
-    Integration is fourth-order Runge-Kutta with a Newton projection after
-    every step that restores ``Im f(z) = Im f(saddle)`` to machine accuracy.
-    Tracing stops at ``max_arclength`` or once ``|Re f - Re f(saddle)|``
-    exceeds ``decay_budget``.
-    """
-    level = complex(phase.f(saddle))
-    sign = -1.0 if descent else 1.0
-
-    def velocity(z):
-        d = phase.df(z)
-        a = abs(d)
-        if a < 1e-14:
-            # At (or extremely near) the saddle the flow is singular; nudge
-            # along the requested branch direction instead.
-            return np.exp(1j * branch_angle)
-        # dz/ds = sign * conj(f') / |f'|  gives d(Re f)/ds = sign * |f'|.
-        return sign * np.conj(d) / a
-
-    # Launch slightly off the saddle along the requested ray.
-    z = saddle + 1e-4 * np.exp(1j * branch_angle)
-    pts = [saddle, z]
-    arcs = [0.0, 1e-4]
-    s = 1e-4
-    while s < max_arclength:
-        h = step
-        k1 = velocity(z)
-        k2 = velocity(z + 0.5 * h * k1)
-        k3 = velocity(z + 0.5 * h * k2)
-        k4 = velocity(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        # Newton projection: move along i*conj(f') to fix Im f.
-        for _ in range(3):
-            d = phase.df(z)
-            a2 = abs(d) ** 2
-            if a2 < 1e-20:
-                break
-            t = (level.imag - complex(phase.f(z)).imag) / a2
-            z = z + 1j * t * np.conj(d)
-        s += h
-        pts.append(z)
-        arcs.append(s)
-        drop = complex(phase.f(z)).real - level.real
-        if (descent and drop < -decay_budget) or (not descent and drop > decay_budget):
-            break
-    return PathPolyline(
-        points=np.asarray(pts, dtype=complex),
-        arclength=np.asarray(arcs, dtype=float),
-        saddle=complex(saddle),
-        direction=-1 if descent else 1,
-    )
 
 
 def export_level_curve(
@@ -232,10 +136,10 @@ def export_level_curve(
 ) -> list[np.ndarray]:
     """Sample the level set ``Im f(z) = level_im`` inside a window.
 
-    Returns a list of point arrays, one per horizontal grid sweep, located
-    by sign changes of ``Im f - level_im`` along grid columns followed by
-    one bisection refinement.  Intended for diagnostic plotting / tracing
-    output, not for quadrature.
+    Returns a list of point arrays, one per grid column that the curve
+    crosses.  Each point sits between two vertical neighbours of the
+    ``n``-by-``n`` grid where ``Im f - level_im`` changes sign, placed by
+    one linear interpolation.  Intended for plotting, not for quadrature.
     """
     x0, x1, y0, y1 = window
     xs = np.linspace(x0, x1, n)

@@ -14,6 +14,7 @@ from kernelwave import cli
 from kernelwave.cli import main
 from kernelwave.expansion import fluc_s1
 from kernelwave.kernels import BACKENDS, KERNEL_NAMES, KernelQuery, eval_kernels
+from kernelwave.phase import make_phase
 
 
 def run(capsys, *argv):
@@ -481,6 +482,49 @@ def test_trace_level_mode(capsys):
 def test_trace_rejects_unknown_saddle(capsys):
     code, _, err = run(capsys, "trace", "--phase", "airy", "--level", "real")
     assert code == 1 and "saddle" in err
+
+
+def _rays(out: str) -> list[np.ndarray]:
+    return [np.array([complex(*map(float, line.split())) for line in block.splitlines()])
+            for block in out.split("\n\n") if block.strip()]
+
+
+@pytest.mark.parametrize("phase,level", [
+    ("airy", "upper"), ("airy", "lower"),
+    ("pearcey", "upper"), ("pearcey", "lower"), ("pearcey", "real"),
+])
+def test_trace_rays_are_steepest_paths(capsys, phase, level):
+    ph = make_phase("airy-cubic" if phase == "airy" else "pearcey-quartic")
+    saddle = ph.saddles[("upper", "lower", "real").index(level)]
+    f0 = ph.f(saddle)
+    for max_arclength in ("8", "3"):
+        code, out, _ = run(capsys, "trace", "--phase", phase, "--level", level,
+                           "--max-arclength", max_arclength)
+        assert code == 0
+        rays = _rays(out)
+        assert len(rays) == 4
+        for k, z in enumerate(rays):
+            assert z[0] == saddle
+            f = ph.f(z)
+            assert np.max(np.abs(f.imag - f0.imag)) < 1e-12 * (1 + abs(f0))
+            assert np.max(np.abs(f.real - f0.real)) < 60 + 1e-9  # the decay budget
+            # two descent rays, then two ascent rays
+            assert np.all(np.diff(f.real) < 0 if k < 2 else np.diff(f.real) > 0)
+            assert np.sum(np.abs(np.diff(z))) <= float(max_arclength)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--max-arclength", "nan"], "--max-arclength"),
+    (["--max-arclength", "-1"], "--max-arclength"),
+    (["--mode", "level", "--window=nan,2,0,1"], "--window"),
+    (["--mode", "level", "--window=2,-2,0,1"], "--window"),
+    (["--mode", "level", "--window=1,2"], "--window"),
+    (["--mode", "level", "--level-im", "nan"], "--level-im"),
+], ids=["arclength-nan", "arclength-negative", "window-nan", "window-reversed",
+        "window-two-values", "level-im-nan"])
+def test_trace_rejects_bad_numbers(capsys, argv, flag):
+    code, out, err = run(capsys, "trace", "--phase", "airy", *argv)
+    assert code == 1 and out == "" and flag in err
 
 
 # ---------------------------------------------------------------------------
