@@ -429,15 +429,23 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise ValueError("trace needs --phase")
     kind = "airy-cubic" if args.phase == "airy" else "pearcey-quartic"
     phase = make_phase(kind)
+    # The flags of one mode default to None, so one given to the other mode shows.
+    foreign = {"rays": {"--level-im": args.level_im, "--window": args.window},
+               "level": {"--level": args.level, "--max-arclength": args.max_arclength}}
+    given = [flag for flag, value in foreign[args.mode].items() if value is not None]
+    if given:
+        raise ValueError(f"--mode {args.mode} takes no {', '.join(given)}")
     if args.mode == "level":
-        segments = export_level_curve(phase, args.level_im, window=args.window)
+        level_im = 0.0 if args.level_im is None else args.level_im
+        window = (-4.0, 4.0, -4.0, 4.0) if args.window is None else args.window
+        segments = export_level_curve(phase, level_im, window=window)
     else:
-        k = _SADDLE_NAMES.index(args.level)
+        level = args.level or "upper"
+        k = _SADDLE_NAMES.index(level)
         if k >= len(phase.saddles):
-            raise ValueError(
-                f"no saddle named {args.level!r} for phase {args.phase!r}"
-            )
-        segments = _rays(phase, phase.saddles[k], args.max_arclength)
+            raise ValueError(f"no saddle named {level!r} for phase {args.phase!r}")
+        segments = _rays(phase, phase.saddles[k],
+                         8.0 if args.max_arclength is None else args.max_arclength)
     buf = StringIO()
     for seg in segments:
         for z in seg:
@@ -585,11 +593,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     st = add("trace", "steepest-path rays or level curves")
     _add_output(st)
     st.add_argument("--phase", choices=("airy", "pearcey"))
-    st.add_argument("--level", choices=_SADDLE_NAMES, default="upper")
+    st.add_argument("--level", choices=_SADDLE_NAMES)
     st.add_argument("--mode", choices=("rays", "level"), default="rays")
-    st.add_argument("--level-im", type=_finite_float, default=0.0)
-    st.add_argument("--window", type=_parse_window, default=(-4.0, 4.0, -4.0, 4.0))
-    st.add_argument("--max-arclength", type=_positive_float, default=8.0)
+    st.add_argument("--level-im", type=_finite_float)
+    st.add_argument("--window", type=_parse_window)
+    st.add_argument("--max-arclength", type=_positive_float)
 
     sv = add("verify", "residual rate studies")
     _add_output(sv, "json")

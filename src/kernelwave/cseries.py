@@ -3,7 +3,8 @@
 Univariate series are used to represent locally analytic branch functions
 ``g`` solving ``f(g(x)) - level = sign * x**2`` near a simple saddle of a
 polynomial phase ``f``; bivariate series carry the amplitude functions whose
-Taylor coefficients drive the asymptotic expansions.  All operations are
+Taylor coefficients drive the asymptotic expansions, and need only a
+reciprocal and its product with two univariate factors.  All operations are
 exact-order: coefficients beyond ``order`` are never read or written.
 """
 
@@ -231,51 +232,21 @@ class TruncatedSeries2:
         object.__setattr__(self, "coeffs", c)
 
 
-def s2_from_x(a: TruncatedSeries1) -> TruncatedSeries2:
-    """Embed a univariate series as a function of x alone."""
-    n = a.order
-    c = np.zeros((n + 1, n + 1), dtype=complex)
-    c[:, 0] = a.coeffs
-    return TruncatedSeries2(n, c)
+def s2_outer_mul(
+    p: TruncatedSeries1, q: TruncatedSeries1, r: TruncatedSeries2
+) -> TruncatedSeries2:
+    """Product p(x) * q(y) * r(x, y) truncated at total degree <= order.
 
-
-def s2_from_y(a: TruncatedSeries1) -> TruncatedSeries2:
-    """Embed a univariate series as a function of y alone."""
-    n = a.order
-    c = np.zeros((n + 1, n + 1), dtype=complex)
-    c[0, :] = a.coeffs
-    return TruncatedSeries2(n, c)
-
-
-def s2_outer(ax: TruncatedSeries1, by: TruncatedSeries1) -> TruncatedSeries2:
-    """Product f(x) * g(y) as a bivariate series."""
-    _check_orders(ax, by)
-    return TruncatedSeries2(ax.order, np.outer(ax.coeffs, by.coeffs))
-
-
-def s2_add(a: TruncatedSeries2, b: TruncatedSeries2) -> TruncatedSeries2:
-    if a.order != b.order:
-        raise SeriesUsageError(f"order mismatch: {a.order} != {b.order}")
-    return TruncatedSeries2(a.order, a.coeffs + b.coeffs)
-
-
-def s2_scale(a: TruncatedSeries2, factor: complex) -> TruncatedSeries2:
-    return TruncatedSeries2(a.order, a.coeffs * factor)
-
-
-def s2_mul(a: TruncatedSeries2, b: TruncatedSeries2) -> TruncatedSeries2:
-    """2D Cauchy product truncated at total degree <= order."""
-    if a.order != b.order:
-        raise SeriesUsageError(f"order mismatch: {a.order} != {b.order}")
-    n = a.order
-    out = np.zeros((n + 1, n + 1), dtype=complex)
-    for i in range(n + 1):
-        row = a.coeffs[i]
-        for j in range(n + 1 - i):
-            v = row[j]
-            if v != 0.0:
-                out[i:, j:] += v * b.coeffs[: n + 1 - i, : n + 1 - j]
-    return TruncatedSeries2(n, out)
+    It is the matrix product ``T(p) r T(q)^T``, masked, where ``T(a)`` is the
+    lower-triangular Toeplitz matrix of ``a`` (multiplication by ``a``).
+    """
+    _check_orders(p, q)
+    if p.order != r.order:
+        raise SeriesUsageError(f"order mismatch: {p.order} != {r.order}")
+    k = np.arange(r.order + 1)
+    d = k[:, None] - k[None, :]
+    tp, tq = (np.where(d >= 0, a.coeffs[d], 0.0) for a in (p, q))
+    return TruncatedSeries2(r.order, tp @ r.coeffs @ tq.T)
 
 
 def s2_reciprocal(a: TruncatedSeries2) -> TruncatedSeries2:

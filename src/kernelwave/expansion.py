@@ -6,7 +6,9 @@ parameter ``a``.  Each correction term is a finite combination of
 
 * *amplitude coefficients* ``b_{k,l}`` and ``c_{k,l}`` — Taylor coefficients
   of two bivariate analytic functions built from the branch series of the
-  cubic/quartic phase (:func:`build_amplitudes`),
+  cubic/quartic phase (:func:`build_amplitudes`); each is a function of x
+  times a function of y over one bivariate denominator, so it is assembled
+  from two univariate series and that denominator's reciprocal,
 * *Gaussian moments* ``B_{k,l}`` and ``C_k`` — universal constants from
   integrating monomials (times a half-plane splitting factor) against
   ``exp(-x**2-y**2)`` (:func:`gauss_moment_B`, :func:`gauss_moment_C`),
@@ -39,13 +41,8 @@ from .cseries import (
     s1_from_coeffs,
     s1_mul,
     s1_scale,
-    s2_add,
-    s2_from_x,
-    s2_from_y,
-    s2_mul,
-    s2_outer,
+    s2_outer_mul,
     s2_reciprocal,
-    s2_scale,
     solve_branch,
 )
 from .kernels import KernelQuery, eval_kernel
@@ -219,33 +216,33 @@ def _amplitude_block(
     tau2: float,
     order: int,
     divided_difference: bool,
-    dd_lambda: complex = 1.0,
 ) -> TruncatedSeries2:
     """Assemble one amplitude as a bivariate series.
 
     The block is ``exp{-v*zeta - tau2*zeta^2 + u*omega + tau1*omega^2} *
     zeta'(x) * omega'(y) / denominator`` where ``zeta(x) = zeta_sign *
     g(zeta_w * x)`` and ``omega(y) = omega_sign * omega_g(omega_w * y)``.
+    All of it but the denominator is a function of x times a function of y,
+    so the block is ``p(x) * q(y)`` times the reciprocal of the denominator,
+    the one bivariate series that is inverted.
 
     For ``divided_difference=True`` the denominator is ``(zeta - omega)``
-    divided by its vanishing linear factor: the quotient series is formed
-    coefficientwise from g's coefficients (never by dividing by ``x - i y``),
-    carries the nonzero constant term ``dd_lambda * zeta_sign * g'(0)`` and
-    is inverted as a regular power series.  Otherwise the denominator is
-    ``zeta - omega`` itself, whose constant term (the saddle separation) is
-    nonzero.
+    divided by its vanishing linear factor ``x - (omega_w/zeta_w) y``: the
+    quotient series is formed coefficientwise from g's coefficients (never
+    by dividing by the linear factor), carries the nonzero constant term
+    ``zeta_w * zeta_sign * g'(0)`` and is inverted as a regular power
+    series.  Otherwise the denominator is ``zeta - omega`` itself, whose
+    constant term (the saddle separation) is nonzero.
     """
     zeta = _substituted(g_full, zeta_sign, zeta_w, order)
     omega = _substituted(omega_g, omega_sign, omega_w, order)
-    jac_x = _jacobian(g_full, zeta_sign, zeta_w, order)
-    jac_y = _jacobian(omega_g, omega_sign, omega_w, order)
-
-    # The exponent is an x-only plus a y-only series, so its exponential is
-    # the outer product of two univariate exponentials.
     e_x = s1_add(s1_scale(zeta, -v), s1_scale(s1_mul(zeta, zeta), -tau2))
     e_y = s1_add(s1_scale(omega, u), s1_scale(s1_mul(omega, omega), tau1))
     e00 = complex(e_x.coeffs[0] + e_y.coeffs[0])
-    expf = s2_scale(s2_outer(_exp_centered(e_x), _exp_centered(e_y)), np.exp(e00))
+    jac_x = _jacobian(g_full, zeta_sign, zeta_w, order)
+    jac_y = _jacobian(omega_g, omega_sign, omega_w, order)
+    p = s1_scale(s1_mul(_exp_centered(e_x), jac_x), np.exp(e00))
+    q = s1_mul(_exp_centered(e_y), jac_y)
 
     if divided_difference:
         if zeta_sign != omega_sign or omega_g is not g_full:
@@ -253,22 +250,20 @@ def _amplitude_block(
                 "divided-difference form requires both substitutions to use the "
                 "same branch series and overall sign"
             )
-        # (zeta - omega) / (zeta_w*x - omega_w*y), coefficientwise:
-        # coefficient (j, m) is a_{j+m+1} * zeta_w**j * omega_w**m, scaled by
-        # the overall branch sign; dd_lambda folds the linear factor back to
-        # the normalized form (x -+ i y) used by the moment integrals.
-        a = g_full.coeffs
-        den = np.zeros((order + 1, order + 1), dtype=complex)
-        for j in range(order + 1):
-            m = np.arange(0, order + 1 - j)
-            den[j, : order + 1 - j] = a[j + m + 1] * zeta_w**j * omega_w**m
-        den *= dd_lambda * zeta_sign
-        factor = s2_reciprocal(TruncatedSeries2(order, den))
+        # (zeta - omega) / (x - (omega_w/zeta_w) y), coefficientwise:
+        # coefficient (j, m) is a_{j+m+1} * zeta_w**j * omega_w**m, times
+        # zeta_w and the overall branch sign.  The linear factor is the
+        # x -+ i y of the moment integrals.  Entries past total degree
+        # ``order`` read zero padding and are masked.
+        k = np.arange(order + 1)
+        a = np.append(g_full.coeffs, np.zeros(order))
+        den = a[k[:, None] + k[None, :] + 1] * np.outer(zeta_w**k, omega_w**k)
+        den *= zeta_w * zeta_sign
     else:
-        diff = s2_add(s2_from_x(zeta), s2_scale(s2_from_y(omega), -1.0))
-        factor = s2_reciprocal(diff)
-
-    return s2_mul(s2_mul(expf, s2_outer(jac_x, jac_y)), factor)
+        den = np.zeros((order + 1, order + 1), dtype=complex)
+        den[:, 0] = zeta.coeffs
+        den[0, :] -= omega.coeffs
+    return s2_outer_mul(p, q, s2_reciprocal(TruncatedSeries2(order, den)))
 
 
 def build_amplitudes(
@@ -293,25 +288,33 @@ def build_amplitudes(
         )
     if not 0 <= order <= _MAX_ORDER:
         raise SeriesUsageError(f"order must lie in [0, {_MAX_ORDER}]")
+    point = (float(u), float(v), float(tau1), float(tau2))
+    for name, x in zip(("u", "v", "tau1", "tau2"), point):
+        if not math.isfinite(x):
+            raise SeriesUsageError(f"{name} must be finite, got {x!r}")
     g = _branch_series(transition, order + 1)
 
-    def block(xg, zs, zw, og, os_, ow, dd, lam=1.0):
-        return _amplitude_block(
-            xg, zs, zw, og, os_, ow, u, v, tau1, tau2, order, dd, lam
-        )
+    def block(xg, zs, zw, og, os_, ow, dd):
+        # A point far out overflows the exponentials; the result is checked below.
+        with np.errstate(all="ignore"):
+            return _amplitude_block(xg, zs, zw, og, os_, ow, u, v, tau1, tau2, order, dd)
 
     if transition == "airy-to-s1":
-        b = block(g, +1.0, 1.0, g, +1.0, 1j, True, 1.0)
+        b = block(g, +1.0, 1.0, g, +1.0, 1j, True)
         c = block(g, +1.0, 1.0, g, -1.0, -1.0, False)
-        b_star = block(g, -1.0, -1j, g, -1.0, -1.0, True, -1j)
+        b_star = block(g, -1.0, -1j, g, -1.0, -1.0, True)
         c_star = block(g, -1.0, -1j, g, +1.0, 1j, False)
     else:
         gbar = conjugate_coeffs(g)
-        b = block(g, +1.0, 1.0, g, +1.0, 1j, True, 1.0)
+        b = block(g, +1.0, 1.0, g, +1.0, 1j, True)
         c = block(g, +1.0, 1.0, gbar, +1.0, 1j, False)
-        b_star = block(gbar, +1.0, -1.0, gbar, +1.0, 1j, True, -1.0)
+        b_star = block(gbar, +1.0, -1.0, gbar, +1.0, 1j, True)
         c_star = block(gbar, +1.0, -1.0, g, +1.0, 1j, False)
 
+    if not all(np.isfinite(s.coeffs).all() for s in (b, c, b_star, c_star)):
+        raise SeriesUsageError(
+            f"amplitude coefficients overflow at (u, v, tau1, tau2) = {point}"
+        )
     return ExpansionCoefficients(
         transition=transition,
         order=order,
@@ -319,7 +322,7 @@ def build_amplitudes(
         c=c,
         b_star=b_star,
         c_star=c_star,
-        at_point=(float(u), float(v), float(tau1), float(tau2)),
+        at_point=point,
     )
 
 

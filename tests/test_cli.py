@@ -456,6 +456,21 @@ def test_expand_requires_point(capsys):
         assert code == 1 and out == "" and err.startswith("error:"), extra
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["coeffs", "--point=nan,0,0,0", "--order", "2"], "u must be finite"),
+    (["coeffs", "--point=0,0,1e200,0", "--order", "2"], "overflow"),
+    (["expand", "--point=1e200,0,0,0", "--N", "1", "--a", "6"], "overflow"),
+    (["expand", "--point=inf,0,0,0", "--a", "6"], "u must be finite"),
+], ids=["coeffs-nan", "coeffs-overflow", "expand-overflow", "expand-inf"])
+def test_coefficients_reject_non_finite_points(capsys, argv, named):
+    # A NaN table is not JSON and an overflowed partial sum is garbage: both exit 1.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv[0], "--transition", "airy", *argv[1:])
+    assert code == 1 and out == "" and named in err
+    assert not caught, [str(w.message) for w in caught]
+
+
 # ---------------------------------------------------------------------------
 # trace
 # ---------------------------------------------------------------------------
@@ -525,6 +540,23 @@ def test_trace_rays_are_steepest_paths(capsys, phase, level):
 def test_trace_rejects_bad_numbers(capsys, argv, flag):
     code, out, err = run(capsys, "trace", "--phase", "airy", *argv)
     assert code == 1 and out == "" and flag in err
+
+
+@pytest.mark.parametrize("argv,config,named", [
+    (["--mode", "level", "--level", "real"], "", "--level"),
+    (["--mode", "level", "--max-arclength", "3"], "", "--max-arclength"),
+    (["--window=1,2,3,4", "--level-im", "5"], "", "--level-im, --window"),
+    (["--mode", "rays"], "window=-2,2,0.1,2\n", "--window"),
+    ([], "mode=level\nlevel=upper\n", "--level"),
+], ids=["level-with-saddle", "level-with-arclength", "rays-with-window",
+        "config-rays-with-window", "config-level-with-saddle"])
+def test_trace_rejects_the_other_modes_flags(capsys, tmp_path, argv, config, named):
+    if config:
+        cfg = tmp_path / "trace.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run(capsys, "trace", "--phase", "airy", *argv)
+    assert code == 1 and out == "" and named in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.signal import convolve2d
 
 from kernelwave.cseries import (
     BranchError,
@@ -23,11 +24,7 @@ from kernelwave.cseries import (
     s1_exp,
     s1_from_coeffs,
     s1_mul,
-    s2_add,
-    s2_from_x,
-    s2_from_y,
-    s2_mul,
-    s2_outer,
+    s2_outer_mul,
     s2_reciprocal,
     solve_branch,
 )
@@ -176,33 +173,42 @@ def test_solve_branch_rejects_inconsistent_first_coeff():
 # ---------------------------------------------------------------------------
 
 
-def test_s2_outer_matches_mul_of_embeddings():
-    ax = s1_from_coeffs([1, 2, -1], 4)
-    by = s1_from_coeffs([0.5, 1j, 0, 2], 4)
-    direct = s2_outer(ax, by).coeffs
-    via_mul = s2_mul(s2_from_x(ax), s2_from_y(by)).coeffs
-    np.testing.assert_allclose(direct, via_mul, rtol=0, atol=1e-13)
+def _masked(c: np.ndarray) -> np.ndarray:
+    """Truncate a full 2-D convolution to a series' total-degree triangle."""
+    n = c.shape[0]
+    k = np.arange(n)
+    return np.where(k[:, None] + k[None, :] < n, c, 0.0)
+
+
+def test_s2_outer_mul_matches_convolution():
+    rng = np.random.default_rng(5)
+    p, q = (rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(2))
+    r = TruncatedSeries2(5, rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    got = s2_outer_mul(s1_from_coeffs(p), s1_from_coeffs(q), r).coeffs
+    want = _masked(convolve2d(np.outer(p, q), r.coeffs)[:6, :6])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_s2_reciprocal_is_inverse():
     one = np.zeros((6, 6))
     one[0, 0] = 1.0
-    a = s2_add(
-        TruncatedSeries2(5, (2.0 - 1j) * one),
-        s2_outer(s1_from_coeffs([0, 1, 0.3], 5), s1_from_coeffs([1, -0.4], 5)),
-    )
-    got = s2_mul(a, s2_reciprocal(a)).coeffs
-    np.testing.assert_allclose(got, one, rtol=0, atol=1e-12)
+    a = (2.0 - 1j) * one
+    a[1:3, :2] = np.outer([1, 0.3], [1, -0.4])  # (2 - i) + (x + 0.3 x^2)(1 - 0.4 y)
+    got = convolve2d(a, s2_reciprocal(TruncatedSeries2(5, a)).coeffs)[:6, :6]
+    np.testing.assert_allclose(_masked(got), one, rtol=0, atol=1e-12)
 
 
 def test_s2_reciprocal_rejects_zero_constant():
-    a = s2_from_x(s1_from_coeffs([0, 1], 3))
+    x = np.zeros((4, 4))
+    x[1, 0] = 1.0
     with pytest.raises(SingularSeriesError):
-        s2_reciprocal(a)
+        s2_reciprocal(TruncatedSeries2(3, x))
 
 
 def test_s2_mask_kills_total_degree_overflow():
-    ax = s1_from_coeffs([0, 1], 3)  # x
-    a = s2_outer(ax, s1_from_coeffs([0, 1], 3))  # xy, degree 2
-    sq = s2_mul(a, a)  # x^2 y^2, degree 4 > 3: masked away
+    xy = np.zeros((4, 4))
+    xy[1, 1] = 1.0
+    # x * y * (x y): x^2 y^2 has degree 4 > 3 and is masked away
+    sq = s2_outer_mul(s1_from_coeffs([0, 1], 3), s1_from_coeffs([0, 1], 3),
+                      TruncatedSeries2(3, xy))
     assert np.all(sq.coeffs == 0)

@@ -158,41 +158,55 @@ def test_starred_coefficients_satisfy_conjugation_symmetry(tr, u, v, t1, t2):
     assert dc < 1e-11
 
 
-# zeta(x), omega(y) of the mixed-pairing amplitude ``c``: (sign, w, conjugate
-# branch) per side, with zeta(x) = sign * g(w * x) as in build_amplitudes.
-_C_SUBSTITUTIONS = {
-    "airy-to-s1": ((1.0, 1.0, False), (-1.0, -1.0, False)),
-    "pearcey-to-s2": ((1.0, 1.0, False), (1.0, 1j, True)),
+# zeta(x), omega(y) of each amplitude: (sign, w, conjugate branch) per side,
+# with zeta(x) = sign * g(w * x) as in build_amplitudes.
+_SUBSTITUTIONS = {
+    "airy-to-s1": {
+        "b": ((1.0, 1.0, False), (1.0, 1j, False)),
+        "c": ((1.0, 1.0, False), (-1.0, -1.0, False)),
+        "b_star": ((-1.0, -1j, False), (-1.0, -1.0, False)),
+        "c_star": ((-1.0, -1j, False), (1.0, 1j, False)),
+    },
+    "pearcey-to-s2": {
+        "b": ((1.0, 1.0, False), (1.0, 1j, False)),
+        "c": ((1.0, 1.0, False), (1.0, 1j, True)),
+        "b_star": ((1.0, -1.0, True), (1.0, 1j, True)),
+        "c_star": ((1.0, -1.0, True), (1.0, 1j, False)),
+    },
 }
 
 
+@pytest.mark.parametrize("family", ["b", "c", "b_star", "c_star"])
 @pytest.mark.parametrize("tr", TRANSITIONS)
-def test_c_coefficients_match_fft_of_the_amplitude(tr):
+def test_amplitude_coefficients_match_fft_of_the_amplitude(tr, family):
     # Independent of series arithmetic: the amplitude
-    # exp(-v zeta - tau2 zeta^2 + u omega + tau1 omega^2) zeta' omega' / (zeta - omega)
-    # is evaluated pointwise from the branch polynomial on |x| = |y| = 1/2,
-    # and a 2-D FFT gives its Taylor coefficients.
+    # exp(-v zeta - tau2 zeta^2 + u omega + tau1 omega^2) zeta' omega' / (zeta - omega),
+    # times x - (omega_w / zeta_w) y for the b families, is evaluated
+    # pointwise from the branch polynomial on |x| = 0.5, |y| = 0.45 (where
+    # that factor never vanishes), and a 2-D FFT gives its Taylor coefficients.
     u, v, t1, t2 = 0.3, -0.2, 0.1, 0.4
-    order, n, r = 24, 64, 0.5
+    order, n, rx, ry = 24, 64, 0.5, 0.45
     co = build_amplitudes(tr, u, v, t1, t2, order=order)
     g = _branch_series(tr, order + 1)
+    sub_x, sub_y = _SUBSTITUTIONS[tr][family]
 
-    def side(x, sign, w, conj):
+    def side(r, sign, w, conj):
+        x = r * np.exp(2j * np.pi * np.arange(n) / n)
         c = np.conj(g.coeffs) if conj else g.coeffs
         P = np.polynomial.polynomial
-        return sign * P.polyval(w * x, c), sign * w * P.polyval(w * x, P.polyder(c))
+        return x, sign * P.polyval(w * x, c), sign * w * P.polyval(w * x, P.polyder(c))
 
-    circle = r * np.exp(2j * np.pi * np.arange(n) / n)
-    (zeta, dzeta), (omega, domega) = (
-        side(circle, *s) for s in _C_SUBSTITUTIONS[tr])
+    (x, zeta, dzeta), (y, omega, domega) = side(rx, *sub_x), side(ry, *sub_y)
     Z, W = zeta[:, None], omega[None, :]
     amp = (np.exp(-v * Z - t2 * Z * Z + u * W + t1 * W * W)
            * dzeta[:, None] * domega[None, :] / (Z - W))
+    if family.startswith("b"):
+        amp *= x[:, None] - sub_y[1] / sub_x[1] * y[None, :]
     k = np.arange(order + 1)
     fft = np.fft.fft2(amp)[: order + 1, : order + 1] / (n * n)
-    want = fft / r ** (k[:, None] + k[None, :])
+    want = fft / (rx ** k[:, None] * ry ** k[None, :])
     mask = k[:, None] + k[None, :] <= order
-    got = co.c.coeffs
+    got = getattr(co, family).coeffs
     assert np.abs(got - want)[mask].max() < 1e-8 * np.abs(got).max()
 
 

@@ -43,3 +43,15 @@ def test_traced_rate_study_counts_every_layer(tracer):
                   "quadrature.integrate_single"):
         assert tracer.calls[label] > 0, label
     assert tracer.calls["kernels.rescaled_lhs"] == tracer.counts["lhs_evals"]
+
+
+def test_traced_amplitude_build_counts_the_series_layer(tracer):
+    # spans.py finds cseries functions through the names expansion imports;
+    # series work moved out of those names would silently read as none.
+    from kernelwave import expansion
+
+    tracer.install()
+    expansion.build_amplitudes("pearcey-to-s2", 0.3, -0.2, 0.1, 0.4, order=24)
+    tracer.uninstall()
+    assert tracer.calls["cseries"] > 0
+    assert tracer.counts["s2_ops"] > 0
