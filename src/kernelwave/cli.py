@@ -11,11 +11,15 @@ Subcommands
 ``sweep``   kernel values over a regular grid or a seeded random cloud
 
 Each subcommand's parser is the one statement of its options: it takes only
-the flags its command reads, and the values of a ``--config`` file pass
-through the same actions (type, choices, store_true) as the flags.
+the flags its command reads, and it marks the ones a command needs as
+required.  A ``--config`` file's options are read as flags placed right
+after the subcommand name (:func:`_with_config`), so the one parse checks
+them as it checks flags, and later flags override them.
 
 Exit codes: 0 success, 1 error (bad input or a failed ``--check``),
-2 completed with accuracy warnings.  A batch or sweep goes through as
+2 completed with accuracy warnings (``eval`` and ``sweep`` rows past
+``--warn-tol``, or an ``expand`` base kernel value whose error estimate
+exceeds the default ``--warn-tol``).  A batch or sweep goes through as
 columns: each field is read for every row at once, the columns are checked
 and evaluated by one :func:`~kernelwave.kernels.eval_columns` call, and each
 output column is formatted at once; rows come out in input order.  A
@@ -53,9 +57,9 @@ from .kernels import (
     QueryError,
     check_columns,
     eval_columns,
+    eval_kernel,
 )
-from .kernels import eval_kernel  # noqa: F401  (perfbench/spans.py traces this name)
-from .phase import export_level_curve, make_branch_path, make_phase
+from .phase import TRANSITION_TABLE, export_level_curve, make_branch_path, make_phase
 from .quadrature import GeometryError, QuadOptions
 from .verify import (
     ACCEPTANCE_WINDOWS,
@@ -71,6 +75,7 @@ from .verify import (
 __all__ = ["main"]
 
 _EVAL_HEADER = "kernel,a,tau1,tau2,u,v,re,im,err,backend"
+_WARN_TOL = 1e-6  # --warn-tol's default, and the gate on expand's base value
 
 
 def _g(x: float) -> str:
@@ -93,7 +98,19 @@ def _parse_point(text: str) -> tuple[float, float, float, float]:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+    """A comma list of at least one number."""
+    values = [float(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"must list at least one number, got {text!r}")
+    return values
+
+
+def _parse_points(text: str) -> list[tuple[float, float, float, float]]:
+    """Semicolon-separated 'u,v,tau1,tau2' points, at least one."""
+    points = [_parse_point(p) for p in text.split(";") if p.strip()]
+    if not points:
+        raise argparse.ArgumentTypeError(f"must list at least one point, got {text!r}")
+    return points
 
 
 def _finite_float(text: str) -> float:
@@ -123,11 +140,13 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """A 'lo:hi:n' linspace or a comma list."""
-    if ":" in text:
-        lo, hi, n = text.split(":")
-        return np.linspace(float(lo), float(hi), int(n))
-    return np.asarray(_parse_floats(text))
+    """A 'lo:hi:n' linspace with n >= 1, or a comma list."""
+    if ":" not in text:
+        return np.asarray(_parse_floats(text))
+    lo, hi, n = text.split(":")
+    if int(n) < 1:
+        raise argparse.ArgumentTypeError(f"must have n >= 1 in lo:hi:n, got {text!r}")
+    return np.linspace(float(lo), float(hi), int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +285,12 @@ def _emit_rows(args: argparse.Namespace, cols: dict) -> int:
     its rows."""
     re, im, err, used = eval_columns(opts=_quad_options(args), **cols)
     _write_output(args, _format_rows(args.format, cols, re, im, err, used))
-    if np.any((err > args.warn_tol) | (np.abs(im) > 1e-9)):
-        print("warning: some rows exceed the accuracy thresholds", file=sys.stderr)
-        return 2
-    return 0
+    return _accuracy_warning() if np.any((err > args.warn_tol) | (np.abs(im) > 1e-9)) else 0
+
+
+def _accuracy_warning() -> int:
+    print("warning: some rows exceed the accuracy thresholds", file=sys.stderr)
+    return 2
 
 
 def _single_columns(n: int, args: argparse.Namespace, tau1, tau2, u, v) -> dict:
@@ -308,8 +329,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.kernel is None:
-        raise ValueError("sweep needs --kernel")
     # The grid flags default to None here, so a flag given with --random shows.
     grid = {"--tau1": args.tau1, "--tau2": args.tau2,
             "--grid-u": args.grid_u, "--grid-v": args.grid_v}
@@ -321,7 +340,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         u, v, t1, t2 = rng.uniform(args.box_lo, args.box_hi, size=(args.random, 4)).T
     else:
-        us, vs = (_parse_grid("-1:1:5" if g is None else g)
+        us, vs = (np.linspace(-1.0, 1.0, 5) if g is None else g
                   for g in (args.grid_u, args.grid_v))
         u, v = (g.ravel() for g in np.meshgrid(us, vs, indexing="ij"))
         t1, t2 = (np.full(u.size, 0.0 if t is None else t) for t in (args.tau1, args.tau2))
@@ -334,58 +353,34 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
-    if args.transition is None or args.point is None or not args.a:
-        raise ValueError("expand needs --transition, --point and --a")
     transition = _TRANSITION_ALIASES[args.transition]
     u, v, t1, t2 = args.point
     n_top = args.N
     if n_top < 0:
         raise ValueError("--N must be nonnegative")
-    a_list = args.a
     coeffs = (
         build_amplitudes(transition, u, v, t1, t2, order=2 * n_top)
         if n_top >= 1
         else None
     )
-    base = expansion_partial_sum(
-        transition, 0, u, v, t1, t2, a_list[0], opts=_quad_options(args)
-    )
-    buf = StringIO()
-    rows = []
-    for a in a_list:
-        for n in range(n_top + 1):
-            val = expansion_partial_sum(
-                transition, n, u, v, t1, t2, a, coeffs=coeffs, base=base
-            )
-            rows.append((a, n, val))
+    # The base kernel value is shared by every row, and so is its error.
+    kv = eval_kernel(KernelQuery(TRANSITION_TABLE[transition].kernel, t1, t2, u, v,
+                                 opts=_quad_options(args)))
+    rows = [(a, n, expansion_partial_sum(transition, n, u, v, t1, t2, a, coeffs=coeffs,
+                                         base=kv.value.real))
+            for a in args.a for n in range(n_top + 1)]
     if args.format == "csv":
-        buf.write("transition,u,v,tau1,tau2,a,N,partial_sum\n")
-        for a, n, val in rows:
-            buf.write(
-                f"{transition},{_g(u)},{_g(v)},{_g(t1)},{_g(t2)},"
-                f"{_g(a)},{n},{_g(val)}\n"
-            )
+        lines = ["transition,u,v,tau1,tau2,a,N,partial_sum\n"] + [
+            f"{transition},{_g(u)},{_g(v)},{_g(t1)},{_g(t2)},{_g(a)},{n},{_g(val)}\n"
+            for a, n, val in rows]
     else:
-        for a, n, val in rows:
-            buf.write(
-                json.dumps(
-                    {
-                        "transition": transition,
-                        "point": [u, v, t1, t2],
-                        "a": a,
-                        "N": n,
-                        "partial_sum": val,
-                    }
-                )
-                + "\n"
-            )
-    _write_output(args, buf.getvalue())
-    return 0
+        lines = [json.dumps({"transition": transition, "point": [u, v, t1, t2], "a": a,
+                             "N": n, "partial_sum": val}) + "\n" for a, n, val in rows]
+    _write_output(args, "".join(lines))
+    return _accuracy_warning() if kv.error_estimate > _WARN_TOL else 0
 
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
-    if args.transition is None or args.point is None:
-        raise ValueError("coeffs needs --transition and --point")
     u, v, t1, t2 = args.point
     transition = _TRANSITION_ALIASES[args.transition]
     coeffs = build_amplitudes(transition, u, v, t1, t2, args.order)
@@ -425,8 +420,6 @@ def _rays(phase, saddle: complex, max_arclength: float):
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    if args.phase is None:
-        raise ValueError("trace needs --phase")
     kind = "airy-cubic" if args.phase == "airy" else "pearcey-quartic"
     phase = make_phase(kind)
     # The flags of one mode default to None, so one given to the other mode shows.
@@ -468,41 +461,24 @@ _TRANSITION_ALIASES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.transition == "both":
-        transitions = list(TRANSITIONS)
-    else:
-        transitions = [_TRANSITION_ALIASES[args.transition]]
-    points = args.points or list(DEFAULT_STUDY_POINTS)
-    a_grid = args.a_grid or list(DEFAULT_A_GRID)
+    transitions = (TRANSITIONS if args.transition == "both"
+                   else [_TRANSITION_ALIASES[args.transition]])
     opts = _quad_options(args)
     violations: list[str] = []
-    csv_parts: list[str] = []
-    json_lines: list[str] = []
+    parts: list[str] = []
     for transition in transitions:
-        n_max = args.n_max
-        if n_max is None:
-            n_max = max(ACCEPTANCE_WINDOWS[transition])
-        for point in points:
-            table = residual_study(transition, point, a_grid, n_max, opts=opts)
+        n_max = max(ACCEPTANCE_WINDOWS[transition]) if args.n_max is None else args.n_max
+        for point in args.points:
+            table = residual_study(transition, point, args.a_grid, n_max, opts=opts)
             violations.extend(check_windows(table))
-            if args.format == "csv":
-                csv_parts.append(table_to_csv(table))
-            else:
-                json_lines.append(table_summary_json(table))
-    if args.format == "csv":
-        header, *_ = csv_parts[0].splitlines(keepends=True)
-        body = "".join(
-            "".join(part.splitlines(keepends=True)[1:]) for part in csv_parts
-        )
-        _write_output(args, header + body)
-    else:
-        _write_output(args, "\n".join(json_lines) + "\n")
+            parts.append(table_to_csv(table) if args.format == "csv"
+                         else table_summary_json(table) + "\n")
+    if args.format == "csv":  # one header, then the rows of every table
+        parts = [parts[0].partition("\n")[0] + "\n", *(p.partition("\n")[2] for p in parts)]
+    _write_output(args, "".join(parts))
     if args.cross_check:
-        qs = [
-            KernelQuery("airy-ext", t1, t2, u, v, opts=opts)
-            for (u, v, t1, t2) in points
-        ]
-        report = cross_validate(qs)
+        report = cross_validate([KernelQuery("airy-ext", t1, t2, u, v, opts=opts)
+                                 for (u, v, t1, t2) in args.points])
         if report.n_flagged:
             violations.append(
                 f"cross-validation flagged {report.n_flagged} of {len(report.rows)} rows"
@@ -546,8 +522,7 @@ def _add_rows(sp: argparse.ArgumentParser) -> None:
     _add_output(sp, "csv")
     _add_quad(sp)
     sp.add_argument("--backend", choices=BACKENDS, default="direct")
-    sp.add_argument("--warn-tol", type=float, default=1e-6)
-    sp.add_argument("--kernel", choices=KERNEL_NAMES)
+    sp.add_argument("--warn-tol", type=_positive_float, default=_WARN_TOL)
     sp.add_argument("--tau1", type=float, default=0.0)
     sp.add_argument("--tau2", type=float, default=0.0)
     sp.add_argument("--a-param", type=float, default=None)
@@ -571,6 +546,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     se = add("eval", "evaluate kernel queries")
     _add_rows(se)
+    se.add_argument("--kernel", choices=KERNEL_NAMES)
     se.add_argument("--input")
     se.add_argument("--u", type=float, default=0.0)
     se.add_argument("--v", type=float, default=0.0)
@@ -578,21 +554,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sx = add("expand", "partial sums of the asymptotic expansion")
     _add_output(sx, "csv")
     _add_quad(sx)
-    sx.add_argument("--transition", choices=sorted(_TRANSITION_ALIASES))
-    sx.add_argument("--point", type=_parse_point)
+    sx.add_argument("--transition", choices=sorted(_TRANSITION_ALIASES), required=True)
+    sx.add_argument("--point", type=_parse_point, required=True)
     sx.add_argument("--N", type=int, default=1)
-    sx.add_argument("--a", type=_parse_floats)
+    sx.add_argument("--a", type=_parse_floats, required=True)
 
     sc = add("coeffs", "dump amplitude coefficients as JSON")
     _add_output(sc)
-    sc.add_argument("--transition", choices=sorted(_TRANSITION_ALIASES))
-    sc.add_argument("--point", type=_parse_point)
+    sc.add_argument("--transition", choices=sorted(_TRANSITION_ALIASES), required=True)
+    sc.add_argument("--point", type=_parse_point, required=True)
     sc.add_argument("--order", type=int, default=4)
     sc.add_argument("--with-moments", action="store_true")
 
     st = add("trace", "steepest-path rays or level curves")
     _add_output(st)
-    st.add_argument("--phase", choices=("airy", "pearcey"))
+    st.add_argument("--phase", choices=("airy", "pearcey"), required=True)
     st.add_argument("--level", choices=_SADDLE_NAMES)
     st.add_argument("--mode", choices=("rays", "level"), default="rays")
     st.add_argument("--level-im", type=_finite_float)
@@ -609,11 +585,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     sv.add_argument(
         "--points",
-        type=lambda t: [_parse_point(p) for p in t.split(";") if p.strip()],
-        default=None,
+        type=_parse_points,
+        default=DEFAULT_STUDY_POINTS,
         help="semicolon-separated u,v,tau1,tau2 points",
     )
-    sv.add_argument("--a-grid", type=_parse_floats, default=None)
+    sv.add_argument("--a-grid", type=_parse_floats, default=DEFAULT_A_GRID)
     sv.add_argument("--n-max", type=int, default=None)
     sv.add_argument("--check", action="store_true")
     sv.add_argument("--cross-check", action="store_true")
@@ -621,9 +597,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sw = add("sweep", "kernel values over a grid or random cloud")
     _add_rows(sw)
     sw.set_defaults(tau1=None, tau2=None)
+    sw.add_argument("--kernel", choices=KERNEL_NAMES, required=True)
     sw.add_argument("--seed", type=int, default=0)
-    sw.add_argument("--grid-u")
-    sw.add_argument("--grid-v")
+    sw.add_argument("--grid-u", type=_parse_grid)
+    sw.add_argument("--grid-v", type=_parse_grid)
     sw.add_argument("--random", type=int, default=0)
     sw.add_argument("--box-lo", type=float, default=-1.0)
     sw.add_argument("--box-hi", type=float, default=1.0)
@@ -645,17 +622,29 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-@contextlib.contextmanager
-def _config_defaults(sp: argparse.ArgumentParser, path: str):
-    """Make the values of a config file the defaults of subcommand ``sp``
-    for the duration of the block, then restore the built-in defaults.
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with the options of its last ``--config`` file inserted as
+    flags right after the subcommand name.
 
-    Each key is a long option of the subcommand, in ``-`` or ``_`` spelling.
-    Its value goes through that option's own type and choices; a store_true
-    option is set by ``1``, ``true`` or ``yes`` and left off by anything else.
+    The subcommand is the first token naming one that is not the value of
+    ``--config``.  Each key is a long option of that subcommand, in ``-`` or
+    ``_`` spelling, and becomes ``--key=value``; a store_true option becomes
+    ``--key`` for ``1``, ``true`` or ``yes`` and is left off otherwise.  The
+    parse then checks the values as flags, and a later flag overrides one.
     """
+    command = path = None
+    tokens = iter(enumerate(argv))
+    for i, token in tokens:
+        name, eq, value = token.partition("=")
+        if len(name) > 2 and "--config".startswith(name):  # as argparse abbreviates
+            path = value if eq else next(tokens, (i, None))[1]
+        elif command is None and token in _COMMANDS:
+            command = i
+    if command is None or path is None:
+        return argv
+    sp = _parser()[1][argv[command]]
     actions = {opt: a for a in sp._actions for opt in a.option_strings}
-    tokens = []
+    flags = []
     for key, val in _load_config_file(path).items():
         opt = "--" + key.replace("_", "-")
         action = actions.get(opt)
@@ -663,28 +652,10 @@ def _config_defaults(sp: argparse.ArgumentParser, path: str):
             raise ValueError(f"config file {path}: key {key!r} names no option "
                              f"of {sp.prog}")
         if action.nargs != 0:
-            tokens.append(f"{opt}={val}")
+            flags.append(f"{opt}={val}")
         elif val.lower() in ("1", "true", "yes"):
-            tokens.append(opt)
-    sp.exit_on_error = False
-    try:
-        values = sp.parse_args(tokens)
-    except argparse.ArgumentError as exc:
-        raise ValueError(f"config file {path}: {exc}") from exc
-    finally:
-        sp.exit_on_error = True
-    # Defaults must live on the chosen subparser: subcommands parse into a
-    # fresh namespace, so top-level defaults are clobbered.  The parser is
-    # built once per process, so they are put back afterwards.
-    saved, saved_actions = dict(sp._defaults), [(a, a.default) for a in sp._actions]
-    sp.set_defaults(**vars(values))
-    try:
-        yield
-    finally:
-        sp._defaults.clear()
-        sp._defaults.update(saved)
-        for a, default in saved_actions:
-            a.default = default
+            flags.append(opt)
+    return [*argv[:command + 1], *flags, *argv[command + 1:]]
 
 
 _COMMANDS = {
@@ -705,12 +676,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParse
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, sub_parsers = _parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config:
-            with _config_defaults(sub_parsers[args.command], args.config):
-                args = parser.parse_args(argv)
+        args = _parser()[0].parse_args(_with_config(argv))
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse usage errors exit 2; remap to 1
         return 1 if exc.code else 0

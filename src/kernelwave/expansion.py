@@ -430,7 +430,14 @@ def correction_term(coeffs: ExpansionCoefficients, nu: int, a: float) -> float:
             * _gamma_half(2 * k + 1)
             * _gamma_half(2 * l + 1)
         )
-    return float(-(b_part + c_part) / (2.0 * np.pi**2 * a ** (t.beta * nu)))
+    try:
+        den = 2.0 * np.pi**2 * a ** (t.beta * nu)
+    except OverflowError:
+        return 0.0  # a**(beta*nu) passes the largest float: the term is round-off
+    term = float(-(b_part + c_part) / den) if den else math.inf
+    if not math.isfinite(term):
+        raise SeriesUsageError(f"correction term {nu} at a={a!r} is not finite")
+    return term
 
 
 def expansion_partial_sum(

@@ -521,7 +521,7 @@ def _saddle_J(transition: str, a: float, tau1: float, tau2: float,
     t, specs = TRANSITION_TABLE[transition], _SADDLE_SPECS[transition]
     # Called by name from this module's globals: perfbench/spans.py wraps them.
     paths = airy_branch_paths() if transition == "airy-to-s1" else pearcey_branch_paths()
-    s = a ** t.beta
+    s = t.scale(a)
     phase_pm = t.oscillation(a)
     umax, vmax = float(np.max(np.abs(u))), float(np.max(np.abs(v)))
 

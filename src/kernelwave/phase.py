@@ -342,11 +342,25 @@ class Transition:
     def saddle(self) -> complex:
         return self.phase.saddles[0]
 
+    def scale(self, a):
+        """``s = a**beta``, checked: a ValueError names ``a`` unless ``s``
+        (each ``s``, for an array) is a finite, positive, normal float."""
+        try:
+            s = a ** self.beta
+        except OverflowError:
+            s = np.inf
+        # A float a gives a bool and skips np.all: every correction term calls this.
+        ok = (s >= _TINY) & (s < np.inf)
+        if not (ok is True or np.all(ok)):
+            raise ValueError(f"a={a!r} puts a**{self.beta:g} outside the normal floats")
+        return s
+
     def oscillation(self, a):
         """``exp(i*sign*theta*a**beta)``, the mixed pairing's phase factor."""
-        return np.exp(1j * self.sign * self.theta * a ** self.beta)
+        return np.exp(1j * self.sign * self.theta * self.scale(a))
 
 
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 _PEARCEY_A1 = np.sqrt(2.0 / 3.0) * np.exp(2j * np.pi / 3)
 
 TRANSITION_TABLE = {

@@ -67,11 +67,11 @@ __all__ = [
 ]
 
 
-class RateFitError(RuntimeError):
+class RateFitError(ValueError):
     """Raised when a rate fit's points cannot determine a rate."""
 
 
-class PrecisionError(RuntimeError):
+class PrecisionError(ValueError):
     """Raised when fewer than 3 residuals clear the quadrature noise floor."""
 
 

@@ -139,6 +139,17 @@ def test_eval_batch_with_non_finite_input_exits_1(capsys, tmp_path):
     assert code == 1 and "line 2" in err and "v must be finite" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_eval_warn_tol_must_be_finite_and_positive(capsys, tmp_path, value):
+    # nan would switch the accuracy gate off, and -1 would fire it on every row
+    code, out, err = run(capsys, "eval", "--kernel", "s1", f"--warn-tol={value}")
+    assert code == 1 and out == "" and "--warn-tol" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"kernel=s1\nwarn-tol={value}\n")
+    code, out, err = run(capsys, "eval", "--config", str(cfg))
+    assert code == 1 and out == "" and "--warn-tol" in err
+
+
 def test_eval_accuracy_warning_exits_2(capsys):
     code, out, err = run(
         capsys, "eval", "--kernel", "airy-ext",
@@ -448,12 +459,41 @@ def test_expand_rows_match_library(capsys):
 
 def test_expand_requires_point(capsys):
     code, _, err = run(capsys, "expand", "--transition", "airy", "--a", "6")
-    assert code == 1
+    assert code == 1 and "the following arguments are required: --point" in err
     # and a finite positive a, and a nonnegative N
     for extra in (["--a", "5,inf"], ["--a", "5,nan"], ["--a", "0"], ["--N", "-1"]):
         argv = ["expand", "--transition", "airy", "--point", "0,0,0,0", "--a", "6"]
         code, out, err = run(capsys, *argv, *extra)
         assert code == 1 and out == "" and err.startswith("error:"), extra
+
+
+def test_expand_exits_2_when_the_base_kernel_value_misses_its_tolerance(capsys):
+    # s1 at u = 1e200 comes with err 0.044, as `eval --kernel s1 --u 1e200` reports
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run(capsys, "expand", "--transition", "airy",
+                             "--point=1e200,0,0,0", "--N", "0", "--a", "6")
+    assert code == 2 and "accuracy" in err
+    assert len(out.strip().splitlines()) == 2  # header and the N = 0 row
+    code, out, err = run(capsys, "expand", "--transition", "airy",
+                         "--point=0.9,-0.7,0.2,-0.3", "--N", "2", "--a", "6,10")
+    assert code == 0 and err == ""
+    assert len(out.strip().splitlines()) == 1 + 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--transition", "airy", "--point=0.1,0.2,0.3,0.4", "--N", "2", "--a", "1e-300"],
+    ["expand", "--transition", "airy", "--point=0.1,0.2,0.3,0.4", "--N", "2", "--a", "1e300"],
+    ["expand", "--transition", "pearcey", "--point=0.1,0.2,0.3,0.4", "--N", "2",
+     "--a", "1e300"],
+    ["verify", "--transition", "airy", "--n-max", "0", "--points=0.9,0.7,0.2,-0.3",
+     "--a-grid", "1e-300,1e-299,1e-298"],
+], ids=["expand-tiny", "expand-huge", "expand-pearcey-huge", "verify-tiny"])
+def test_a_whose_scale_leaves_the_floats_exits_1(capsys, argv):
+    # a**beta underflows or overflows: before, NaN rows or a traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: a=")
 
 
 @pytest.mark.parametrize("argv,named", [
@@ -588,6 +628,17 @@ def test_verify_check_flags_preasymptotic_point(capsys):
     assert "check failed" in err and "N=0" in err
 
 
+def test_verify_without_a_rate_fit_exits_1(capsys):
+    # coarse tolerances leave too few residuals above the noise floor to fit
+    code, out, err = run(
+        capsys, "verify", "--transition", "airy", "--n-max", "0",
+        "--points=0.9,0.7,0.2,-0.3", "--rel-tol", "1e-1", "--abs-tol", "1e-1",
+        "--nodes-per-panel", "2",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: N=0: ")
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run(
         capsys, "verify", "--transition", "airy",
@@ -675,16 +726,20 @@ def test_config_before_subcommand_also_works(capsys, tmp_path):
 
 
 def test_config_does_not_leak_into_later_calls(capsys, tmp_path):
-    # The parser is built once per process; a config sets the defaults of
-    # the call that names it and of no later call.
+    # The parser is built once per process; a config applies to the call
+    # that names it and to no later one, and leaves the parser as built.
     before = run(capsys, "eval", "--kernel", "sine-ext", "--v", "0.5")
     cfg = tmp_path / "run.cfg"
     cfg.write_text("kernel=s1\nu=1\ntau1=0.25\nformat=json\nnodes_per_panel=24\n")
     code, out, _ = run(capsys, "eval", "--config", str(cfg))
     assert code == 0 and json.loads(out)["kernel"] == "s1"
     assert run(capsys, "eval", "--kernel", "sine-ext", "--v", "0.5") == before
-    fresh = {name: sp.parse_args([]) for name, sp in cli._build_parser()[1].items()}
-    assert {name: sp.parse_args([]) for name, sp in cli._parser()[1].items()} == fresh
+
+    def defaults(subs):
+        return {name: [(a.dest, a.default) for a in sp._actions]
+                for name, sp in subs.items()}
+
+    assert defaults(cli._parser()[1]) == defaults(cli._build_parser()[1])
 
 
 def test_config_rejects_malformed_line(capsys, tmp_path):
@@ -709,6 +764,48 @@ def test_config_rejects_what_the_flag_would(capsys, tmp_path, argv, text, named)
     code, out, err = run(capsys, *argv, "--config", str(cfg))
     assert code == 1 and named in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["expand", "--N", "0"], "transition=airy\npoint=0.9,0.7,0.2,-0.3\na=6,10\n"),
+    (["coeffs"], "transition=pearcey\npoint=0,0,0,0\norder=2\n"),
+    (["trace", "--max-arclength", "1"], "phase=airy\n"),
+    (["sweep", "--grid-u=0,1"], "kernel=s1\ngrid-v=0\n"),
+], ids=["expand", "coeffs", "trace", "sweep"])
+def test_config_supplies_required_options(capsys, tmp_path, argv, text):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and "the following arguments are required" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    for config in (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)]):
+        code, out, err = run(capsys, *argv, *config)
+        assert code == 0 and out and err == "", config
+        assert run(capsys, *config, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--transition", "airy", "--point", "0,0,0,0", "--a="],
+    ["verify", "--a-grid=", "--transition", "airy"],
+    ["verify", "--points=", "--transition", "airy"],
+    ["verify", "--points=;", "--transition", "airy"],
+    ["sweep", "--kernel", "s1", "--grid-u="],
+    ["sweep", "--kernel", "s1", "--grid-v=0:1:0"],
+], ids=["expand-a", "verify-a-grid", "verify-points", "verify-points-separator",
+        "sweep-grid-u", "sweep-grid-v-linspace"])
+def test_empty_lists_are_rejected_when_parsed(capsys, argv):
+    # before, verify ran its default grid or points, and sweep printed no rows
+    code, out, err = run(capsys, *argv)
+    flag = next(a for a in argv if a.startswith("--") and "=" in a).split("=")[0]
+    assert code == 1 and out == "" and f"argument {flag}" in err
+
+
+def test_config_value_after_the_subcommand_name_is_overridden_by_a_flag(capsys, tmp_path):
+    # the file's options sit right after the subcommand name, so every flag,
+    # before or after --config, comes later and wins
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel=s1\nu=1\n")
+    code, out, _ = run(capsys, "eval", "--u", "0.25", "--config", str(cfg))
+    assert code == 0 and float(out.strip().splitlines()[1].split(",")[4]) == 0.25
 
 
 @pytest.mark.parametrize("value,checked", [("false", False), ("yes", True)])

@@ -507,6 +507,13 @@ def test_saddle_lhs_matches_direct_within_both_estimates(a):
     print(f"a={a}: largest |saddle - direct| / (sum of estimates) {worst:.3f}")
 
 
+@pytest.mark.parametrize("a", [1e-300, 1e300])
+def test_rescaled_lhs_rejects_a_whose_scale_leaves_the_normal_floats(a):
+    # s = a**1.5 underflows to 0 (the truncation halfwidth divides by it) or overflows
+    with pytest.raises(ValueError, match="a="):
+        rescaled_airy_lhs(a, 0.1, 0.2, 0.3, 0.4)
+
+
 @pytest.mark.parametrize("a", [4.0, 8.0, 12.0])
 def test_equal_time_saddle_airy_lhs_matches_scipy(a):
     # K(t, t; x, y) = exp(t (x - y)) K_Ai(x + t^2, y + t^2), with the classic

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from kernelwave import quadrature
 from kernelwave.quadrature import (
@@ -338,15 +339,26 @@ _EXP_A = lambda z: -((z - 1j) ** 2) + _SHIFTS * z
 _EXP_B = lambda w: -((w + 1j) ** 2) - _SHIFTS * w
 
 
+def _cauchy_closed_form(s):
+    # On the lines through +-i, Im(z - w) = 2, so 1/(z - w) = -i int_0^inf
+    # exp(i t (z - w)) dt; the two Gaussians then give pi exp((s + i t)^2 / 2),
+    # and the t integral is a Faddeeva function.
+    return (-1j * np.pi * np.exp(2j * s + s * s / 2) * np.sqrt(np.pi / 2)
+            * wofz(1j * (2 - 1j * s) / np.sqrt(2)))
+
+
 def test_cauchy_matches_double_integral():
     ca, cb = _offset_line(1j), _offset_line(-1j)
     vals, errs = integrate_cauchy(_EXP_A, _EXP_B, ca, cb)
     assert vals.shape == errs.shape == (len(_SHIFTS),)
     for s, val, err in zip(_SHIFTS, vals, errs):
+        exact = _cauchy_closed_form(s)
+        assert abs(val - exact) <= err, s
+        assert 0 < err < 1e-12
         F = lambda z, w: np.exp(-((z - 1j) ** 2) + s * z - (w + 1j) ** 2 - s * w) / (z - w)
         ref, ref_err = integrate_double(F, ca, cb)
+        assert abs(ref - exact) <= ref_err, s
         assert abs(val - ref) <= min(err, ref_err), s
-        assert 0 < err < 1e-12
 
 
 def test_cauchy_doubles_the_rule_until_it_converges():
