@@ -507,7 +507,13 @@ def _add_output(sp: argparse.ArgumentParser, fmt_default: str | None = None) -> 
 def _add_quad(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--rel-tol", type=float, default=QuadOptions.rel_tol)
     sp.add_argument("--abs-tol", type=float, default=QuadOptions.abs_tol)
-    sp.add_argument("--nodes-per-panel", type=int, default=QuadOptions.nodes_per_panel)
+    sp.add_argument(
+        "--nodes-per-panel", type=int, default=QuadOptions.nodes_per_panel,
+        help="n: the direct backend's rule per panel is the 2g+1-node Gauss-"
+             "Kronrod rule with its embedded g-node Gauss rule, g = max(1, n//2); "
+             "the s1 and s2 kernels take n-node Gauss-Legendre panels; the "
+             "saddle backend compares rules of m = max(12, n//2) and "
+             "m + m//2 + 1 nodes")
 
 
 def _quad_options(args: argparse.Namespace) -> QuadOptions:
@@ -622,6 +628,16 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
+def _names_config(name: str, parser: argparse.ArgumentParser) -> bool:
+    """Whether ``parser`` reads the option ``name`` as ``--config``: the
+    whole name, or, as argparse abbreviates, a prefix that no other long
+    option of the parser shares (argparse rejects a shared one)."""
+    if name == "--config":
+        return True
+    return len(name) > 2 and {opt for a in parser._actions for opt in a.option_strings
+                              if opt.startswith(name)} == {"--config"}
+
+
 def _with_config(argv: list[str]) -> list[str]:
     """``argv`` with the options of its last ``--config`` file inserted as
     flags right after the subcommand name.
@@ -632,17 +648,18 @@ def _with_config(argv: list[str]) -> list[str]:
     ``--key`` for ``1``, ``true`` or ``yes`` and is left off otherwise.  The
     parse then checks the values as flags, and a later flag overrides one.
     """
+    parser, subs = _parser()
     command = path = None
     tokens = iter(enumerate(argv))
     for i, token in tokens:
         name, eq, value = token.partition("=")
-        if len(name) > 2 and "--config".startswith(name):  # as argparse abbreviates
+        if _names_config(name, parser if command is None else subs[argv[command]]):
             path = value if eq else next(tokens, (i, None))[1]
         elif command is None and token in _COMMANDS:
             command = i
     if command is None or path is None:
         return argv
-    sp = _parser()[1][argv[command]]
+    sp = subs[argv[command]]
     actions = {opt: a for a in sp._actions for opt in a.option_strings}
     flags = []
     for key, val in _load_config_file(path).items():

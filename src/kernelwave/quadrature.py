@@ -15,10 +15,13 @@ rejected as an undeclared contour crossing.
 :func:`integrate_cauchy` evaluates B double integrals of the form
 ``exp(a(ζ)) exp(b(ω)) / (ζ - ω)`` that share two contours as one bilinear
 form ``colsum(A ⊙ (C B))`` with the Cauchy matrix ``C_kl = 1/(ζ_k - ω_l)``:
-one node set per contour, the whole contour pair refined by doubling the
-rule, and a round-off floor taken from the arithmetic of the form.  The
-kernels' direct backend uses it; :func:`integrate_double` remains as the
-general adaptive primitive and the reference it is tested against.
+one Gauss-Kronrod node set per contour, whose embedded Gauss rule gives the
+error estimate from a leading block of the same ``C`` (Laurie, Math. Comp.
+66 (1997) 1133-1145, for the rule), the whole contour pair refined by
+doubling the rule, and a round-off floor taken from the arithmetic of the
+form.  The kernels' direct backend uses it; :func:`integrate_double`
+remains as the general adaptive primitive and the reference it is tested
+against.
 :func:`polar_cell` integrates an integrable ``1/(s - c*t)``-type
 singularity over a square as the sum over the eight signed or swapped
 images of one octant, a Duffy triangle whose nodes and weights
@@ -276,6 +279,59 @@ def gl_unit(n: int):
     """The ``n``-node Gauss-Legendre rule on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _kronrod_recurrence(g: int) -> np.ndarray:
+    """The ``b`` coefficients ``b_0 .. b_2g`` of the Jacobi-Kronrod matrix of
+    the ``(2g + 1)``-node Gauss-Kronrod rule for the Legendre weight on
+    [-1, 1], by Laurie's algorithm (Math. Comp. 66 (1997) 1133-1145).
+
+    The weight is symmetric, so every diagonal coefficient ``a_k`` is 0 and
+    the terms of the algorithm that carry them vanish.  ``b_0 .. b_⌈3g/2⌉``
+    are Legendre's own (``b_0`` the total weight 2); the mixed moments
+    ``s`` and ``t`` then give the rest.
+    """
+    b = np.zeros(2 * g + 1)
+    k = np.arange(1, -(-3 * g // 2) + 1)
+    b[0] = 2.0
+    b[k] = k * k / (4.0 * k * k - 1.0)
+    s, t = np.zeros(g // 2 + 2), np.zeros(g // 2 + 2)
+    t[1] = b[g + 1]
+    for m in range(g - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            u += b[k + g + 1] * s[k] - b[m - k] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(g - 1, 2 * g - 2):
+        u = 0.0
+        for k in range(m + 1 - g, (m - 1) // 2 + 1):
+            j = g - 1 - m + k
+            u += b[m - k] * s[j + 2] - b[k + g + 1] * s[j + 1]
+            s[j + 1] = u
+        if m % 2:
+            b[(m + 1) // 2 + g + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    return b
+
+
+@lru_cache(maxsize=32)
+def _kronrod_unit(g: int):
+    """The ``(2g + 1)``-node Gauss-Kronrod rule on [0, 1] and its embedded
+    ``g``-node Gauss rule: arrays ``(x, wk, wg)`` of nodes, the g Gauss
+    nodes first, their Kronrod weights, and the Gauss weights of the first
+    g nodes.
+
+    The nodes are the eigenvalues of the Jacobi-Kronrod matrix and the
+    Kronrod weights ``b_0`` times the squared first components of its
+    eigenvectors (Golub-Welsch); sorted, the Gauss nodes are every second
+    one, since the Kronrod nodes interlace them.
+    """
+    off = np.sqrt(_kronrod_recurrence(g)[1:])
+    x, V = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    order = np.concatenate([np.arange(1, 2 * g, 2), np.arange(0, 2 * g + 1, 2)])
+    return 0.5 * (x[order] + 1.0), V[0, order] ** 2, gl_unit(g)[1]
 
 
 # Two-level differences cannot resolve below roundoff of the magnitude
@@ -560,50 +616,63 @@ _BLOCK_BYTES = 1 << 18
 _DOUBLINGS = 3
 
 
-def _node_set(contours, n: int):
-    """Points and weights of the ``n``-node rule on every panel of one or
-    more contours, concatenated."""
+def _node_set(contours, g: int):
+    """Points and weights of the ``(2g + 1)``-node Gauss-Kronrod rule on
+    every panel of one or more contours, the g Gauss nodes of every panel
+    first, and the Gauss weights of those leading points."""
     panels = [p for c in contours for p in c.panels]
-    xu, wu = gl_unit(n)
+    xu, wk, wg = _kronrod_unit(g)
     z, d = _nodes(panels, xu)
-    return z.ravel(), (d[:, None] * wu).ravel()
+    w = d[:, None] * wk
+    gauss_first = lambda m: np.concatenate([m[:, :g].ravel(), m[:, g:].ravel()])
+    return gauss_first(z), gauss_first(w), (d[:, None] * wg).ravel()
 
 
-def _cauchy_rule(exp_a, exp_b, cA, cB, n: int, cols, with_mag: bool):
-    """``colsum(A ⊙ (C B))``, and if ``with_mag`` ``colsum(|A| ⊙ (|C| |B|))``
-    (else 0), on the ``n``-node rule for the columns ``cols`` of the
-    exponents, and the node count.
+def _cauchy_rule(exp_a, exp_b, cA, cB, g: int, cols):
+    """``colsum(A ⊙ (C B))`` on the ``(2g + 1)``-node Gauss-Kronrod rule, the
+    same form on its embedded g-node Gauss rule, ``colsum(|A| ⊙ (|C| |B|))``
+    and the Kronrod node count, for the columns ``cols`` of the exponents.
 
+    Both node sets hold their Gauss points first, so the Gauss rule's
+    Cauchy matrix is the leading block ``C[:K_g, :L_g]`` of the one formed,
+    and its ``A`` and ``B`` are the same exponentials under Gauss weights.
     Each column of ``A`` and ``B`` is scaled by its largest Re exponent and
     the logs are added back at the end; ``A``'s scale is kept as a running
     maximum over the row blocks, rescaling the partial sums as it grows.
     """
-    za, wa = _node_set(cA, n)
-    zb, wb = _node_set(cB, n)
+    za, wa, ga = _node_set(cA, g)
+    zb, wb, gb = _node_set(cB, g)
     B = np.asarray(exp_b(zb[:, None]), dtype=complex)[:, cols]
     sb = B.real.max(axis=0)
     B -= sb
     np.exp(B, out=B)
+    B_g = gb[:, None] * B[:len(gb)]
     B *= wb[:, None]
-    abs_B = np.abs(B) if with_mag else None
+    abs_B = np.abs(B)
     rows = max(1, _BLOCK_BYTES // (16 * max(B.shape)))
     sa = np.full(B.shape[1], -np.inf)
     val = np.zeros(B.shape[1], dtype=complex)
+    val_g = np.zeros(B.shape[1], dtype=complex)
     mag = np.zeros(B.shape[1])
     for k in range(0, len(za), rows):
         ea = np.asarray(exp_a(za[k:k + rows, None]))[:, cols]
         top = np.maximum(sa, ea.real.max(axis=0))
         shrink = np.exp(sa - top)
         val *= shrink
+        val_g *= shrink
         mag *= shrink
         sa = top
-        A = wa[k:k + rows, None] * np.exp(ea - sa)
+        E = np.exp(ea - sa)
+        A = wa[k:k + rows, None] * E
         C = 1.0 / (za[k:k + rows, None] - zb)
         val += np.einsum("kj,kj->j", A, C @ B)
-        if with_mag:
-            mag += np.einsum("kj,kj->j", np.abs(A), np.abs(C) @ abs_B)
+        mag += np.einsum("kj,kj->j", np.abs(A), np.abs(C) @ abs_B)
+        m = min(rows, len(ga) - k)
+        if m > 0:
+            val_g += np.einsum("kj,kj->j", ga[k:k + m, None] * E[:m],
+                               C[:m, :len(gb)] @ B_g)
     scale = np.exp(sa + sb)
-    return val * scale, mag * scale, len(za) + len(zb)
+    return val * scale, val_g * scale, mag * scale, len(za) + len(zb)
 
 
 def integrate_cauchy(exp_a, exp_b, contour_a, contour_b,
@@ -613,17 +682,21 @@ def integrate_cauchy(exp_a, exp_b, contour_a, contour_b,
 
     ``exp_a(z)`` and ``exp_b(z)`` get a column of points (shape ``(P, 1)``)
     and return the exponents of all B integrands (shape ``(P, B)``); the
-    array ``exp_b`` returns is overwritten.  Either contour may also be a tuple of contours, whose node sets are
-    concatenated.  With Gauss-Legendre nodes and weights on each contour,
-    ``A_kj = w_k exp(exp_a(ζ_k)_j)``, ``B_lj = w_l exp(exp_b(ω_l)_j)`` and
-    the Cauchy matrix ``C_kl = 1/(ζ_k - ω_l)``, column j's value is
-    ``colsum(A ⊙ (C B))_j``; ``C`` and ``A`` are formed in row blocks of
-    about ``_BLOCK_BYTES``.  The rule takes ``n + n//2 + 1`` nodes per panel
-    and is compared with ``n``; the estimate is that difference plus the
-    round-off floor ``eps sqrt(K + L) Σ|A||C||B|`` of the ``K + L`` nodes.
-    A column whose difference exceeds both its floor and its tolerance
-    ``max(abs_tol, rel_tol |value|)`` has the rule doubled on the whole
-    contour pair, at most ``_DOUBLINGS`` times, then gets one
+    array ``exp_b`` returns is overwritten.  Either contour may also be a
+    tuple of contours, whose node sets are concatenated.  With quadrature
+    nodes and weights on each contour, ``A_kj = w_k exp(exp_a(ζ_k)_j)``,
+    ``B_lj = w_l exp(exp_b(ω_l)_j)`` and the Cauchy matrix
+    ``C_kl = 1/(ζ_k - ω_l)``, column j's value is ``colsum(A ⊙ (C B))_j``;
+    ``C`` and ``A`` are formed in row blocks of about ``_BLOCK_BYTES``.  The
+    rule is the ``(2g + 1)``-node Gauss-Kronrod rule per panel, ``g = max(1,
+    n // 2)`` for ``n = nodes_per_panel``, and is compared with its embedded
+    g-node Gauss rule, whose form ``colsum(A_g ⊙ (C[:K_g, :L_g] B_g))`` uses
+    the leading block of the same ``C`` (each node set holds its Gauss nodes
+    first).  The estimate is that difference plus the round-off floor
+    ``eps sqrt(K + L) Σ|A||C||B|`` of the ``K + L`` Kronrod nodes.  A column
+    whose difference exceeds both its floor and its tolerance
+    ``max(abs_tol, rel_tol |value|)`` has g doubled on the whole contour
+    pair, at most ``_DOUBLINGS`` times, then gets one
     :class:`AccuracyWarning` carrying its index and estimate.  A non-finite
     value or estimate raises :class:`GeometryError` for the whole call.
     Returns arrays ``(values, errors)`` of length B.
@@ -632,14 +705,12 @@ def integrate_cauchy(exp_a, exp_b, contour_a, contour_b,
     cb = contour_b if isinstance(contour_b, tuple) else (contour_b,)
     if not all(c.is_finite for c in ca + cb):
         raise GeometryError("integrate_cauchy requires truncated contours")
-    n = opts.nodes_per_panel
+    g = max(1, opts.nodes_per_panel // 2)
     cols, vals, errs = slice(None), None, None
     for _ in range(_DOUBLINGS + 1):
         # An overflowing column is reported below, not by numpy.
         with np.errstate(over="ignore", invalid="ignore"):
-            lo, _, _ = _cauchy_rule(exp_a, exp_b, ca, cb, n, cols, False)
-            hi, mag, nodes = _cauchy_rule(exp_a, exp_b, ca, cb, n + n // 2 + 1,
-                                          cols, True)
+            hi, lo, mag, nodes = _cauchy_rule(exp_a, exp_b, ca, cb, g, cols)
             diff = np.abs(hi - lo)
             floor = _EPS * np.sqrt(nodes) * mag
         if not (np.isfinite(hi).all() and np.isfinite(diff + floor).all()):
@@ -652,7 +723,7 @@ def integrate_cauchy(exp_a, exp_b, contour_a, contour_b,
         cols = cols[diff > np.maximum(tol, floor)]
         if cols.size == 0:
             break
-        n *= 2
+        g *= 2
     for j in cols:
         where = ("integrate_cauchy" if len(vals) == 1
                  else f"integrate_cauchy (integral {j} of {len(vals)})")

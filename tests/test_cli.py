@@ -783,6 +783,19 @@ def test_config_supplies_required_options(capsys, tmp_path, argv, text):
         assert run(capsys, *config, *argv) == (code, out, err)
 
 
+def test_config_abbreviation_is_read_only_where_argparse_reads_it(capsys, tmp_path):
+    # --c also abbreviates verify's --check and --cross-check, so argparse
+    # reports the ambiguity; it is not taken as --config and opened
+    code, out, err = run(capsys, "verify", "--c", "nofile")
+    assert code == 1 and out == ""
+    assert "ambiguous option: --c could match --config, --check, --cross-check" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel=s1\nu=1\n")
+    code, out, err = run(capsys, "eval", "--conf", str(cfg))
+    assert code == 0 and err == ""
+    assert (code, out, err) == run(capsys, "eval", "--kernel", "s1", "--u", "1")
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "--transition", "airy", "--point", "0,0,0,0", "--a="],
     ["verify", "--a-grid=", "--transition", "airy"],

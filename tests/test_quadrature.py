@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import wofz
 
+import kernelwave
 from kernelwave import quadrature
 from kernelwave.quadrature import (
     AccuracyWarning,
@@ -374,9 +378,70 @@ def test_cauchy_doubles_the_rule_until_it_converges():
     with warnings.catch_warnings():
         warnings.simplefilter("error", AccuracyWarning)
         vals, errs = integrate_cauchy(_EXP_A, counted, ca, cb, low)
-    # level 0 takes 6 and 10 nodes per panel; more means the rule doubled
+    # level 0 takes the 7 Kronrod nodes per panel (G3 in K7); more than 10
+    # means the rule doubled
     assert max(points) > 10 * len(cb.panels)
     assert (np.abs(vals - ref) <= errs).all()
+
+
+def test_cauchy_evaluates_one_node_set_per_level():
+    # the Gauss rule's estimate is a block of the Kronrod rule's Cauchy
+    # matrix, so a call that does not double evaluates exp_b once, on the
+    # 2g + 1 = 33 Kronrod nodes of every panel
+    ca, cb = _offset_line(1j), _offset_line(-1j)
+    points = []
+
+    def counted(w):
+        points.append(len(w))
+        return _EXP_B(w)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AccuracyWarning)
+        integrate_cauchy(_EXP_A, counted, ca, cb)
+    assert points == [33 * len(cb.panels)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_cauchy_smallest_rules_keep_their_estimates(n):
+    # g = max(1, n // 2) Gauss nodes in 2g + 1 Kronrod nodes: three at n = 1
+    ca, cb = _offset_line(1j), _offset_line(-1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)
+        vals, errs = integrate_cauchy(_EXP_A, _EXP_B, ca, cb, QuadOptions(nodes_per_panel=n))
+    for s, val, err in zip(_SHIFTS, vals, errs):
+        assert abs(val - _cauchy_closed_form(s)) <= err, s
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 16, 128])
+def test_kronrod_rule_nests_gauss_and_is_exact_to_its_degree(g):
+    # references: numpy's Gauss-Legendre nodes and the moments 1/(d + 1) of
+    # [0, 1], neither computed by the rule under test
+    x, wk, wg = quadrature._kronrod_unit(g)
+    assert x.shape == wk.shape == (2 * g + 1,) and wg.shape == (g,)
+    xg, _ = np.polynomial.legendre.leggauss(g)
+    assert np.abs(x[:g] - 0.5 * (xg + 1.0)).max() <= 1e-15
+    assert abs(wk.sum() - 1.0) <= 1e-14
+    for d in range(3 * g + 2):
+        assert abs(wk @ x ** d - 1.0 / (d + 1)) <= 1e-14, d
+        if d < 2 * g:
+            assert abs(wg @ x[:g] ** d - 1.0 / (d + 1)) <= 1e-14, d
+
+
+def test_direct_batch_builds_its_rule_without_scipy():
+    # importing scipy would cost every direct-backend process set-up time
+    # and memory; the Kronrod rule is computed with numpy alone
+    code = ("import sys; import numpy as np; from kernelwave import kernels, quadrature\n"
+            "kernels.eval_columns(['airy-ext'] * 2, [0.0] * 2, [0.5] * 2, [0.1, 0.3],"
+            " [0.2, -0.4], [np.nan] * 2, ['direct'] * 2)\n"
+            "print(quadrature._kronrod_unit.cache_info().currsize,"
+            " sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(kernelwave.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    built, scipy_modules = done.stdout.split(" ", 1)
+    assert int(built) >= 1
+    assert scipy_modules.strip() == "[]"
 
 
 def test_cauchy_warns_per_column_when_doubling_is_exhausted():
