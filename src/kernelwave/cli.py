@@ -364,8 +364,8 @@ def cmd_expand(args: argparse.Namespace) -> int:
         else None
     )
     # The base kernel value is shared by every row, and so is its error.
-    kv = eval_kernel(KernelQuery(TRANSITION_TABLE[transition].kernel, t1, t2, u, v,
-                                 opts=_quad_options(args)))
+    kv = eval_kernel(KernelQuery(TRANSITION_TABLE[transition].kernel, t1, t2, u, v),
+                     _quad_options(args))
     rows = [(a, n, expansion_partial_sum(transition, n, u, v, t1, t2, a, coeffs=coeffs,
                                          base=kv.value.real))
             for a in args.a for n in range(n_top + 1)]
@@ -477,8 +477,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         parts = [parts[0].partition("\n")[0] + "\n", *(p.partition("\n")[2] for p in parts)]
     _write_output(args, "".join(parts))
     if args.cross_check:
-        report = cross_validate([KernelQuery("airy-ext", t1, t2, u, v, opts=opts)
-                                 for (u, v, t1, t2) in args.points])
+        report = cross_validate([KernelQuery("airy-ext", t1, t2, u, v)
+                                 for (u, v, t1, t2) in args.points], opts)
         if report.n_flagged:
             violations.append(
                 f"cross-validation flagged {report.n_flagged} of {len(report.rows)} rows"

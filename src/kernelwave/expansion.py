@@ -472,15 +472,8 @@ def expansion_partial_sum(
         )
     _require_positive_a(a)
     if base is None:
-        q = KernelQuery(
-            kernel=TRANSITION_TABLE[transition].kernel,
-            tau1=tau1,
-            tau2=tau2,
-            u=u,
-            v=v,
-            opts=opts if opts is not None else QuadOptions(),
-        )
-        base = eval_kernel(q).value.real
+        q = KernelQuery(TRANSITION_TABLE[transition].kernel, tau1, tau2, u, v)
+        base = eval_kernel(q, opts).value.real
     total = float(base)
     if N == 0:
         return total

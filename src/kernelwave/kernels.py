@@ -57,7 +57,7 @@ import itertools
 import math
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .phase import TRANSITION_TABLE, airy_branch_paths, pearcey_branch_paths
 from .quadrature import (
@@ -98,6 +98,9 @@ BACKENDS = ("direct", "saddle")
 _TRANSITION = KERNEL_NAMES.index("transition-a")
 
 _DELTA = 0.25  # default contour vertex offset for the DIRECT geometry
+# Drop of the exponent's real part below its peak at which a direct contour's
+# rays are clipped and the saddle rule's square ends (exp(-60) ~ 1e-26).
+_TRUNCATION_BUDGET = 60.0
 _TWO_PI_I_SQ = (2j * np.pi) ** 2  # = -4*pi^2
 
 
@@ -112,7 +115,6 @@ class KernelQuery:
     v: float = 0.0
     a_param: float | None = None
     backend: str = "direct"
-    opts: QuadOptions = field(default_factory=QuadOptions)
 
     def __post_init__(self):
         a = self.a_param
@@ -323,11 +325,11 @@ def _segment_kernel(kind: str, dt: np.ndarray, dx: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _contour(contour: Contour, p, opts: QuadOptions) -> Contour:
+def _contour(contour: Contour, p) -> Contour:
     """``contour`` truncated and refined on the upper envelope of a batch of
     exponents, ``max_j Re p(z)_j``."""
     env = lambda z: np.real(p(np.asarray(z)[..., None])).max(axis=-1)
-    return refine_panels(truncate_rays(contour, env, opts.ray_truncation_budget), env)
+    return refine_panels(truncate_rays(contour, env, _TRUNCATION_BUDGET), env)
 
 
 def _fold(val: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,8 +371,8 @@ def _direct_airy(tau1: float, tau2: float, u, v, opts: QuadOptions, *,
 
     sig = Contour((Ray(sigma_vertex, np.exp(1j * np.pi / 3)),))
     gam = Contour.vee(gamma_vertex, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3))
-    val, err = _fold(*integrate_cauchy(p_zeta, p_omega, _contour(sig, p_zeta, opts),
-                                       _contour(gam, p_omega, opts), opts))
+    val, err = _fold(*integrate_cauchy(p_zeta, p_omega, _contour(sig, p_zeta),
+                                       _contour(gam, p_omega), opts))
     return val - heat_term(tau1 - tau2, u - v, "four-pi"), err
 
 
@@ -401,8 +403,8 @@ def _direct_quartic(tau1: float, tau2: float, u, v, a_cubic: float,
     right_v = Contour.vee(right_vertex, np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4))
     left_v = Contour.vee(-delta, np.exp(-3j * np.pi / 4), np.exp(3j * np.pi / 4))
     val, err = _fold(*integrate_cauchy(
-        p_zeta, p_omega, _contour(zline, p_zeta, opts),
-        (_contour(right_v, p_omega, opts), _contour(left_v, p_omega, opts)), opts))
+        p_zeta, p_omega, _contour(zline, p_zeta),
+        (_contour(right_v, p_omega), _contour(left_v, p_omega)), opts))
     return val - heat_term(tau1 - tau2, u - v, "two-pi"), err
 
 
@@ -424,12 +426,13 @@ def _radial_rule(s: float, n: int):
     return (a + h * xu).ravel(), (h * wu).ravel()
 
 
-def _truncation_halfwidth(s: float, budget: float, growth_bound) -> float:
+def _truncation_halfwidth(s: float, growth_bound) -> float:
     """Fixed point of ``X = sqrt((budget + G(X))/s)`` where ``G`` bounds the
-    amplitude's Re-exponent growth over the square of halfwidth ``X``."""
-    X = np.sqrt(budget / s)
+    amplitude's Re-exponent growth over the square of halfwidth ``X`` and
+    the budget is ``_TRUNCATION_BUDGET``."""
+    X = np.sqrt(_TRUNCATION_BUDGET / s)
     for _ in range(12):
-        X_new = np.sqrt((budget + max(0.0, growth_bound(X))) / s)
+        X_new = np.sqrt((_TRUNCATION_BUDGET + max(0.0, growth_bound(X))) / s)
         if abs(X_new - X) < 1e-9 * X:
             X = X_new
             break
@@ -529,7 +532,7 @@ def _saddle_J(transition: str, a: float, tau1: float, tau2: float,
         m = max(float(np.max(np.abs(p.zeta(np.array([X, -X]))))) for p in paths.values())
         return vmax * m + abs(tau2) * m * m + umax * m + abs(tau1) * m * m
 
-    X = _truncation_halfwidth(s, opts.ray_truncation_budget, growth)
+    X = _truncation_halfwidth(s, growth)
     n = max(12, opts.nodes_per_panel // 2)
     lo, hi = (_saddle_blocks(paths, specs, s, X, m, tau1, tau2, u, v)
               for m in (n, n + n // 2 + 1))
@@ -574,12 +577,12 @@ def _rescaled_lhs(transition: str, a: float, tau1: float, tau2: float, u: float,
         return KernelValue.wrap(val[0], err[0], "saddle")
     if transition == "airy-to-s1":
         kv = eval_kernel(KernelQuery("airy-ext", tau1 / a, tau2 / a, u / np.sqrt(a) - a,
-                                     v / np.sqrt(a) - a, opts=opts))
+                                     v / np.sqrt(a) - a), opts)
         sa = 1.0 / np.sqrt(a)
         return KernelValue.wrap(sa * kv.value, sa * kv.error_estimate, "direct")
     c = a ** (1.0 / 3.0)
     kv = eval_kernel(KernelQuery("pearcey-ext", 2.0 * tau1 / c ** 2, 2.0 * tau2 / c ** 2,
-                                 u / c + a, v / c + a, opts=opts))
+                                 u / c + a, v / c + a), opts)
     return KernelValue.wrap(kv.value / c, kv.error_estimate / c, "direct")
 
 
@@ -598,9 +601,9 @@ def rescaled_pearcey_lhs(a: float, tau1: float, tau2: float, u: float, v: float,
     return _rescaled_lhs("pearcey-to-s2", a, tau1, tau2, u, v, backend, opts)
 
 
-def eval_kernel(q: KernelQuery) -> KernelValue:
+def eval_kernel(q: KernelQuery, opts: QuadOptions | None = None) -> KernelValue:
     """Evaluate one kernel query, as the batch of one of :func:`eval_kernels`."""
-    return eval_kernels([q])[0]
+    return eval_kernels([q], opts)[0]
 
 
 # The a = 1 embedding of the saddle kernels in the rescaled kernels:
@@ -689,27 +692,20 @@ def eval_columns(kernel, tau1, tau2, u, v, a, backend, opts: QuadOptions | None 
     return re, im, err, np.asarray(BACKENDS)[used]
 
 
-def eval_kernels(queries) -> list[KernelValue]:
-    """Evaluate a batch of queries; the values come back in input order.
+def eval_kernels(queries, opts: QuadOptions | None = None) -> list[KernelValue]:
+    """Evaluate a batch of queries with one set of options; the values come
+    back in input order.
 
-    The queries become the columns of one :func:`eval_columns` call per
-    set of options.
+    The queries become the columns of one :func:`eval_columns` call.
     """
-    queries = list(queries)
-    out: list = [None] * len(queries)
-    by_opts: dict = {}
-    for k, q in enumerate(queries):
-        by_opts.setdefault(q.opts, []).append(k)
-    for opts, ks in by_opts.items():
-        qs = [queries[k] for k in ks]
-        re, im, err, used = eval_columns(
-            [q.kernel for q in qs], [q.tau1 for q in qs], [q.tau2 for q in qs],
-            [q.u for q in qs], [q.v for q in qs],
-            [np.nan if q.a_param is None else q.a_param for q in qs],
-            [q.backend for q in qs], opts, a_given=[q.a_param is not None for q in qs])
-        for k, r, i, e, b in zip(ks, re.tolist(), im.tolist(), err.tolist(), used.tolist()):
-            out[k] = KernelValue(complex(r, i), abs(i), e, b)
-    return out
+    qs = list(queries)
+    re, im, err, used = eval_columns(
+        [q.kernel for q in qs], [q.tau1 for q in qs], [q.tau2 for q in qs],
+        [q.u for q in qs], [q.v for q in qs],
+        [np.nan if q.a_param is None else q.a_param for q in qs],
+        [q.backend for q in qs], opts, a_given=[q.a_param is not None for q in qs])
+    return [KernelValue(complex(r, i), abs(i), e, b)
+            for r, i, e, b in zip(re.tolist(), im.tolist(), err.tolist(), used.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -724,25 +720,23 @@ def relation_connS(tau1: float, tau2: float, u: float, v: float,
 
     The two sides share no code: s1 is integrated along its segment, the
     extended sine kernel is a closed form in the Faddeeva function."""
-    opts = opts or QuadOptions()
     s1 = eval_kernel(KernelQuery(
         "s1", np.pi ** 2 * tau1 / 2.0, np.pi ** 2 * tau2 / 2.0,
-        np.pi * u, np.pi * v, opts=opts))
+        np.pi * u, np.pi * v), opts)
     lhs = KernelValue.wrap(np.pi * s1.value.real, np.pi * s1.error_estimate, "direct")
-    return lhs, eval_kernel(KernelQuery("sine-ext", tau1, tau2, u, v, opts=opts))
+    return lhs, eval_kernel(KernelQuery("sine-ext", tau1, tau2, u, v), opts)
 
 
 def relation_connSS(tau1: float, tau2: float, u: float, v: float,
                     opts: QuadOptions | None = None) -> tuple[KernelValue, KernelValue]:
     """Both sides of the s2 <-> s1 gauge/rescaling identity."""
-    opts = opts or QuadOptions()
     gauge = (2.0 / np.sqrt(3.0)) * np.exp((tau1 - tau2) / 3.0 - (u - v) / np.sqrt(3.0))
     s2 = eval_kernel(KernelQuery(
         "s2", 4.0 * tau1 / 3.0, 4.0 * tau2 / 3.0,
         2.0 * u / np.sqrt(3.0) - 4.0 * tau1 / 3.0,
-        2.0 * v / np.sqrt(3.0) - 4.0 * tau2 / 3.0, opts=opts))
+        2.0 * v / np.sqrt(3.0) - 4.0 * tau2 / 3.0), opts)
     lhs = KernelValue.wrap(gauge * s2.value.real, gauge * s2.error_estimate, "direct")
-    return lhs, eval_kernel(KernelQuery("s1", tau1, tau2, u, v, opts=opts))
+    return lhs, eval_kernel(KernelQuery("s1", tau1, tau2, u, v), opts)
 
 
 def transition_interpolation_check(a: float, tau1: float, tau2: float,
@@ -760,14 +754,13 @@ def transition_interpolation_check(a: float, tau1: float, tau2: float,
     """
     if a < 0:
         raise ValueError("a must be nonnegative")
-    opts = opts or QuadOptions()
     if a == 0:
         return tuple(eval_kernels([
-            KernelQuery("transition-a", tau1, tau2, u, v, a_param=0.0, opts=opts),
-            KernelQuery("pearcey-ext", tau1, tau2, u, v, backend="saddle", opts=opts)]))
+            KernelQuery("transition-a", tau1, tau2, u, v, a_param=0.0),
+            KernelQuery("pearcey-ext", tau1, tau2, u, v, backend="saddle")], opts))
     c = a ** (1.0 / 3.0)
     kt, rhs = eval_kernels([
         KernelQuery("transition-a", 2.0 * c ** 2 * tau1, 2.0 * c ** 2 * tau2, c * u,
-                    c * v, a_param=a, opts=opts),
-        KernelQuery("airy-ext", tau1, tau2, u, v, opts=opts)])
+                    c * v, a_param=a),
+        KernelQuery("airy-ext", tau1, tau2, u, v)], opts)
     return KernelValue.wrap(c * kt.value, c * kt.error_estimate, "direct"), rhs

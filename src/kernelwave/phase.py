@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -127,29 +128,32 @@ def make_phase(kind: str) -> PhaseSpec:
 # ---------------------------------------------------------------------------
 
 
+_LEVEL_GRID = 400  # grid points per side of export_level_curve's window
+
+
 def export_level_curve(
     phase: PhaseSpec,
     level_im: float,
     *,
     window: tuple[float, float, float, float] = (-4.0, 4.0, -4.0, 4.0),
-    n: int = 400,
 ) -> list[np.ndarray]:
     """Sample the level set ``Im f(z) = level_im`` inside a window.
 
     Returns a list of point arrays, one per grid column that the curve
     crosses.  Each point sits between two vertical neighbours of the
-    ``n``-by-``n`` grid where ``Im f - level_im`` changes sign, placed by
-    one linear interpolation.  Intended for plotting, not for quadrature.
+    ``_LEVEL_GRID``-by-``_LEVEL_GRID`` (400) grid where ``Im f - level_im``
+    changes sign, placed by one linear interpolation.  Intended for
+    plotting, not for quadrature.
     """
     x0, x1, y0, y1 = window
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
+    xs = np.linspace(x0, x1, _LEVEL_GRID)
+    ys = np.linspace(y0, y1, _LEVEL_GRID)
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
     G = np.imag(phase.f(Z)) - level_im
     segments: list[np.ndarray] = []
     sign_flip = np.signbit(G[:-1, :]) != np.signbit(G[1:, :])
-    for j in range(n):
+    for j in range(_LEVEL_GRID):
         rows = np.nonzero(sign_flip[:, j])[0]
         if rows.size == 0:
             continue
@@ -193,12 +197,13 @@ class BranchPath:
     sigma: int
     first_coeff: complex
     series: TruncatedSeries1
-    x_switch: float = 0.12
     x_max: float = 40.0
-    dx: float = 0.01
-    _table_x: np.ndarray = field(default=None, repr=False)
-    _table_pos: np.ndarray = field(default=None, repr=False)
-    _table_neg: np.ndarray = field(default=None, repr=False)
+    _table_x: np.ndarray = field(init=False, repr=False)
+    _table_pos: np.ndarray = field(init=False, repr=False)
+    _table_neg: np.ndarray = field(init=False, repr=False)
+
+    x_switch: ClassVar[float] = 0.12  # series radius: the table starts here
+    dx: ClassVar[float] = 0.01  # table spacing in x
 
     def __post_init__(self):
         self.level = complex(self.phase.f(self.center))
@@ -291,18 +296,22 @@ class BranchPath:
         return self.phase.f(self.zeta(x)) - self.level - self.sigma * x**2
 
 
+# Order of the branch series at the saddle, which serves |x| <= x_switch.
+_BRANCH_ORDER = 16
+
+
 def make_branch_path(
     phase: PhaseSpec,
     center: complex,
     sigma: int,
     first_coeff: complex,
     *,
-    order: int = 16,
     x_max: float = 40.0,
 ) -> BranchPath:
-    """Solve the branch series at ``center`` and wrap it in a BranchPath."""
+    """Solve the branch series at ``center`` to order ``_BRANCH_ORDER`` (16)
+    and wrap it in a BranchPath."""
     level = complex(phase.f(center))
-    series = solve_branch(phase, center, sigma, level, first_coeff, order)
+    series = solve_branch(phase, center, sigma, level, first_coeff, _BRANCH_ORDER)
     return BranchPath(
         phase=phase,
         center=complex(center),

@@ -84,17 +84,18 @@ class AccuracyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class QuadOptions:
-    """Tuning knobs shared by all integration routines."""
+    """The quadrature settings a caller may vary, one field per flag of the
+    CLI's quadrature options: the relative and absolute tolerance, and the
+    rule size ``n`` per panel.  An evaluation takes one value for its whole
+    batch.  The refinement depth (:data:`_MAX_REFINE_DEPTH`) and the ray
+    truncation budget of the kernels are module constants."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     nodes_per_panel: int = 32
-    max_refine_depth: int = 12
-    ray_truncation_budget: float = 60.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "nodes_per_panel",
-                     "max_refine_depth", "ray_truncation_budget"):
+        for name in ("rel_tol", "abs_tol", "nodes_per_panel"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"QuadOptions.{name} must be finite and positive, "
@@ -339,6 +340,9 @@ def _kronrod_unit(g: int):
 # every reported estimate includes it.
 _EPS = np.finfo(float).eps
 _ROUNDOFF = 200.0 * _EPS
+# Levels of splitting after which :func:`_refine` accepts the items still
+# over tolerance and warns.
+_MAX_REFINE_DEPTH = 12
 
 # Integrand points per call of the single and double rules, whatever the
 # number of panels or panel pairs: bounds the node and value arrays held.
@@ -383,7 +387,7 @@ def _refine(items, owner, n_int: int, measure, split, opts: QuadOptions,
         floor = _ROUNDOFF * mag
         diff = np.abs(fine - coarse)
         ok = diff <= np.maximum(tol[owner] * share, floor)
-        if depth >= opts.max_refine_depth and not ok.all():
+        if depth >= _MAX_REFINE_DEPTH and not ok.all():
             np.add.at(missed, owner[~ok], 1)
             np.maximum.at(worst, owner[~ok], diff[~ok])
             ok[:] = True

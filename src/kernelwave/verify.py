@@ -86,6 +86,10 @@ ACCEPTANCE_WINDOWS: dict[str, dict[int, tuple[float, float]]] = {
 # wider than the theoretical slopes, -4/3 to -4.5.
 _EXPONENT_GRID = np.linspace(-20.0, 10.0, 601)
 
+# An anchor's residual must exceed this many times the combined error
+# estimate of its two kernel values to enter a rate fit.
+_NOISE_MULTIPLIER = 100.0
+
 # Default anchor grid: geometric-ish spacing; the saddle backend stays
 # accurate well beyond 14, the plain geometry loses ground to cancellation.
 DEFAULT_A_GRID: tuple[float, ...] = (4.0, 5.5, 7.0, 8.5, 10.0, 12.0, 14.0)
@@ -195,15 +199,13 @@ def residual_study(
     N_max: int,
     backend: str = "saddle",
     opts: QuadOptions | None = None,
-    *,
-    noise_multiplier: float = 100.0,
 ) -> ResidualTable:
     """Measure the decay rate of partial-sum residuals over an ``a`` grid.
 
     For each ``N`` in ``0..N_max`` the signed residual ``LHS(a) -
     partial_sum(N)`` is formed at every anchor ``a``, one LHS evaluation per
-    anchor.  Anchors whose residual is at or below ``noise_multiplier``
-    times the combined quadrature error estimate are excluded, and
+    anchor.  Anchors whose residual is at or below ``_NOISE_MULTIPLIER``
+    (100) times the combined quadrature error estimate are excluded, and
     :func:`fit_rate` fits the rest with the transition's known phase.
     """
     if transition not in TRANSITIONS:
@@ -223,9 +225,7 @@ def residual_study(
     lhs_fn = _lhs_function(transition)
     t = TRANSITION_TABLE[transition]
 
-    base_kv = eval_kernel(
-        KernelQuery(kernel=t.kernel, tau1=tau1, tau2=tau2, u=u, v=v, opts=opts)
-    )
+    base_kv = eval_kernel(KernelQuery(kernel=t.kernel, tau1=tau1, tau2=tau2, u=u, v=v), opts)
     coeffs = (
         build_amplitudes(transition, u, v, tau1, tau2, order=2 * N_max)
         if N_max >= 1
@@ -236,7 +236,7 @@ def residual_study(
     floor = np.empty(a_arr.size)
     for j, a in enumerate(a_arr):
         kv = lhs_fn(float(a), tau1, tau2, u, v, backend, opts)
-        floor[j] = noise_multiplier * (kv.error_estimate + base_kv.error_estimate)
+        floor[j] = _NOISE_MULTIPLIER * (kv.error_estimate + base_kv.error_estimate)
         partial = base_kv.value.real
         signed[0, j] = kv.value.real - partial
         for nu in range(1, N_max + 1):
@@ -378,16 +378,16 @@ def _pair_row(label, point, a_param, kv_a: KernelValue, kv_b: KernelValue) -> Cr
 
 def cross_validate(
     queries: list[KernelQuery],
-    *,
-    include_identity_checks: bool = True,
+    opts: QuadOptions | None = None,
 ) -> CrossCheckReport:
     """Evaluate each query through both backends and flag disagreements.
 
-    Each side is one :func:`~kernelwave.kernels.eval_kernels` batch.  A
-    kernel without a saddle route (not airy-ext or pearcey-ext) raises.
+    Each side is one :func:`~kernelwave.kernels.eval_kernels` batch with
+    ``opts``.  A kernel without a saddle route (not airy-ext or pearcey-ext)
+    raises.
 
-    With ``include_identity_checks`` the report also carries, for every
-    distinct point appearing in the queries, the kernel-family identities
+    The report also carries, for every distinct point appearing in the
+    queries, in order of first appearance, the kernel-family identities
     (the pi-rescaled s1 versus extended-sine relation, the gauged s2 versus
     s1 relation, and the a=0 transition kernel versus the saddle-backend
     quartic kernel), each evaluated as an independent left/right pair.  In
@@ -398,21 +398,17 @@ def cross_validate(
         if q.kernel not in _SADDLE_ROUTES:
             raise ValueError(f"{q.kernel} has no saddle route to compare against; "
                              f"only {' and '.join(_SADDLE_ROUTES)} have one")
-    direct = eval_kernels([replace(q, backend="direct") for q in queries])
-    saddle = eval_kernels([replace(q, backend="saddle") for q in queries])
+    direct = eval_kernels([replace(q, backend="direct") for q in queries], opts)
+    saddle = eval_kernels([replace(q, backend="saddle") for q in queries], opts)
     rows = [_pair_row(f"{q.kernel} direct-vs-saddle", (q.u, q.v, q.tau1, q.tau2),
                       q.a_param, kv_d, kv_s)
             for q, kv_d, kv_s in zip(queries, direct, saddle)]
-    if include_identity_checks:
-        first_opts: dict = {}
-        for q in queries:
-            first_opts.setdefault((q.u, q.v, q.tau1, q.tau2), q.opts)
-        for pt, opts in first_opts.items():
-            u, v, t1, t2 = pt
-            for label, (lhs, rhs), a_param in (
-                    ("identity sine-vs-s1", relation_connS(t1, t2, u, v, opts), None),
-                    ("identity s1-vs-s2", relation_connSS(t1, t2, u, v, opts), None),
-                    ("identity transition0-vs-quartic",
-                     transition_interpolation_check(0.0, t1, t2, u, v, opts), 0.0)):
-                rows.append(_pair_row(label, pt, a_param, lhs, rhs))
+    for pt in dict.fromkeys((q.u, q.v, q.tau1, q.tau2) for q in queries):
+        u, v, t1, t2 = pt
+        for label, (lhs, rhs), a_param in (
+                ("identity sine-vs-s1", relation_connS(t1, t2, u, v, opts), None),
+                ("identity s1-vs-s2", relation_connSS(t1, t2, u, v, opts), None),
+                ("identity transition0-vs-quartic",
+                 transition_interpolation_check(0.0, t1, t2, u, v, opts), 0.0)):
+            rows.append(_pair_row(label, pt, a_param, lhs, rhs))
     return CrossCheckReport(rows=tuple(rows))

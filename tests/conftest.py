@@ -1,6 +1,13 @@
 from __future__ import annotations
 
-from hypothesis import HealthCheck, settings
+import os
+
+# One BLAS thread, set before anything imports numpy: the suite's timing
+# bounds then do not depend on how many threads other processes leave free.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from hypothesis import HealthCheck, settings  # noqa: E402
 
 settings.register_profile(
     "fast",

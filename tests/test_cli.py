@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import warnings
 
@@ -15,6 +17,7 @@ from kernelwave.cli import main
 from kernelwave.expansion import fluc_s1
 from kernelwave.kernels import BACKENDS, KERNEL_NAMES, KernelQuery, eval_kernels
 from kernelwave.phase import make_phase
+from kernelwave.quadrature import QuadOptions
 
 
 def run(capsys, *argv):
@@ -111,6 +114,16 @@ def test_eval_non_finite_tolerance_exits_1(capsys, option):
                          option)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "finite and positive" in err
+
+
+def test_quad_options_are_exactly_the_cli_flags():
+    # A setting no command line can reach is one no caller varies: it
+    # belongs in a module constant, not in QuadOptions.
+    sp = argparse.ArgumentParser()
+    before = {a.dest for a in sp._actions}
+    cli._add_quad(sp)
+    added = {a.dest for a in sp._actions} - before
+    assert {f.name for f in dataclasses.fields(QuadOptions)} == added
 
 
 def test_eval_overflowing_integrand_exits_1(capsys):

@@ -201,6 +201,45 @@ def test_sine_ext_overflow_is_a_geometry_error():
             kernels._sine_ext(np.array([dt, 0.5]), np.array([0.3, 0.3]))
 
 
+def _segment_oracle(kind: str, dt: float, dx: float) -> tuple[float, float, float]:
+    """scipy's quad on the defining integral of s1 or s2, written out here:
+    the value minus the heat term, quad's error bound, and a round-off
+    scale ``|heat| + int |f| / pi``."""
+    from scipy.integrate import quad
+
+    if kind == "s1":  # (1/pi) int_0^1 exp(-dt y^2) cos(dx y) dy
+        top = 1.0
+        f = lambda y: np.exp(-dt * y * y) * np.cos(dx * y)
+        mag = lambda y: np.exp(-dt * y * y)
+    else:  # (1/pi) int_0^{sqrt3/2} Re exp(dt w^2 + dx w) dy, w = 1/2 + iy
+        top = np.sqrt(3.0) / 2.0
+        f = lambda y: np.exp(dt * (0.5 + 1j * y) ** 2 + dx * (0.5 + 1j * y)).real
+        mag = lambda y: np.exp(dt * (0.25 - y * y) + 0.5 * dx)
+    total, _ = quad(mag, 0.0, top, epsabs=0.0, epsrel=1e-10, limit=200)
+    # Any tighter and quad warns of round-off where the value cancels.
+    val, val_err = quad(f, 0.0, top, epsabs=1e-13 * total, epsrel=1e-12, limit=200)
+    heat = np.exp(-dx * dx / (4.0 * dt)) / np.sqrt(4.0 * np.pi * dt) if dt > 0 else 0.0
+    return val / np.pi - heat, val_err / np.pi, abs(heat) + total / np.pi
+
+
+def test_s1_s2_match_scipy_quad_on_their_defining_integrals():
+    # An oracle that shares no code with the package: each kernel's value
+    # must sit within its own estimate plus the oracle's error and round-off.
+    rng = np.random.default_rng(26)
+    pts = np.concatenate([rng.uniform(-b, b, (67, 4)) for b in (1.0, 3.0, 6.0)])
+    worst = 0.0
+    for kind in ("s1", "s2"):
+        kvs = eval_kernels([KernelQuery(kind, *p) for p in pts])
+        for (t1, t2, u, v), kv in zip(pts, kvs):
+            ref, ref_err, scale = _segment_oracle(kind, t1 - t2, u - v)
+            bound = kv.error_estimate + ref_err + 4.0 * np.finfo(float).eps * scale
+            ratio = abs(kv.value.real - ref) / bound
+            assert ratio <= 1.0, (kind, t1, t2, u, v, kv.value.real, ref, bound)
+            worst = max(worst, ratio)
+    print(f"s1/s2 against quad over {len(pts)} points each: "
+          f"largest |K - quad| / bound {worst:.3g}")
+
+
 def test_faddeeva_within_its_bound():
     # The arguments the closed form uses, for 2**-21 <= |dt| <= the overflow
     # edge and |dx| <= 50, and a grid of the closed upper half-plane.
@@ -407,7 +446,7 @@ def _whole_contour_kernel(p_zeta, p_omega, zeta, omegas, dt, dx, variance, opts)
     conjugate fold: complex values and their estimates."""
     def prep(c, p):
         env = lambda z: np.real(p(np.asarray(z)[..., None])).max(axis=-1)
-        return refine_panels(truncate_rays(c, env, opts.ray_truncation_budget), env)
+        return refine_panels(truncate_rays(c, env, kernels._TRUNCATION_BUDGET), env)
 
     val, err = integrate_cauchy(p_zeta, p_omega, prep(zeta, p_zeta),
                                 tuple(prep(c, p_omega) for c in omegas), opts)
@@ -570,9 +609,7 @@ def test_error_estimates_are_honest():
     ]
     for q in queries:
         kv = eval_kernel(q)
-        ref = eval_kernel(
-            KernelQuery(q.kernel, q.tau1, q.tau2, q.u, q.v, opts=tight)
-        )
+        ref = eval_kernel(q, tight)
         true_err = abs(kv.value - ref.value)
         assert true_err <= max(5.0 * kv.error_estimate, 1e-11), q.kernel
 

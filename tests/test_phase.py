@@ -47,7 +47,7 @@ def test_phase_evaluations_match_polyval(kind):
 def test_export_level_curve_points_sit_on_level():
     ph = make_phase("airy-cubic")
     level = ph.f(1j).imag  # 2/3, the curve through the upper saddle
-    segments = export_level_curve(ph, level, window=(-2, 2, 0.1, 2), n=200)
+    segments = export_level_curve(ph, level, window=(-2, 2, 0.1, 2))
     pts = np.concatenate([s for s in segments if len(s)])
     assert len(pts) > 50
     assert np.max(np.abs(np.array([ph.f(z) for z in pts]).imag - level)) < 1e-3
@@ -124,6 +124,15 @@ def test_branch_path_series_and_march_agree_at_switch():
     eps = 1e-6
     x0 = path.x_switch
     assert abs(path.zeta(x0 - eps) - path.zeta(x0 + eps)) < 1e-5
+
+
+def test_branch_path_builds_its_own_tables():
+    # The tables are always built from the series; one passed in would be
+    # discarded, so the constructor takes none.
+    path = airy_branch_paths()["S"]
+    with pytest.raises(TypeError, match="_table_x"):
+        BranchPath(path.phase, path.center, path.sigma, path.first_coeff, path.series,
+                   _table_x=path._table_x)
 
 
 def test_make_branch_path_rejects_bad_first_coeff():

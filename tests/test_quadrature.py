@@ -30,6 +30,7 @@ from kernelwave.quadrature import (
 )
 
 SQRT_PI = np.sqrt(np.pi)
+BUDGET = 60.0  # the kernels' ray truncation budget
 
 
 def _gaussian_line(vertex=0.0, angle=0.0):
@@ -37,14 +38,14 @@ def _gaussian_line(vertex=0.0, angle=0.0):
     return Contour.vee(vertex, -d_out, d_out)
 
 
-def _prep(contour, env, opts):
-    return refine_panels(truncate_rays(contour, env, opts.ray_truncation_budget), env)
+def _prep(contour, env):
+    return refine_panels(truncate_rays(contour, env, BUDGET), env)
 
 
 def test_gaussian_on_real_line():
     opts = QuadOptions()
     env = lambda z: np.real(-(z ** 2))
-    c = _prep(_gaussian_line(), env, opts)
+    c = _prep(_gaussian_line(), env)
     val, err = integrate_single(lambda z: np.exp(-(z ** 2)), c, opts)
     assert abs(val - SQRT_PI) < 1e-12
     assert abs(val - SQRT_PI) <= max(err, 1e-12)
@@ -57,7 +58,7 @@ def test_refine_panels_splits_tails_for_length_only(monkeypatch):
     # down to _MAX_PANEL_LEN.
     opts = QuadOptions()
     env = lambda z: np.real(-(z ** 2))
-    clipped = truncate_rays(_gaussian_line(), env, opts.ray_truncation_budget)
+    clipped = truncate_rays(_gaussian_line(), env, BUDGET)
     c = refine_panels(clipped, env)
     ends = [env(np.array([p.za, p.zb])) for p in c.panels]
     tails = [e for e in ends if e.max() < -quadrature._TAIL_DROP]
@@ -77,7 +78,7 @@ def test_gaussian_contour_deformation_invariance(angle, vertex):
     # Cauchy: any decaying deformation of the line leaves the value fixed
     opts = QuadOptions()
     env = lambda z: np.real(-(z ** 2))
-    c = _prep(_gaussian_line(vertex, angle), env, opts)
+    c = _prep(_gaussian_line(vertex, angle), env)
     val, _ = integrate_single(lambda z: np.exp(-(z ** 2)), c, opts)
     assert abs(val - SQRT_PI) < 1e-11
 
@@ -135,15 +136,16 @@ def test_quad_options_validation():
         QuadOptions(rel_tol=-1e-10)
     with pytest.raises(ValueError):
         QuadOptions(nodes_per_panel=0)
-    for name in ("rel_tol", "abs_tol", "ray_truncation_budget"):
+    for name in ("rel_tol", "abs_tol", "nodes_per_panel"):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite and positive"):
                 QuadOptions(**{name: value})
 
 
-def test_accuracy_warning_on_exhausted_refinement():
+def test_accuracy_warning_on_exhausted_refinement(monkeypatch):
     # a near-singular peak with refinement depth 1 cannot converge
-    opts = QuadOptions(nodes_per_panel=4, max_refine_depth=1, rel_tol=1e-14)
+    monkeypatch.setattr(quadrature, "_MAX_REFINE_DEPTH", 1)
+    opts = QuadOptions(nodes_per_panel=4, rel_tol=1e-14)
     c = Contour.polyline([-0.5, 0.5])  # one panel
     f = lambda z: 1.0 / (z - 1e-4 * 1j)
     with warnings.catch_warnings(record=True) as caught:
@@ -201,9 +203,10 @@ def test_batch_rows_refine_independently():
     assert np.abs(vals[easy] - (coef[easy] / 12 + 1)).max() < 1e-14
 
 
-def test_batch_exhausted_row_warns_with_its_own_estimate():
+def test_batch_exhausted_row_warns_with_its_own_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_REFINE_DEPTH", 1)
     c = Contour.polyline([-0.5, 0.5])
-    opts = QuadOptions(nodes_per_panel=6, max_refine_depth=1)
+    opts = QuadOptions(nodes_per_panel=6)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         _, alone_err = integrate_single(_pole_row, c, opts)
@@ -227,7 +230,7 @@ def test_error_estimate_honest_for_smooth_integrands():
     opts = QuadOptions()
     exact = SQRT_PI * np.exp(-0.25)  # integral of exp(-z^2+iz) over R
     env = lambda z: np.real(-(z ** 2))
-    c = _prep(_gaussian_line(), env, opts)
+    c = _prep(_gaussian_line(), env)
     val, err = integrate_single(lambda z: np.exp(-(z ** 2) + 1j * z), c, opts)
     assert abs(val - exact) <= max(5 * err, 1e-13)
 
@@ -240,8 +243,8 @@ def test_error_estimate_honest_for_smooth_integrands():
 def test_double_separable_gaussian():
     opts = QuadOptions()
     env = lambda z: np.real(-(z ** 2))
-    c1 = _prep(_gaussian_line(0.0, 0.0), env, opts)
-    c2 = _prep(_gaussian_line(0.0, 0.1), env, opts)
+    c1 = _prep(_gaussian_line(0.0, 0.0), env)
+    c2 = _prep(_gaussian_line(0.0, 0.1), env)
     val, err = integrate_double(
         lambda z, w: np.exp(-(z ** 2) - w ** 2), c1, c2, opts
     )
@@ -255,7 +258,7 @@ _SEPARATED = lambda z, w: np.exp(-((z - 1j) ** 2) - (w + 1j) ** 2) / (z - w)
 def _offset_line(dz, ang=0.0):
     env = lambda z: np.real(-((z - dz) ** 2))
     d = np.exp(1j * ang)
-    return _prep(Contour.vee(dz, -d, d), env, QuadOptions())
+    return _prep(Contour.vee(dz, -d, d), env)
 
 
 def test_double_with_separated_singularity():
@@ -287,8 +290,9 @@ def test_double_refinement_converges_without_warning():
     assert abs(val - ref) <= err + ref_err
 
 
-def test_double_accuracy_warning_on_exhausted_refinement():
-    opts = QuadOptions(nodes_per_panel=6, max_refine_depth=1, rel_tol=1e-15)
+def test_double_accuracy_warning_on_exhausted_refinement(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_REFINE_DEPTH", 1)
+    opts = QuadOptions(nodes_per_panel=6, rel_tol=1e-15)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         val, err = integrate_double(_SEPARATED, _offset_line(1j), _offset_line(-1j), opts)

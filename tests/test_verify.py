@@ -233,13 +233,11 @@ def test_residual_study_rejects_bad_arguments():
             residual_study("airy-to-s1", (0, 0, 0, 0), DEFAULT_A_GRID[:-1] + (bad,), 0)
 
 
-def test_residual_study_noise_floor_exclusion():
+def test_residual_study_noise_floor_exclusion(monkeypatch):
     # an absurd noise multiplier pushes every point below the floor
+    monkeypatch.setattr(verify, "_NOISE_MULTIPLIER", 1e30)
     with pytest.raises(PrecisionError):
-        residual_study(
-            "airy-to-s1", (0.9, 0.7, 0.2, -0.3), (4.0, 5.5, 7.0), 0,
-            noise_multiplier=1e30,
-        )
+        residual_study("airy-to-s1", (0.9, 0.7, 0.2, -0.3), (4.0, 5.5, 7.0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -262,12 +260,12 @@ def test_cross_validate_rows_and_identities():
     assert max(r.discrepancy for r in report.rows) < 1e-8
 
 
-def test_cross_validate_without_identities():
-    report = cross_validate(
-        [KernelQuery("airy-ext", 0.1, -0.2, 0.4, 0.0)],
-        include_identity_checks=False,
-    )
-    assert len(report.rows) == 1
+def test_cross_validate_pairs_each_query_and_checks_each_point_once():
+    q = KernelQuery("airy-ext", 0.1, -0.2, 0.4, 0.0)
+    report = cross_validate([q, q])
+    assert [r.label for r in report.rows] == [
+        "airy-ext direct-vs-saddle", "airy-ext direct-vs-saddle", "identity sine-vs-s1",
+        "identity s1-vs-s2", "identity transition0-vs-quartic"]
     row = report.rows[0]
     assert row.flagged is False
     # two independent geometries: equal to quadrature accuracy, not bitwise
