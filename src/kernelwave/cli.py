@@ -127,6 +127,20 @@ def _positive_float(text: str) -> float:
     return x
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return n
+
+
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return n
+
+
 def _parse_window(text: str) -> tuple[float, float, float, float]:
     """'xmin,xmax,ymin,ymax': four finite values bounding a non-empty box."""
     with contextlib.suppress(ValueError):
@@ -329,16 +343,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    # The grid flags default to None here, so a flag given with --random shows.
+    # The flags of one mode default to None, so one given to the other mode shows.
     grid = {"--tau1": args.tau1, "--tau2": args.tau2,
             "--grid-u": args.grid_u, "--grid-v": args.grid_v}
+    cloud = {"--seed": args.seed, "--box-lo": args.box_lo, "--box-hi": args.box_hi}
+    given = ", ".join(flag for flag, value in (grid if args.random else cloud).items()
+                      if value is not None)
+    if given:
+        raise ValueError(f"--random draws u, v, tau1 and tau2 from the box; it takes no {given}"
+                         if args.random else f"sweep takes {given} only with --random")
     if args.random:
-        given = [flag for flag, value in grid.items() if value is not None]
-        if given:
-            raise ValueError(f"--random draws u, v, tau1 and tau2 from the box; "
-                             f"it takes no {', '.join(given)}")
-        rng = np.random.default_rng(args.seed)
-        u, v, t1, t2 = rng.uniform(args.box_lo, args.box_hi, size=(args.random, 4)).T
+        lo, hi = (d if x is None else x for x, d in ((args.box_lo, -1.0), (args.box_hi, 1.0)))
+        if not lo < hi:
+            raise ValueError(f"--box-lo must be below --box-hi, got {_g(lo)} and {_g(hi)}")
+        rng = np.random.default_rng(0 if args.seed is None else args.seed)
+        u, v, t1, t2 = rng.uniform(lo, hi, size=(args.random, 4)).T
     else:
         us, vs = (np.linspace(-1.0, 1.0, 5) if g is None else g
                   for g in (args.grid_u, args.grid_v))
@@ -604,12 +623,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_rows(sw)
     sw.set_defaults(tau1=None, tau2=None)
     sw.add_argument("--kernel", choices=KERNEL_NAMES, required=True)
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--seed", type=_nonnegative_int)
     sw.add_argument("--grid-u", type=_parse_grid)
     sw.add_argument("--grid-v", type=_parse_grid)
-    sw.add_argument("--random", type=int, default=0)
-    sw.add_argument("--box-lo", type=float, default=-1.0)
-    sw.add_argument("--box-hi", type=float, default=1.0)
+    sw.add_argument("--random", type=_positive_int)
+    sw.add_argument("--box-lo", type=_finite_float)
+    sw.add_argument("--box-hi", type=_finite_float)
 
     return parser, subs
 

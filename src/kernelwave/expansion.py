@@ -47,7 +47,6 @@ from .cseries import (
 )
 from .kernels import KernelQuery, eval_kernel
 from .phase import TRANSITION_TABLE
-from .quadrature import QuadOptions
 
 __all__ = [
     "TRANSITIONS",
@@ -451,14 +450,14 @@ def expansion_partial_sum(
     *,
     coeffs: ExpansionCoefficients | None = None,
     base: float | None = None,
-    opts: QuadOptions | None = None,
 ) -> float:
     """Kernel value plus the first N correction terms of the expansion.
 
     ``N=0`` returns exactly the S1/S2 kernel value.  ``coeffs`` and ``base``
     allow reusing a coefficient build / kernel evaluation across many values
     of ``a`` (neither depends on ``a``); when given, ``coeffs`` must have been
-    built for the same transition and point.
+    built for the same transition and point.  Without ``base`` the kernel is
+    evaluated with the default :class:`~kernelwave.quadrature.QuadOptions`.
     """
     if transition not in TRANSITIONS:
         raise SeriesUsageError(
@@ -473,7 +472,7 @@ def expansion_partial_sum(
     _require_positive_a(a)
     if base is None:
         q = KernelQuery(TRANSITION_TABLE[transition].kernel, tau1, tau2, u, v)
-        base = eval_kernel(q, opts).value.real
+        base = eval_kernel(q).value.real
     total = float(base)
     if N == 0:
         return total

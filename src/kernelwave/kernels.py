@@ -8,8 +8,10 @@ Two evaluation geometries are implemented:
   so the ``1/(zeta-omega)`` factor never becomes singular.  Each contour is
   its own mirror image under conjugation, so only the upper half of the
   zeta contour is integrated and the value is twice its real part
-  (:func:`_fold`): direct values are real by construction.  Loses precision
-  to cancellation once the rescaling parameter grows beyond roughly 20 in
+  (:func:`_fold`): direct values are real by construction.  One evaluator,
+  :func:`_direct`, builds all three direct kernels, which differ only in
+  their exponents, contours and heat term.  Loses precision to
+  cancellation once the rescaling parameter grows beyond roughly 20 in
   double precision, and fails in parts of the plain parameter space too:
   ``airy-ext`` raises :class:`GeometryError` from ``tau1 = tau2 = -18`` on,
   where its exponentials overflow, and deep in the oscillatory regime
@@ -97,7 +99,7 @@ KERNEL_NAMES = ("airy-ext", "pearcey-ext", "sine-ext", "s1", "s2", "transition-a
 BACKENDS = ("direct", "saddle")
 _TRANSITION = KERNEL_NAMES.index("transition-a")
 
-_DELTA = 0.25  # default contour vertex offset for the DIRECT geometry
+_DELTA = 0.25  # contour vertex offset of the DIRECT geometry
 # Drop of the exponent's real part below its peak at which a direct contour's
 # rays are clipped and the saddle rule's square ends (exp(-60) ~ 1e-26).
 _TRUNCATION_BUDGET = 60.0
@@ -347,65 +349,39 @@ def _fold(val: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -val.real / (2.0 * np.pi ** 2), err / (2.0 * np.pi ** 2)
 
 
-def _direct_airy(tau1: float, tau2: float, u, v, opts: QuadOptions, *,
-                 sigma_vertex: float = _DELTA, gamma_vertex: float = -_DELTA):
-    """Cubic-phase double integral on offset V contours, minus heat term.
+def _direct(kind: str, tau1: float, tau2: float, u, v, a: float, opts: QuadOptions):
+    """Direct kernel ``kind`` minus its heat term, for a batch of ``(u, v)``:
+    real arrays ``(values, errors)``.
 
-    The omega contour is the whole V through ``gamma_vertex``; the zeta
-    contour is only the upper ray of the V through ``sigma_vertex``, since
-    the lower ray gives the conjugate (see :func:`_fold`, which needs real
-    vertices).  The batch of ``(u, v)`` shares the contours, truncated and
-    refined on its upper envelope, and one :func:`integrate_cauchy` call.
-    Returns real arrays ``(values, errors)``.
-    """
-    sigma_vertex, gamma_vertex = float(sigma_vertex), float(gamma_vertex)
-    if sigma_vertex <= gamma_vertex:
-        raise GeometryError("zeta contour must stay right of the omega contour")
-    u, v = np.atleast_1d(u, v)
-
-    def p_zeta(z):
-        return z ** 3 / 3.0 - v * z - tau2 * z * z
-
-    def p_omega(w):
-        return -(w ** 3) / 3.0 + u * w + tau1 * w * w
-
-    sig = Contour((Ray(sigma_vertex, np.exp(1j * np.pi / 3)),))
-    gam = Contour.vee(gamma_vertex, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3))
-    val, err = _fold(*integrate_cauchy(p_zeta, p_omega, _contour(sig, p_zeta),
-                                       _contour(gam, p_omega), opts))
-    return val - heat_term(tau1 - tau2, u - v, "four-pi"), err
-
-
-def _direct_quartic(tau1: float, tau2: float, u, v, a_cubic: float,
-                    opts: QuadOptions):
-    """Quartic-phase double integral: the X-contour family.
-
-    ``a_cubic = 0`` gives the plain quartic kernel; ``a_cubic = a > 0``
-    gives the transition kernel, whose omega exponent gains ``-a w**3/3``
-    (and zeta gains ``+a z**3/3``).  The right V of the X is placed at the
-    cubic term's critical point ``max(2 delta, a)``, which keeps the
-    envelope monotone decaying along its rays.  The two V's form one omega
-    node set.  The zeta contour is the vertical line through ``+delta``, of
-    which only the upper ray is integrated (see :func:`_fold`).  Batches of
-    ``(u, v)`` as in :func:`_direct_airy`.
+    ``airy-ext`` has cubic exponents, zeta on the V through ``+delta`` and
+    omega on the V through ``-delta``.  ``pearcey-ext`` (``a = 0``) and
+    ``transition-a`` have quartic ones plus ``+a z**3/3`` and ``-a w**3/3``,
+    zeta on the vertical line through ``+delta`` and omega on an X of two
+    V's, the right one at the cubic term's critical point ``max(2 delta,
+    a)``, which keeps the envelope monotone decaying along its rays.  Only
+    the upper ray of zeta is integrated (see :func:`_fold`).  The batch
+    shares the contours, truncated and refined on its upper envelope, and
+    one :func:`integrate_cauchy` call.
     """
     u, v = np.atleast_1d(u, v)
-
-    def p_zeta(z):
-        return -(z ** 4) / 4.0 + a_cubic * z ** 3 / 3.0 - 0.5 * tau2 * z * z - v * z
-
-    def p_omega(w):
-        return (w ** 4) / 4.0 - a_cubic * w ** 3 / 3.0 + 0.5 * tau1 * w * w + u * w
-
-    delta = _DELTA
-    zline = Contour((Ray(delta, 1j),))  # upper half of the line through +delta
-    right_vertex = float(max(2.0 * delta, a_cubic))
-    right_v = Contour.vee(right_vertex, np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4))
-    left_v = Contour.vee(-delta, np.exp(-3j * np.pi / 4), np.exp(3j * np.pi / 4))
-    val, err = _fold(*integrate_cauchy(
-        p_zeta, p_omega, _contour(zline, p_zeta),
-        (_contour(right_v, p_omega), _contour(left_v, p_omega)), opts))
-    return val - heat_term(tau1 - tau2, u - v, "two-pi"), err
+    if kind == "airy-ext":
+        p_zeta = lambda z: z ** 3 / 3.0 - v * z - tau2 * z * z
+        p_omega = lambda w: -(w ** 3) / 3.0 + u * w + tau1 * w * w
+        zeta = Ray(_DELTA, np.exp(1j * np.pi / 3))
+        omegas = (Contour.vee(-_DELTA, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3)),)
+        variance = "four-pi"
+    else:
+        a_cubic = 0.0 if kind == "pearcey-ext" else a
+        p_zeta = lambda z: -(z ** 4) / 4.0 + a_cubic * z ** 3 / 3.0 - 0.5 * tau2 * z * z - v * z
+        p_omega = lambda w: (w ** 4) / 4.0 - a_cubic * w ** 3 / 3.0 + 0.5 * tau1 * w * w + u * w
+        zeta = Ray(_DELTA, 1j)
+        omegas = (Contour.vee(max(2.0 * _DELTA, a_cubic), np.exp(1j * np.pi / 4),
+                              np.exp(-1j * np.pi / 4)),
+                  Contour.vee(-_DELTA, np.exp(-3j * np.pi / 4), np.exp(3j * np.pi / 4)))
+        variance = "two-pi"
+    val, err = _fold(*integrate_cauchy(p_zeta, p_omega, _contour(Contour((zeta,)), p_zeta),
+                                       tuple(_contour(c, p_omega) for c in omegas), opts))
+    return val - heat_term(tau1 - tau2, u - v, variance), err
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +659,8 @@ def eval_columns(kernel, tau1, tau2, u, v, a, backend, opts: QuadOptions | None 
             elif group_backend == "saddle":
                 transition, embed = _EMBEDDING[kind]
                 vals, errs = _saddle_kernel(transition, 1.0, *embed(t1, t2, u[ks], v[ks]), opts)
-            elif kind == "airy-ext":
-                vals, errs = _direct_airy(t1, t2, u[ks], v[ks], opts)
             else:
-                a_cubic = 0.0 if kind == "pearcey-ext" else a_param
-                vals, errs = _direct_quartic(t1, t2, u[ks], v[ks], a_cubic, opts)
+                vals, errs = _direct(kind, t1, t2, u[ks], v[ks], a_param, opts)
             re[ks], im[ks], err[ks] = vals.real, vals.imag, errs
     return re, im, err, np.asarray(BACKENDS)[used]
 

@@ -696,6 +696,26 @@ def test_sweep_random_rejects_grid_flags(capsys, flag, value):
     assert code == 1 and out == "" and flag in err
 
 
+@pytest.mark.parametrize("argv,config,named", [
+    (["--random", "2", "--box-hi", "inf"], "", "--box-hi"),
+    (["--random", "2", "--box-lo", "nan"], "", "--box-lo"),
+    (["--random", "-3"], "", "--random"),
+    (["--random", "0"], "", "--random"),
+    (["--random", "2", "--box-lo", "1", "--box-hi", "0"], "", "--box-lo"),
+    (["--random", "2", "--seed", "-1"], "", "--seed"),
+    (["--seed", "5", "--box-lo", "3"], "", "--seed, --box-lo"),
+    ([], "box-hi=3\n", "--box-hi"),
+], ids=["infinite-box", "nan-box", "negative-count", "zero-count", "empty-box",
+        "negative-seed", "cloud-flags-on-grid", "config-cloud-flag-on-grid"])
+def test_sweep_rejects_bad_or_unused_cloud_flags(capsys, tmp_path, argv, config, named):
+    if config:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    code, out, err = run(capsys, "sweep", "--kernel", "s1", *argv)
+    assert code == 1 and out == "" and named in err
+
+
 def test_sweep_round_trip_through_eval(tmp_path):
     sw, re_out = tmp_path / "sweep.csv", tmp_path / "re.csv"
     assert main([

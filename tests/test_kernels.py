@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import airy as scipy_airy
 
 from airy_oracle import airy_ext_oracle
+from pearcey_oracle import pearcey_ext_oracle
 from kernelwave.kernels import (
     KernelQuery,
     KernelValue,
@@ -24,14 +27,11 @@ from kernelwave.kernels import (
     transition_interpolation_check,
 )
 from kernelwave import kernels
-from kernelwave.kernels import _direct_airy, _direct_quartic  # contour checks
 from kernelwave.quadrature import (
     _CHUNK,
     Contour,
     QuadOptions,
     integrate_cauchy,
-    refine_panels,
-    truncate_rays,
 )
 from kernelwave.verify import DEFAULT_STUDY_POINTS
 
@@ -415,6 +415,41 @@ def test_airy_ext_cross_times_match_johansson_oracle():
         assert (ratio <= 1.0).all(), backend
 
 
+def test_pearcey_ext_equal_times_match_tracy_widom_oracle():
+    # 30 seeded points at equal times, against Tracy and Widom's sum of
+    # products of single integrals by scipy quadrature.  transition-a at
+    # a = 0 is the same kernel, so the oracle covers that slice too.
+    rng = np.random.default_rng(27)
+    points = []
+    while len(points) < 30:
+        tau, u, v = rng.uniform(-1.0, 1.0), *rng.uniform(-3.0, 3.0, 2)
+        if abs(u - v) >= 0.2:
+            points.append((tau, u, v))
+    want, want_err = (np.array(x) for x in zip(*(pearcey_ext_oracle(*p) for p in points)))
+    assert (np.abs(want.imag) <= want_err).all()
+    for kernel, backend, a in (("pearcey-ext", "direct", None), ("pearcey-ext", "saddle", None),
+                               ("transition-a", "direct", 0.0)):
+        batch = eval_kernels([KernelQuery(kernel, tau, tau, u, v, a_param=a, backend=backend)
+                              for tau, u, v in points])
+        got = np.array([kv.value for kv in batch])
+        err = np.array([kv.error_estimate for kv in batch])
+        ratio = np.abs(got - want.real) / (err + want_err)
+        print(f"{kernel} {backend}: largest miss / (err + oracle err) {ratio.max():.4f}")
+        assert (ratio <= 1.0).all(), (kernel, backend)
+
+
+@pytest.mark.parametrize("path", ["tests/airy_oracle.py", "tests/pearcey_oracle.py",
+                                  "perfbench/oracles.py"])
+def test_oracles_share_no_code_with_the_package(path):
+    # An oracle that imported kernelwave could compare a code path with itself.
+    tree = ast.parse((Path(__file__).parents[1] / path).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    assert [m for m in imported if m.split(".")[0] == "kernelwave"] == []
+
+
 def test_direct_airy_fails_fast_at_large_negative_times():
     from kernelwave.quadrature import GeometryError
 
@@ -431,26 +466,34 @@ def test_direct_airy_fails_fast_at_large_negative_times():
         _val("airy-ext", -20.0, -20.0)
 
 
-def test_direct_airy_contour_deformation_invariance():
-    opts = QuadOptions()
-    vals = [
-        _direct_airy(0.2, -0.1, 0.3, -0.4, opts, sigma_vertex=s, gamma_vertex=g)[0]
-        for s, g in ((0.25, -0.25), (0.1, -0.3), (0.6, -0.1), (0.35, -0.6))
-    ]
-    for v in vals[1:]:
-        assert abs(v - vals[0]) < 1e-9
-
-
 def _whole_contour_kernel(p_zeta, p_omega, zeta, omegas, dt, dx, variance, opts):
     """A direct kernel integrated over the whole zeta contour, without the
     conjugate fold: complex values and their estimates."""
-    def prep(c, p):
-        env = lambda z: np.real(p(np.asarray(z)[..., None])).max(axis=-1)
-        return refine_panels(truncate_rays(c, env, kernels._TRUNCATION_BUDGET), env)
-
-    val, err = integrate_cauchy(p_zeta, p_omega, prep(zeta, p_zeta),
-                                tuple(prep(c, p_omega) for c in omegas), opts)
+    val, err = integrate_cauchy(p_zeta, p_omega, kernels._contour(zeta, p_zeta),
+                                tuple(kernels._contour(c, p_omega) for c in omegas), opts)
     return val / (2j * np.pi) ** 2 - heat_term(dt, dx, variance), err / (4 * np.pi ** 2)
+
+
+def _airy_exponents(t1, t2, u, v):
+    return (lambda z: z ** 3 / 3 - v * z - t2 * z * z,
+            lambda w: -(w ** 3) / 3 + u * w + t1 * w * w)
+
+
+def test_direct_airy_contour_deformation_invariance():
+    # The V's through the zeta vertex s and the omega vertex g < s may move
+    # without crossing each other: the value must not change.
+    opts = QuadOptions()
+    t1, t2, u, v = 0.2, -0.1, np.array([0.3]), np.array([-0.4])
+    vals = [
+        _whole_contour_kernel(
+            *_airy_exponents(t1, t2, u, v),
+            Contour.vee(s, np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3)),
+            [Contour.vee(g, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3))],
+            t1 - t2, u - v, "four-pi", opts)[0][0]
+        for s, g in ((0.25, -0.25), (0.1, -0.3), (0.6, -0.1), (0.35, -0.6))
+    ]
+    for val in vals[1:]:
+        assert abs(val - vals[0]) < 1e-9
 
 
 def test_conjugate_fold_matches_the_whole_contour():
@@ -463,12 +506,11 @@ def test_conjugate_fold_matches_the_whole_contour():
         t1, t2 = rng.uniform(-1, 1, 2)
         u, v = rng.uniform(-3, 3, (2, 5))
         whole, whole_err = _whole_contour_kernel(
-            lambda z: z ** 3 / 3 - v * z - t2 * z * z,
-            lambda w: -(w ** 3) / 3 + u * w + t1 * w * w,
+            *_airy_exponents(t1, t2, u, v),
             Contour.vee(0.25, np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3)),
             [Contour.vee(-0.25, np.exp(-2j * np.pi / 3), np.exp(2j * np.pi / 3))],
             t1 - t2, u - v, "four-pi", opts)
-        val, err = _direct_airy(t1, t2, u, v, opts)
+        val, err = kernels._direct("airy-ext", t1, t2, u, v, np.nan, opts)
         assert (np.abs(val - whole) <= err).all()
         assert (np.abs(whole.imag) <= whole_err).all()
     for a in (0.0, 0.7, 2.5):
@@ -481,17 +523,9 @@ def test_conjugate_fold_matches_the_whole_contour():
             [Contour.vee(max(0.5, a), np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)),
              Contour.vee(-0.25, np.exp(-3j * np.pi / 4), np.exp(3j * np.pi / 4))],
             t1 - t2, u - v, "two-pi", opts)
-        val, err = _direct_quartic(t1, t2, u, v, a, opts)
+        val, err = kernels._direct("transition-a", t1, t2, u, v, a, opts)
         assert (np.abs(val - whole) <= err).all()
         assert (np.abs(whole.imag) <= whole_err).all()
-
-
-def test_direct_airy_rejects_swapped_contours():
-    from kernelwave.quadrature import GeometryError
-
-    with pytest.raises(GeometryError):
-        _direct_airy(0.0, 0.0, 0.0, 0.0, QuadOptions(),
-                     sigma_vertex=-0.3, gamma_vertex=0.3)
 
 
 # ---------------------------------------------------------------------------
