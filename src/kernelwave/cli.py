@@ -356,6 +356,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         lo, hi = (d if x is None else x for x, d in ((args.box_lo, -1.0), (args.box_hi, 1.0)))
         if not lo < hi:
             raise ValueError(f"--box-lo must be below --box-hi, got {_g(lo)} and {_g(hi)}")
+        if not np.isfinite(hi - lo):
+            raise ValueError(f"--box-hi minus --box-lo must be finite, got {_g(lo)} and {_g(hi)}")
         rng = np.random.default_rng(0 if args.seed is None else args.seed)
         u, v, t1, t2 = rng.uniform(lo, hi, size=(args.random, 4)).T
     else:

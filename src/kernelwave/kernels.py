@@ -328,10 +328,10 @@ def _segment_kernel(kind: str, dt: np.ndarray, dx: np.ndarray,
 
 
 def _contour(contour: Contour, p) -> Contour:
-    """``contour`` truncated and refined on the upper envelope of a batch of
-    exponents, ``max_j Re p(z)_j``."""
+    """``contour`` truncated on the upper envelope of a batch of exponents,
+    ``max_j Re p(z)_j``, and cut into panels of at most unit length."""
     env = lambda z: np.real(p(np.asarray(z)[..., None])).max(axis=-1)
-    return refine_panels(truncate_rays(contour, env, _TRUNCATION_BUDGET), env)
+    return refine_panels(truncate_rays(contour, env, _TRUNCATION_BUDGET))
 
 
 def _fold(val: np.ndarray, err: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,8 +360,8 @@ def _direct(kind: str, tau1: float, tau2: float, u, v, a: float, opts: QuadOptio
     V's, the right one at the cubic term's critical point ``max(2 delta,
     a)``, which keeps the envelope monotone decaying along its rays.  Only
     the upper ray of zeta is integrated (see :func:`_fold`).  The batch
-    shares the contours, truncated and refined on its upper envelope, and
-    one :func:`integrate_cauchy` call.
+    shares the contours, truncated on its upper envelope (:func:`_contour`),
+    and one :func:`integrate_cauchy` call.
     """
     u, v = np.atleast_1d(u, v)
     if kind == "airy-ext":
@@ -638,7 +638,9 @@ def eval_columns(kernel, tau1, tau2, u, v, a, backend, opts: QuadOptions | None 
     tau1, tau2, a); transition-a is always direct.  A direct group of up to
     ``_GROUP`` rows shares its contours and one :func:`integrate_cauchy`
     call; a saddle group is the rescaled kernel of its transition at
-    ``a = 1`` on one rule.  A failing group fails the batch.
+    ``a = 1`` on one rule.  A failing group fails the batch, and so does a
+    row whose value or estimate is not finite, as where ``tau1 - tau2`` or
+    ``u - v`` overflows: both raise :class:`GeometryError`.
     """
     opts = opts or QuadOptions()
     tau1, tau2, u, v, a = (np.asarray(x, dtype=float) for x in (tau1, tau2, u, v, a))
@@ -654,14 +656,23 @@ def eval_columns(kernel, tau1, tau2, u, v, a, backend, opts: QuadOptions | None 
         step = _GROUP if group_backend == "direct" and kind not in _SEGMENT_KERNELS else rows.size
         for j in range(0, rows.size, step):
             ks = rows[j:j + step]
-            if kind in _SEGMENT_KERNELS:
-                vals, errs = _segment_kernel(kind, tau1[ks] - tau2[ks], u[ks] - v[ks], opts)
-            elif group_backend == "saddle":
-                transition, embed = _EMBEDDING[kind]
-                vals, errs = _saddle_kernel(transition, 1.0, *embed(t1, t2, u[ks], v[ks]), opts)
-            else:
-                vals, errs = _direct(kind, t1, t2, u[ks], v[ks], a_param, opts)
+            # An overflowing row is reported below, not by numpy.
+            with np.errstate(over="ignore", invalid="ignore"):
+                if kind in _SEGMENT_KERNELS:
+                    vals, errs = _segment_kernel(kind, tau1[ks] - tau2[ks], u[ks] - v[ks], opts)
+                elif group_backend == "saddle":
+                    transition, embed = _EMBEDDING[kind]
+                    vals, errs = _saddle_kernel(transition, 1.0, *embed(t1, t2, u[ks], v[ks]),
+                                                opts)
+                else:
+                    vals, errs = _direct(kind, t1, t2, u[ks], v[ks], a_param, opts)
             re[ks], im[ks], err[ks] = vals.real, vals.imag, errs
+    bad = ~(np.isfinite(re) & np.isfinite(im) & np.isfinite(err))
+    if bad.any():
+        r = int(np.argmax(bad))
+        dt, dx = float(tau1[r]) - float(tau2[r]), float(u[r]) - float(v[r])
+        raise GeometryError(f"non-finite value or error estimate in row {r}, "
+                            f"where tau1 - tau2 = {dt!r} and u - v = {dx!r}")
     return re, im, err, np.asarray(BACKENDS)[used]
 
 

@@ -1,7 +1,8 @@
 """Panelized complex contour quadrature.
 
 Contours are oriented chains of straight panels (infinite rays are clipped
-to finite panels before integration by :func:`truncate_rays`).  Single and
+to finite panels before integration by :func:`truncate_rays`, and
+:func:`refine_panels` cuts panels to unit length).  Single and
 double contour integrals are evaluated by Gauss-Legendre panels refined
 level by level, one batched integrand call per level (:func:`_refine`), with
 error estimates that include a round-off floor.  :func:`integrate_single`
@@ -37,6 +38,7 @@ also gets the integral index of each row of points).
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -97,9 +99,12 @@ class QuadOptions:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol", "nodes_per_panel"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
                 raise ValueError(f"QuadOptions.{name} must be finite and positive, "
                                  f"got {value!r}")
+        n = self.nodes_per_panel
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+            raise ValueError(f"QuadOptions.nodes_per_panel must be an integer, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -224,49 +229,21 @@ def truncate_rays(contour: Contour, phase_envelope, budget: float) -> Contour:
 
 
 _MAX_PANEL_LEN = 1.0
-_MAX_ENV_VAR = 8.0
-# A panel whose envelope stays this far below the contour's top, ln(1/eps)
-# + 1, holds an integrand under the round-off floor of every estimate.
-_TAIL_DROP = float(np.log(1.0 / np.finfo(float).eps)) + 1.0
 
 
-def refine_panels(contour: Contour, envelope=None) -> Contour:
-    """Pre-split panels for quadrature efficiency.
-
-    Panels are subdivided to length at most ``_MAX_PANEL_LEN``.  When an
-    envelope function is supplied, it is first sampled on the given panels
-    for the contour's top value; a panel whose sampled maximum comes within
-    ``_TAIL_DROP`` of that top is split further until the envelope
-    variation across it is at most ``_MAX_ENV_VAR`` (so the integrand
-    changes by at most ``e**_MAX_ENV_VAR`` per panel).  Lower panels, such
-    as the far tails of truncated rays, lie below round-off relative to the
-    peak and are split for length only.
-    """
+def refine_panels(contour: Contour) -> Contour:
+    """Cut each panel of a finite contour into ``ceil(L / _MAX_PANEL_LEN)``
+    equal pieces, ``L`` its length; the chain's endpoints and truncation
+    radii are kept.  Accuracy beyond that is the integrators' business:
+    they refine where the integrand needs it."""
     if not contour.is_finite:
         raise GeometryError("refine_panels requires a finite contour")
-    ts = np.linspace(0.0, 1.0, 9)
-    sample = lambda p: np.asarray(envelope(p.point(ts)), dtype=float)
-    low = (None if envelope is None
-           else max(sample(p).max() for p in contour.panels) - _TAIL_DROP)
-
-    def need_split(p: StraightArc) -> bool:
-        if p.length > _MAX_PANEL_LEN:
-            return True
-        if envelope is not None and p.length > 1e-3:
-            e = sample(p)
-            return e.max() >= low and e.max() - e.min() > _MAX_ENV_VAR
-        return False
-
     out = []
     for p in contour.panels:
-        stack = [(p, 0)]
-        while stack:
-            q, depth = stack.pop()
-            if depth < 24 and need_split(q):
-                a, b = q.split(0.5)
-                stack.extend([(b, depth + 1), (a, depth + 1)])
-            else:
-                out.append(q)
+        m = max(1, math.ceil(p.length / _MAX_PANEL_LEN))
+        ts = np.linspace(0.0, 1.0, m + 1)
+        zs = [p.za, *(complex(z) for z in p.point(ts[1:-1])), p.zb]
+        out.extend(StraightArc(a, b) for a, b in zip(zs[:-1], zs[1:]))
     return Contour(panels=tuple(out), truncation_radii=contour.truncation_radii)
 
 

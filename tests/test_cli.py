@@ -126,12 +126,18 @@ def test_quad_options_are_exactly_the_cli_flags():
     assert {f.name for f in dataclasses.fields(QuadOptions)} == added
 
 
-def test_eval_overflowing_integrand_exits_1(capsys):
+@pytest.mark.parametrize("argv,named", [
     # sine-ext's integrand exp(-dt w^2 / 2) overflows for dt = -300
+    (["--tau1", "-300"], "non-finite integrand"),
+    # tau1 - tau2 or u - v overflows: the row used to print nan and exit 0
+    (["--u=1e308", "--v=-1e308"], "non-finite value"),
+    (["--tau1=1e308", "--tau2=-1e308"], "non-finite value"),
+], ids=["integrand", "space-difference", "time-difference"])
+def test_eval_overflowing_integrand_exits_1(capsys, argv, named):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = run(capsys, "eval", "--kernel", "sine-ext", "--tau1", "-300")
-    assert code == 1 and "non-finite integrand" in err
+        code, out, err = run(capsys, "eval", "--kernel", "sine-ext", *argv)
+    assert code == 1 and named in err
     assert out == ""
     assert err.splitlines() == [err.strip()] and err.startswith("error: ")
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -705,8 +711,10 @@ def test_sweep_random_rejects_grid_flags(capsys, flag, value):
     (["--random", "2", "--seed", "-1"], "", "--seed"),
     (["--seed", "5", "--box-lo", "3"], "", "--seed, --box-lo"),
     ([], "box-hi=3\n", "--box-hi"),
+    (["--random", "3", "--box-lo=-1e308", "--box-hi=1e308"], "", "--box-hi minus --box-lo"),
 ], ids=["infinite-box", "nan-box", "negative-count", "zero-count", "empty-box",
-        "negative-seed", "cloud-flags-on-grid", "config-cloud-flag-on-grid"])
+        "negative-seed", "cloud-flags-on-grid", "config-cloud-flag-on-grid",
+        "overflowing-box-width"])
 def test_sweep_rejects_bad_or_unused_cloud_flags(capsys, tmp_path, argv, config, named):
     if config:
         cfg = tmp_path / "sweep.cfg"

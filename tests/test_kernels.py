@@ -201,6 +201,19 @@ def test_sine_ext_overflow_is_a_geometry_error():
             kernels._sine_ext(np.array([dt, 0.5]), np.array([0.3, 0.3]))
 
 
+@pytest.mark.parametrize("times,coords", [((0.0, 0.0), (1e308, -1e308)),
+                                         ((1e308, -1e308), (0.0, 0.0))])
+def test_overflowing_differences_are_a_geometry_error(times, coords):
+    # tau1 - tau2 or u - v overflows: sine-ext used to return nan with a finite err
+    from kernelwave.quadrature import GeometryError
+
+    with pytest.raises(GeometryError, match="non-finite value or error estimate in row 1"):
+        eval_kernels([KernelQuery("sine-ext", 0.1, 0.0, 0.3, 0.2),
+                      KernelQuery("sine-ext", *times, *coords)])
+    with pytest.raises(GeometryError, match="non-finite"):
+        eval_kernel(KernelQuery("sine-ext", *times, *coords))
+
+
 def _segment_oracle(kind: str, dt: float, dx: float) -> tuple[float, float, float]:
     """scipy's quad on the defining integral of s1 or s2, written out here:
     the value minus the heat term, quad's error bound, and a round-off

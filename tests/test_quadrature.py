@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -39,7 +40,7 @@ def _gaussian_line(vertex=0.0, angle=0.0):
 
 
 def _prep(contour, env):
-    return refine_panels(truncate_rays(contour, env, BUDGET), env)
+    return refine_panels(truncate_rays(contour, env, BUDGET))
 
 
 def test_gaussian_on_real_line():
@@ -51,25 +52,26 @@ def test_gaussian_on_real_line():
     assert abs(val - SQRT_PI) <= max(err, 1e-12)
 
 
-def test_refine_panels_splits_tails_for_length_only(monkeypatch):
-    # With a budget-60 truncation the Gaussian's ray tails fall more than
-    # ln(1/eps) + 1 below the top at the vertex: there the envelope varies
-    # by more than _MAX_ENV_VAR per unit panel, yet panels are split only
-    # down to _MAX_PANEL_LEN.
-    opts = QuadOptions()
+def test_refine_panels_cuts_each_panel_into_equal_pieces():
     env = lambda z: np.real(-(z ** 2))
     clipped = truncate_rays(_gaussian_line(), env, BUDGET)
-    c = refine_panels(clipped, env)
-    ends = [env(np.array([p.za, p.zb])) for p in c.panels]
-    tails = [e for e in ends if e.max() < -quadrature._TAIL_DROP]
-    assert max(p.length for p in c.panels) <= quadrature._MAX_PANEL_LEN
-    assert any(np.ptp(e) > quadrature._MAX_ENV_VAR for e in tails)
-    # ... so fewer panels than splitting every panel for its variation.
-    monkeypatch.setattr(quadrature, "_TAIL_DROP", np.inf)
-    assert len(c.panels) < len(refine_panels(clipped, env).panels)
-    val, err = integrate_single(lambda z: np.exp(-(z ** 2)), c, opts)
-    assert abs(val - SQRT_PI) < 1e-12
-    assert abs(val - SQRT_PI) <= err
+    end = clipped.panels[-1].zb
+    short = StraightArc(end + 2.5j, end + 2.5j + 0.6)
+    c = Contour(panels=(*clipped.panels, StraightArc(end, end + 2.5j), short),
+                truncation_radii=clipped.truncation_radii)
+    out = refine_panels(c)
+    counts = [math.ceil(p.length / quadrature._MAX_PANEL_LEN) for p in c.panels]
+    assert counts[:2] == [math.ceil(r) for r in clipped.truncation_radii]
+    assert counts[2:] == [3, 1]
+    assert len(out.panels) == sum(counts)
+    assert out.truncation_radii == c.truncation_radii
+    pieces = np.split(np.array(out.panels), np.cumsum(counts)[:-1])
+    for p, cut in zip(c.panels, pieces):
+        assert (cut[0].za, cut[-1].zb) == (p.za, p.zb)
+        assert np.allclose([q.length for q in cut], p.length / len(cut), rtol=1e-12)
+    # a panel already short enough comes back as it was
+    assert out.panels[-1] == short
+    assert refine_panels(Contour(panels=(short,))).panels == (short,)
 
 
 @pytest.mark.parametrize("angle", [0.1, -0.35, np.pi / 8])
@@ -140,6 +142,17 @@ def test_quad_options_validation():
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite and positive"):
                 QuadOptions(**{name: value})
+
+
+@pytest.mark.parametrize("value", [32.0, 2.5, True, "32", None])
+def test_quad_options_nodes_per_panel_must_be_an_integer(value):
+    # 32.0 used to fail later inside numpy, and 2.5 to run a g = 1.0 rule
+    with pytest.raises(ValueError, match="QuadOptions.nodes_per_panel must be"):
+        QuadOptions(nodes_per_panel=value)
+
+
+def test_quad_options_accepts_numpy_integers():
+    assert QuadOptions(nodes_per_panel=np.int64(16)).nodes_per_panel == 16
 
 
 def test_accuracy_warning_on_exhausted_refinement(monkeypatch):
