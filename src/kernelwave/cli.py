@@ -212,8 +212,15 @@ class _Fields:
         return cols
 
 
+def _number(x) -> float:
+    """``float(x)``, refusing the JSON booleans, which float reads as 1 and 0."""
+    if isinstance(x, bool):
+        raise TypeError(f"expected a number, got {json.dumps(x)}")
+    return float(x)
+
+
 def _optional_float(x) -> float | None:
-    return None if x is None else float(x)
+    return None if x is None else _number(x)
 
 
 # Rows read at once: bounds the fields, each a Python object, held at a time.
@@ -238,7 +245,7 @@ def _columns_from_jsonl(lines: list[str], backend: str) -> dict:
     objs = f.map(json.loads, lines)
     kernel = f.map(lambda obj: obj["kernel"], objs)
     objs = objs[:f.n]
-    coords = [f.map(float, [obj.get(name, 0.0) for obj in objs])
+    coords = [f.map(_number, [obj.get(name, 0.0) for obj in objs])
               for name in ("tau1", "tau2", "u", "v")]
     a = f.map(_optional_float, [obj.get("a", obj.get("a_param")) for obj in objs])
     return f.columns(kernel, *coords, a, [obj.get("backend", backend) for obj in objs])
@@ -335,11 +342,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
             cols = _read_columns(_columns_from_csv, rows, _header_index(lines[0]),
                                  args.backend)
         return _emit_rows(args, cols)
-    except QueryError as exc:
-        numbers = [i for i, line in enumerate(body, start=len(lines) - len(body) + 1)
-                   if line.strip()]
+    except (QueryError, GeometryError) as exc:
+        if exc.row is None:
+            raise
+        line = [i for i, text in enumerate(body, start=len(lines) - len(body) + 1)
+                if text.strip()][exc.row]
+        if isinstance(exc, GeometryError):  # the row's message, with its line for its index
+            raise GeometryError(f"line {line}: {exc}".replace(f" in row {exc.row},", ",")) from exc
         what = "query" if jsonl else "CSV row"
-        raise ValueError(f"line {numbers[exc.row]}: malformed {what} ({exc})") from exc
+        raise ValueError(f"line {line}: malformed {what} ({exc})") from exc
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -430,10 +441,7 @@ def _rays(phase, saddle: complex, max_arclength: float):
     at ``x = 0`` into two rays, sampled every ``_RAY_DX`` in ``x``."""
     xs = _RAY_DX * np.arange(int(np.sqrt(_RAY_BUDGET) / _RAY_DX) + 1)
     for sigma in (-1, +1):
-        path = make_branch_path(
-            phase, saddle, sigma, np.sqrt(2 * sigma / phase.ddf(saddle)),
-            x_max=xs[-1] + _RAY_DX,
-        )
+        path = make_branch_path(phase, saddle, sigma, np.sqrt(2 * sigma / phase.ddf(saddle)))
         for x in (xs, -xs):
             z = path.zeta(x)
             arclength = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(z)))))

@@ -61,7 +61,7 @@ import math
 import numpy as np
 from dataclasses import dataclass
 
-from .phase import TRANSITION_TABLE, airy_branch_paths, pearcey_branch_paths
+from .phase import TRANSITION_TABLE, BranchPath, airy_branch_paths, pearcey_branch_paths
 from .quadrature import (
     Contour,
     GeometryError,
@@ -405,15 +405,17 @@ def _radial_rule(s: float, n: int):
 def _truncation_halfwidth(s: float, growth_bound) -> float:
     """Fixed point of ``X = sqrt((budget + G(X))/s)`` where ``G`` bounds the
     amplitude's Re-exponent growth over the square of halfwidth ``X`` and
-    the budget is ``_TRUNCATION_BUDGET``."""
+    the budget is ``_TRUNCATION_BUDGET``, capped 2 inside the branch paths'
+    reach.  An iterate beyond the reach raises :class:`GeometryError`."""
     X = np.sqrt(_TRUNCATION_BUDGET / s)
     for _ in range(12):
-        X_new = np.sqrt((_TRUNCATION_BUDGET + max(0.0, growth_bound(X))) / s)
-        if abs(X_new - X) < 1e-9 * X:
-            X = X_new
+        if X > BranchPath.x_max:
+            raise GeometryError(f"the saddle square needs half-width {X:.4g}, beyond the "
+                                f"branch paths' reach {BranchPath.x_max:g}")
+        X, X_old = np.sqrt((_TRUNCATION_BUDGET + max(0.0, growth_bound(X))) / s), X
+        if abs(X - X_old) < 1e-9 * X_old:
             break
-        X = X_new
-    return float(min(X, 38.0))
+    return float(min(X, BranchPath.x_max - 2.0))
 
 
 # Block maps per transition (see :data:`~kernelwave.phase.TRANSITION_TABLE`
@@ -672,7 +674,7 @@ def eval_columns(kernel, tau1, tau2, u, v, a, backend, opts: QuadOptions | None 
         r = int(np.argmax(bad))
         dt, dx = float(tau1[r]) - float(tau2[r]), float(u[r]) - float(v[r])
         raise GeometryError(f"non-finite value or error estimate in row {r}, "
-                            f"where tau1 - tau2 = {dt!r} and u - v = {dx!r}")
+                            f"where tau1 - tau2 = {dt!r} and u - v = {dx!r}", row=r)
     return re, im, err, np.asarray(BACKENDS)[used]
 
 

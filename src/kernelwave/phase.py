@@ -10,9 +10,10 @@ to
 * construct *branch paths*: analytic reparameterizations ``x -> zeta(x)`` of
   a descent curve defined by ``f(zeta(x)) - f(saddle) = sigma * x**2``,
   continued globally in the real parameter ``x`` by dense Newton marching
-  seeded from a truncated power series at the saddle.  The march runs in
-  Python scalar arithmetic: Horner on derivative coefficients that each
-  :class:`PhaseSpec` derives once.  Evaluation returns ``zeta`` and, in the
+  seeded from a truncated power series at the saddle, and only as far out as
+  the path is evaluated (up to its reach, ``BranchPath.x_max``).  The march
+  runs in Python scalar arithmetic: Horner on derivative coefficients that
+  each :class:`PhaseSpec` derives once.  Evaluation returns ``zeta`` and, in the
   same pass, ``zeta'``,
 * state, in one table (:data:`TRANSITION_TABLE`), the constants of the two
   transitions that more than one module reads.
@@ -182,9 +183,11 @@ class BranchPath:
     switch radius it is continued by dense Newton marching along the real
     axis (a tangent predictor and four Newton steps per node, in Python
     scalar Horner arithmetic on the phase's cached derivative coefficients)
-    and evaluated from the cached table by Newton steps off the nearest node
-    (the quadratic defining equation makes each step contractive far from
-    coincident saddles).
+    and evaluated from the table of nodes by Newton steps off the nearest
+    node (the quadratic defining equation makes each step contractive far
+    from coincident saddles).  The table of each direction starts empty and
+    grows on demand: :meth:`zeta` marches both up to the node nearest the
+    largest ``|x|`` it is asked for, and raises beyond the reach ``x_max``.
 
     :meth:`zeta` evaluates the map, and with ``with_derivative=True`` also
     ``zeta'(x)`` in the same pass: ``2*sigma*x / f'(zeta(x))`` away from the
@@ -197,18 +200,16 @@ class BranchPath:
     sigma: int
     first_coeff: complex
     series: TruncatedSeries1
-    x_max: float = 40.0
-    _table_x: np.ndarray = field(init=False, repr=False)
-    _table_pos: np.ndarray = field(init=False, repr=False)
-    _table_neg: np.ndarray = field(init=False, repr=False)
+    _tables: tuple = field(init=False, repr=False, compare=False)  # nodes for x > 0, x < 0
 
-    x_switch: ClassVar[float] = 0.12  # series radius: the table starts here
+    x_switch: ClassVar[float] = 0.12  # series radius: the tables start here
     dx: ClassVar[float] = 0.01  # table spacing in x
+    x_max: ClassVar[float] = 40.0  # the reach: zeta raises beyond it
 
     def __post_init__(self):
         self.level = complex(self.phase.f(self.center))
         self._dseries = np.polynomial.polynomial.polyder(self.series.coeffs)
-        self._build_table()
+        self._tables = (np.empty(0, dtype=complex),) * 2
 
     # -- construction ------------------------------------------------------
 
@@ -220,25 +221,25 @@ class BranchPath:
             z = z - (fz - target) / dfz
         return z
 
-    def _march(self, direction: int) -> np.ndarray:
-        """March from the series edge outwards in steps of ``dx``."""
-        n = int(np.ceil((self.x_max - self.x_switch) / self.dx))
-        xs = (self.x_switch * direction + direction * self.dx * np.arange(n + 1)).tolist()
-        df = self.phase.df
-        z = self._newton_refine(xs[0], complex(self.series.eval(xs[0])))
-        out = [z]
-        for x_prev, x in zip(xs[:-1], xs[1:]):
-            # Predictor: tangent step using zeta' = 2 sigma x / f'(zeta).
-            pred = z + (2.0 * self.sigma * x_prev / df(z)) * (x - x_prev)
-            z = self._newton_refine(x, pred)
-            out.append(z)
-        return np.asarray(out, dtype=complex)
-
-    def _build_table(self) -> None:
-        n = int(np.ceil((self.x_max - self.x_switch) / self.dx))
-        self._table_x = self.x_switch + self.dx * np.arange(n + 1)
-        self._table_pos = self._march(+1)
-        self._table_neg = self._march(-1)
+    def _march(self, k: int) -> tuple:
+        """Both tables marched on from their last nodes to node ``k``; node
+        ``j`` of direction ``d`` sits at ``x_switch*d + (d*dx)*j``.  Every
+        growth extends one deterministic march, so racing threads store
+        prefixes of it."""
+        df, tables = self.phase.df, []
+        for d, table in zip((+1, -1), self._tables):
+            x0, h, nodes = self.x_switch * d, d * self.dx, table.tolist()
+            for j in range(len(nodes), k + 1):
+                x = x0 + h * j
+                if j:  # predictor: tangent step using zeta' = 2 sigma x / f'(zeta)
+                    z, x_prev = nodes[-1], x0 + h * (j - 1)
+                    z += (2.0 * self.sigma * x_prev / df(z)) * (x - x_prev)
+                else:
+                    z = complex(self.series.eval(x))
+                nodes.append(self._newton_refine(x, z))
+            tables.append(np.asarray(nodes, dtype=complex))
+        self._tables = tuple(tables)
+        return self._tables
 
     # -- evaluation --------------------------------------------------------
 
@@ -263,16 +264,14 @@ class BranchPath:
         if outer.any():
             xo = x[outer]
             ax = np.abs(xo)
-            if np.any(ax > self._table_x[-1]):
-                raise BranchError(
-                    f"branch path evaluated beyond table range {self._table_x[-1]:.1f}"
-                )
-            idx = np.clip(
-                np.round((ax - self.x_switch) / self.dx).astype(int),
-                0,
-                len(self._table_x) - 1,
-            )
-            seed = np.where(xo >= 0, self._table_pos[idx], self._table_neg[idx])
+            if np.any(ax > self.x_max):
+                raise BranchError(f"branch path evaluated beyond table range {self.x_max:.1f}")
+            idx = np.clip(np.round((ax - self.x_switch) / self.dx).astype(int), 0, None)
+            pos, neg = self._tables
+            k = int(idx.max())
+            if k >= len(pos):
+                pos, neg = self._march(k)
+            seed = np.where(xo >= 0, pos[idx], neg[idx])
             zo = self._newton_refine(xo, seed, iters=3)
             z[outer] = zo
             if with_derivative:
@@ -282,12 +281,8 @@ class BranchPath:
         return (z, dz) if with_derivative else z
 
     def dzeta(self, x) -> np.ndarray:
-        """Evaluate ``zeta'(x)`` (vectorized).
-
-        Away from the saddle this is ``2*sigma*x / f'(zeta(x))``; inside the
-        series radius the differentiated series is used (regular limit
-        ``zeta'(0) = first_coeff``).
-        """
+        """Evaluate ``zeta'(x)`` (vectorized), the derivative that
+        ``zeta(x, with_derivative=True)`` returns."""
         return self.zeta(x, with_derivative=True)[1]
 
     def residual(self, x) -> np.ndarray:
@@ -300,26 +295,13 @@ class BranchPath:
 _BRANCH_ORDER = 16
 
 
-def make_branch_path(
-    phase: PhaseSpec,
-    center: complex,
-    sigma: int,
-    first_coeff: complex,
-    *,
-    x_max: float = 40.0,
-) -> BranchPath:
+def make_branch_path(phase: PhaseSpec, center: complex, sigma: int,
+                     first_coeff: complex) -> BranchPath:
     """Solve the branch series at ``center`` to order ``_BRANCH_ORDER`` (16)
     and wrap it in a BranchPath."""
     level = complex(phase.f(center))
     series = solve_branch(phase, center, sigma, level, first_coeff, _BRANCH_ORDER)
-    return BranchPath(
-        phase=phase,
-        center=complex(center),
-        sigma=sigma,
-        first_coeff=complex(first_coeff),
-        series=series,
-        x_max=x_max,
-    )
+    return BranchPath(phase, complex(center), sigma, complex(first_coeff), series)
 
 
 # ---------------------------------------------------------------------------

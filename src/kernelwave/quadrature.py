@@ -67,7 +67,12 @@ __all__ = [
 class GeometryError(Exception):
     """Raised for ill-posed contours and integrands: untruncated rays,
     non-decaying envelopes, contours that cross, broken chains, non-finite
-    integrand values."""
+    integrand values.  ``row`` is the batch index of the row that failed,
+    where one row did, else None."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class AccuracyWarning(UserWarning):

@@ -5,6 +5,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import kernelwave
 from kernelwave import cli
 from kernelwave.cli import main
 from kernelwave.expansion import fluc_s1
@@ -149,6 +153,32 @@ def test_eval_overflowing_direct_airy_exits_1(capsys):
                          "--tau2", "-20")
     assert code == 1 and "non-finite" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,needs", [
+    (["--tau1", "3", "--tau2", "3", "--u", "0.5", "--v", "-0.3"], "40.19"),
+    (["--u", "45", "--v", "45"], "40.06"),
+], ids=["times", "coordinates"])
+def test_eval_saddle_square_beyond_the_reach_exits_1(capsys, argv, needs):
+    # the half-width's fixed point passes the branch paths' reach of 40
+    code, out, err = run(capsys, "eval", "--kernel", "airy-ext", "--backend", "saddle", *argv)
+    assert code == 1 and out == ""
+    assert err == (f"error: the saddle square needs half-width {needs}, beyond the "
+                   f"branch paths' reach 40\n")
+
+
+@pytest.mark.parametrize("fmt,text", [
+    ("csv", "kernel,tau1,tau2,u,v\nsine-ext,0,0,0,0\n\nsine-ext,0,0,1e308,-1e308\n"),
+    ("jsonl", '{"kernel": "sine-ext"}\n\n\n{"kernel": "sine-ext", "u": 1e308, "v": -1e308}\n'),
+], ids=["csv", "jsonl"])
+def test_eval_batch_names_the_line_of_a_non_finite_row(capsys, tmp_path, fmt, text):
+    # u - v overflows on batch row 1, which sits on line 4 of the file
+    batch = tmp_path / f"overflow.{fmt}"
+    batch.write_text(text)
+    code, out, err = run(capsys, "eval", "--input", str(batch))
+    assert code == 1 and out == ""
+    assert err == ("error: line 4: non-finite value or error estimate, "
+                   "where tau1 - tau2 = 0.0 and u - v = inf\n")
 
 
 def test_eval_batch_with_non_finite_input_exits_1(capsys, tmp_path):
@@ -393,6 +423,8 @@ _BAD_JSON = [
     ('{"kernel": "transition-a"}', "transition-a requires a_param >= 0"),
     ('{"u": 0.5}', "'kernel'"),
     ('{"kernel": "s1", "u": "much"}', "could not convert string to float: 'much'"),
+    ('{"kernel": "s1", "u": true, "v": false}', "expected a number, got true"),
+    ('{"kernel": "transition-a", "a_param": false}', "expected a number, got false"),
 ]
 
 
@@ -891,3 +923,35 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
 def test_usage_error_exits_1(capsys):
     assert main(["eval", "--no-such-flag"]) == 1
     assert main([]) == 1
+
+
+def test_commands_import_neither_scipy_nor_mpmath(tmp_path):
+    # numpy is the one runtime dependency: no command may pull in the test oracles
+    code = """import sys
+from kernelwave.cli import main
+batch, out = sys.argv[1:]
+point = ["--transition", "airy", "--point", "0.9,0.7,0.2,-0.3"]
+runs = [["eval", "--kernel", "airy-ext", "--u", "0.3"],
+        ["eval", "--kernel", "airy-ext", "--backend", "saddle", "--u", "0.3"],
+        ["eval", "--input", batch],
+        ["sweep", "--kernel", "s1"],
+        ["expand", *point, "--N", "2", "--a", "4"],
+        ["coeffs", *point, "--with-moments"],
+        ["trace", "--phase", "airy"],
+        ["trace", "--phase", "pearcey", "--mode", "level"],
+        ["verify", "--transition", "airy", "--points", "0.9,0.7,0.2,-0.3",
+         "--a-grid", "4,5.5,7,8.5", "--n-max", "1"]]
+print(*(main([*argv, "--output", out]) for argv in runs))
+print(*sorted(m for m in sys.modules if m.partition(".")[0] in ("scipy", "mpmath")))
+"""
+    batch = tmp_path / "batch.csv"
+    batch.write_text("kernel,tau1,tau2,u,v,backend\ns1,0,0,0.5,0.1,\n"
+                     "airy-ext,0,0.5,0.1,0.2,direct\npearcey-ext,0,0,0.3,0.2,saddle\n")
+    src = os.path.dirname(os.path.dirname(kernelwave.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, str(batch), str(tmp_path / "out")],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=300, check=True)
+    codes, modules = done.stdout.split("\n")[:2]
+    assert codes.split() == ["0"] * 9, done.stderr
+    assert modules == ""

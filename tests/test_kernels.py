@@ -207,9 +207,10 @@ def test_overflowing_differences_are_a_geometry_error(times, coords):
     # tau1 - tau2 or u - v overflows: sine-ext used to return nan with a finite err
     from kernelwave.quadrature import GeometryError
 
-    with pytest.raises(GeometryError, match="non-finite value or error estimate in row 1"):
+    with pytest.raises(GeometryError, match="non-finite value or error estimate in row 1") as info:
         eval_kernels([KernelQuery("sine-ext", 0.1, 0.0, 0.3, 0.2),
                       KernelQuery("sine-ext", *times, *coords)])
+    assert info.value.row == 1
     with pytest.raises(GeometryError, match="non-finite"):
         eval_kernel(KernelQuery("sine-ext", *times, *coords))
 

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import kernelwave
 from kernelwave.cseries import BranchError
 from kernelwave.phase import (
+    TRANSITION_TABLE,
     BranchPath,
     airy_branch_paths,
     export_level_curve,
@@ -85,14 +91,87 @@ def _all_branch_paths():
 
 def test_branch_tables_solve_defining_equation_out_to_x_max():
     for path in _all_branch_paths():
-        x = path._table_x
-        assert x[-1] >= path.x_max
-        for sign, table in ((+1, path._table_pos), (-1, path._table_neg)):
-            xs = sign * x
+        path.zeta(np.array([path.x_max, -path.x_max]))  # marches both tables to the reach
+        for sign, table in zip((+1, -1), path._tables):
+            xs = sign * (path.x_switch + path.dx * np.arange(len(table)))
+            assert abs(xs[-1]) >= path.x_max
             bound = 1e-14 * (1.0 + xs ** 2)
             target = path.level + path.sigma * xs ** 2
             assert np.all(np.abs(path.phase.f(table) - target) < bound)
             assert np.all(np.abs(path.residual(xs)) < bound)
+
+
+def _fresh_paths():
+    return [make_branch_path(t.phase, t.saddle, *getattr(t, name))
+            for t in TRANSITION_TABLE.values() for name in ("S", "T")]
+
+
+def test_new_branch_path_holds_no_nodes():
+    for path in _fresh_paths():
+        assert [len(t) for t in path._tables] == [0, 0]
+        path.zeta(np.array([-0.1, 0.0, path.x_switch]))  # the series serves these
+        assert [len(t) for t in path._tables] == [0, 0]
+
+
+def test_branch_tables_grow_only_to_the_node_nearest_the_largest_x():
+    for path in _fresh_paths():
+        for r in (0.5, 2.343, 1.0):  # the last needs no new node
+            path.zeta(np.linspace(-r, r, 7))
+        nearest = round((2.343 - path.x_switch) / path.dx)
+        assert [len(t) for t in path._tables] == [nearest + 1] * 2
+        path.zeta(5.004)  # one direction asked for: both grow
+        assert [len(t) for t in path._tables] == [489, 489]
+
+
+def test_branch_tables_grown_in_steps_equal_one_march():
+    for stepped, whole in zip(_fresh_paths(), _fresh_paths()):
+        for r in (0.3, 1.7, 5.0, -12.25, 33.333, 40.0):
+            stepped.zeta(r)
+        whole.zeta(-whole.x_max)
+        assert len(whole._tables[0]) == round((whole.x_max - whole.x_switch) / whole.dx) + 1
+        for a, b in zip(stepped._tables, whole._tables):
+            assert np.array_equal(a, b)
+
+
+def test_zeta_seeds_from_the_tables_it_grew():
+    # Another thread may store shorter tables right after this call grew
+    # them; every growth is a prefix of one march, so that costs only work.
+    x = np.linspace(-5.0, 5.0, 9)
+    path, want = _fresh_paths()[0], _fresh_paths()[0].zeta(x)
+    march = path._march
+
+    def raced(k):
+        tables = march(k)
+        path._tables = tuple(t[:10] for t in tables)
+        return tables
+
+    path._march = raced
+    assert np.array_equal(path.zeta(x), want)
+    assert [len(t) for t in path._tables] == [10, 10]
+
+
+def test_branch_path_raises_beyond_its_reach():
+    for path in _all_branch_paths():
+        for x in (path.x_max + 1e-9, -np.inf, [0.5, -path.x_max - 1e-9]):
+            with pytest.raises(BranchError, match="beyond table range 40.0"):
+                path.zeta(x)
+
+
+def test_rate_study_anchor_marches_fewer_than_400_nodes():
+    # A fresh process: the tables of the two paths grow only as far as one
+    # rate-study anchor evaluates them (about 2.96 of the reach's 40).
+    code = ("from kernelwave.kernels import rescaled_airy_lhs\n"
+            "from kernelwave.phase import airy_branch_paths\n"
+            "from kernelwave.verify import DEFAULT_STUDY_POINTS\n"
+            "u, v, t1, t2 = DEFAULT_STUDY_POINTS[0]\n"
+            "rescaled_airy_lhs(4.0, t1, t2, u, v)\n"
+            "print(*(len(t) for p in airy_branch_paths().values() for t in p._tables))")
+    src = os.path.dirname(os.path.dirname(kernelwave.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    counts = [int(n) for n in done.stdout.split()]
+    assert len(counts) == 4 and 0 < max(counts) < 400, counts
 
 
 def test_fused_pass_returns_zeta_and_dzeta():
@@ -127,12 +206,16 @@ def test_branch_path_series_and_march_agree_at_switch():
 
 
 def test_branch_path_builds_its_own_tables():
-    # The tables are always built from the series; one passed in would be
-    # discarded, so the constructor takes none.
+    # The tables are always marched from the series; one passed in would be
+    # discarded, so the constructor takes none, and the reach is fixed.
     path = airy_branch_paths()["S"]
-    with pytest.raises(TypeError, match="_table_x"):
-        BranchPath(path.phase, path.center, path.sigma, path.first_coeff, path.series,
-                   _table_x=path._table_x)
+    args = (path.phase, path.center, path.sigma, path.first_coeff, path.series)
+    with pytest.raises(TypeError, match="_tables"):
+        BranchPath(*args, _tables=path._tables)
+    with pytest.raises(TypeError, match="x_max"):
+        BranchPath(*args, x_max=10.0)
+    with pytest.raises(TypeError, match="x_max"):
+        make_branch_path(*args[:4], x_max=10.0)
 
 
 def test_make_branch_path_rejects_bad_first_coeff():
