@@ -81,7 +81,6 @@ from .quadrature import (
     Ray,
     StraightArc,
     integrate_cauchy,
-    integrate_double,
     integrate_single,
     refine_panels,
     truncate_rays,
@@ -110,7 +109,7 @@ __all__ = [
     # quadrature
     "GeometryError", "AccuracyWarning", "QuadOptions", "StraightArc", "Ray",
     "Contour", "truncate_rays", "refine_panels", "integrate_single",
-    "integrate_double", "integrate_cauchy",
+    "integrate_cauchy",
     # phase
     "PhaseSpec", "make_phase", "export_level_curve", "BranchPath",
     "make_branch_path",

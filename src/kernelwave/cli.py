@@ -142,25 +142,31 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _parse_window(text: str) -> tuple[float, float, float, float]:
-    """'xmin,xmax,ymin,ymax': four finite values bounding a non-empty box."""
+    """'xmin,xmax,ymin,ymax': four finite values bounding a non-empty box of
+    finite width and height."""
     with contextlib.suppress(ValueError):
         x0, x1, y0, y1 = (float(p) for p in text.split(","))
-        if np.all(np.isfinite([x0, x1, y0, y1])) and x0 < x1 and y0 < y1:
+        if (np.all(np.isfinite([x0, x1, y0, y1, x1 - x0, y1 - y0]))
+                and x0 < x1 and y0 < y1):
             return x0, x1, y0, y1
     raise argparse.ArgumentTypeError(
         f"must be xmin,xmax,ymin,ymax, finite, with xmin < xmax and "
-        f"ymin < ymax; got {text!r}"
+        f"ymin < ymax and a finite width and height; got {text!r}"
     )
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    """A 'lo:hi:n' linspace with n >= 1, or a comma list."""
+    """A 'lo:hi:n' linspace with finite lo, hi and hi - lo and n >= 1, or a
+    comma list."""
     if ":" not in text:
         return np.asarray(_parse_floats(text))
     lo, hi, n = text.split(":")
+    lo, hi = _finite_float(lo), _finite_float(hi)
+    if not np.isfinite(hi - lo):
+        raise argparse.ArgumentTypeError(f"must have a finite hi - lo in lo:hi:n, got {text!r}")
     if int(n) < 1:
         raise argparse.ArgumentTypeError(f"must have n >= 1 in lo:hi:n, got {text!r}")
-    return np.linspace(float(lo), float(hi), int(n))
+    return np.linspace(lo, hi, int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +548,7 @@ def _add_quad(sp: argparse.ArgumentParser) -> None:
              "Kronrod rule with its embedded g-node Gauss rule, g = max(1, n//2); "
              "the s1 and s2 kernels take n-node Gauss-Legendre panels; the "
              "saddle backend compares rules of m = max(12, n//2) and "
-             "m + m//2 + 1 nodes")
+             "m + m//2 + 1 nodes; at most 256")
 
 
 def _quad_options(args: argparse.Namespace) -> QuadOptions:

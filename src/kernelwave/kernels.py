@@ -69,13 +69,13 @@ from .quadrature import (
     Ray,
     gl_unit,
     integrate_cauchy,
-    integrate_double,  # noqa: F401  (perfbench/spans.py traces this name)
     integrate_single,
     polar_images,
     polar_rule,
     refine_panels,
     truncate_rays,
 )
+integrate_double = None  # a placeholder: perfbench/spans.py wraps this name
 
 __all__ = [
     "KernelQuery",

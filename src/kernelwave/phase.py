@@ -143,17 +143,20 @@ def export_level_curve(
     Returns a list of point arrays, one per grid column that the curve
     crosses.  Each point sits between two vertical neighbours of the
     ``_LEVEL_GRID``-by-``_LEVEL_GRID`` (400) grid where ``Im f - level_im``
-    changes sign, placed by one linear interpolation.  Intended for
-    plotting, not for quadrature.
+    changes sign, placed by one linear interpolation; a sample where ``f``
+    overflows places none.  Intended for plotting, not for quadrature.
     """
     x0, x1, y0, y1 = window
     xs = np.linspace(x0, x1, _LEVEL_GRID)
     ys = np.linspace(y0, y1, _LEVEL_GRID)
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
-    G = np.imag(phase.f(Z)) - level_im
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = np.imag(phase.f(Z)) - level_im
+    finite = np.isfinite(G)
     segments: list[np.ndarray] = []
-    sign_flip = np.signbit(G[:-1, :]) != np.signbit(G[1:, :])
+    sign_flip = ((np.signbit(G[:-1, :]) != np.signbit(G[1:, :]))
+                 & finite[:-1, :] & finite[1:, :])
     for j in range(_LEVEL_GRID):
         rows = np.nonzero(sign_flip[:, j])[0]
         if rows.size == 0:

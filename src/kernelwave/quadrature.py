@@ -2,27 +2,23 @@
 
 Contours are oriented chains of straight panels (infinite rays are clipped
 to finite panels before integration by :func:`truncate_rays`, and
-:func:`refine_panels` cuts panels to unit length).  Single and
-double contour integrals are evaluated by Gauss-Legendre panels refined
-level by level, one batched integrand call per level (:func:`_refine`), with
-error estimates that include a round-off floor.  :func:`integrate_single`
-also takes a batch of B integrands on one contour and keeps every
-integral's tolerance, refinement, estimate and warning its own.  Either
-integrator calls the integrand on at most ``_CHUNK`` points at a time.  A
-double integral is a tensor rule over every panel pair, so the two contours
-must not meet: an integrand that explodes where they nearly touch is
-rejected as an undeclared contour crossing.
+:func:`refine_panels` cuts panels to unit length).  :func:`integrate_single`
+evaluates single contour integrals by Gauss-Legendre panels refined level
+by level, one batched integrand call per level, with error estimates that
+include a round-off floor.  It also takes a batch of B integrands on one
+contour and keeps every integral's tolerance, refinement, estimate and
+warning its own, and calls the integrand on at most ``_CHUNK`` points at a
+time.
 
 :func:`integrate_cauchy` evaluates B double integrals of the form
-``exp(a(ζ)) exp(b(ω)) / (ζ - ω)`` that share two contours as one bilinear
-form ``colsum(A ⊙ (C B))`` with the Cauchy matrix ``C_kl = 1/(ζ_k - ω_l)``:
-one Gauss-Kronrod node set per contour, whose embedded Gauss rule gives the
-error estimate from a leading block of the same ``C`` (Laurie, Math. Comp.
-66 (1997) 1133-1145, for the rule), the whole contour pair refined by
-doubling the rule, and a round-off floor taken from the arithmetic of the
-form.  The kernels' direct backend uses it; :func:`integrate_double`
-remains as the general adaptive primitive and the reference it is tested
-against.
+``exp(a(ζ)) exp(b(ω)) / (ζ - ω)`` that share two contours, which must not
+meet, as one bilinear form ``colsum(A ⊙ (C B))`` with the Cauchy matrix
+``C_kl = 1/(ζ_k - ω_l)``: one Gauss-Kronrod node set per contour, whose
+embedded Gauss rule gives the error estimate from a leading block of the
+same ``C`` (Laurie, Math. Comp. 66 (1997) 1133-1145, for the rule), the
+whole contour pair refined by doubling the rule, and a round-off floor
+taken from the arithmetic of the form.  The kernels' direct backend uses
+it.
 :func:`polar_cell` integrates an integrable ``1/(s - c*t)``-type
 singularity over a square as the sum over the eight signed or swapped
 images of one octant, a Duffy triangle whose nodes and weights
@@ -55,7 +51,6 @@ __all__ = [
     "truncate_rays",
     "refine_panels",
     "integrate_single",
-    "integrate_double",
     "integrate_cauchy",
     "gl_unit",
     "polar_rule",
@@ -66,8 +61,8 @@ __all__ = [
 
 class GeometryError(Exception):
     """Raised for ill-posed contours and integrands: untruncated rays,
-    non-decaying envelopes, contours that cross, broken chains, non-finite
-    integrand values.  ``row`` is the batch index of the row that failed,
+    non-decaying envelopes, broken chains, non-finite integrand values and
+    estimates.  ``row`` is the batch index of the row that failed,
     where one row did, else None."""
 
     def __init__(self, message: str, row: int | None = None):
@@ -93,9 +88,9 @@ class AccuracyWarning(UserWarning):
 class QuadOptions:
     """The quadrature settings a caller may vary, one field per flag of the
     CLI's quadrature options: the relative and absolute tolerance, and the
-    rule size ``n`` per panel.  An evaluation takes one value for its whole
-    batch.  The refinement depth (:data:`_MAX_REFINE_DEPTH`) and the ray
-    truncation budget of the kernels are module constants."""
+    rule size ``n`` per panel, at most 256.  An evaluation takes one value
+    for its whole batch.  The refinement depth (:data:`_MAX_REFINE_DEPTH`)
+    and the ray truncation budget of the kernels are module constants."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
@@ -110,6 +105,10 @@ class QuadOptions:
         n = self.nodes_per_panel
         if not isinstance(n, numbers.Integral) or isinstance(n, bool):
             raise ValueError(f"QuadOptions.nodes_per_panel must be an integer, got {n!r}")
+        # Every rule is a dense eigenproblem whose order grows with n, and
+        # the Kronrod recurrence is quadratic in it: the cap bounds memory.
+        if n > 256:
+            raise ValueError(f"QuadOptions.nodes_per_panel must be at most 256, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +124,6 @@ class StraightArc:
 
     def point(self, t):
         return self.za + np.asarray(t) * (self.zb - self.za)
-
-    def split(self, t: float) -> tuple["StraightArc", "StraightArc"]:
-        zm = complex(self.point(t))
-        return StraightArc(self.za, zm), StraightArc(zm, self.zb)
 
 
 @dataclass(frozen=True)
@@ -322,50 +317,91 @@ def _kronrod_unit(g: int):
 # every reported estimate includes it.
 _EPS = np.finfo(float).eps
 _ROUNDOFF = 200.0 * _EPS
-# Levels of splitting after which :func:`_refine` accepts the items still
-# over tolerance and warns.
+# Levels of splitting after which :func:`integrate_single` accepts the
+# panels still over tolerance and warns.
 _MAX_REFINE_DEPTH = 12
 
-# Integrand points per call of the single and double rules, whatever the
-# number of panels or panel pairs: bounds the node and value arrays held.
+# Integrand points per call of :func:`integrate_single`, whatever the number
+# of panels: bounds the node and value arrays held.
 _CHUNK = 1 << 13
 
 
-def _refine(items, owner, n_int: int, measure, split, opts: QuadOptions,
-            label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-integral sums of ``items`` (panels or panel pairs), refined level
-    by level.
+# ---------------------------------------------------------------------------
+# Single contour integrals
+# ---------------------------------------------------------------------------
 
-    ``owner[k]`` numbers the integral, 0 to ``n_int - 1``, that item ``k``
-    belongs to.  ``measure(items, owner)`` gives arrays ``(coarse, fine,
-    mag)``: two rules per item and the integral of ``|f|`` behind ``fine``.
-    An item is accepted once ``|fine - coarse|`` is within its share of its
+
+def integrate_single(f, contour: Contour, opts: QuadOptions = QuadOptions(),
+                     batch: int | None = None):
+    """Integrate a vectorized integrand along a finite contour.
+
+    Returns ``(value, error_estimate)`` as Python ``complex`` and ``float``.
+    With ``batch=B`` it integrates B integrands on the one contour: ``f(z,
+    i)`` gets rows of points ``z`` and the index ``i`` (0 to B - 1, shape
+    ``(rows, 1)``) of the integral each row belongs to, and the result is
+    arrays ``(values, errors)`` of length B; a single integral is the batch
+    of one.  ``f`` sees the points of at most ``_CHUNK // (3 n)`` panels per
+    call.
+
+    Each panel gets the ``n``-node Gauss-Legendre value (coarse), the sum of
+    the same rule over its two halves (fine) and the halves' integral of
+    ``|f|``, from one evaluation, and refinement runs level by level.  A
+    panel is accepted once ``|fine - coarse|`` is within its share of its
     integral's tolerance or below its round-off floor ``_ROUNDOFF * mag``;
-    otherwise ``split(item)`` replaces it by children that split its share
-    evenly.
-    Each integral keeps its own books: its level-0 coarse total and item
-    count set its tolerance, and neither depends on the other integrals.
-    The estimate adds the accepted items' differences, which bound their
+    otherwise its two halves replace it and split its share evenly.  Each
+    integral keeps its own books: its level-0 coarse total and panel count
+    set its tolerance, and neither depends on the other integrals.  The
+    estimate adds the accepted panels' differences, which bound their
     truncation error, plus their floors in quadrature, since the round-off
-    of separate items is independent.  Returns arrays ``(values, errors)``
-    of length ``n_int``.
+    of separate panels is independent.  A non-finite integrand value raises
+    :class:`GeometryError` for the whole call.  Exhausted refinement issues
+    one :class:`AccuracyWarning` per integral, carrying its worst panel
+    estimate.
     """
-    coarse, fine, mag = measure(items, owner)
-    # The signed total is what the caller receives; the floor term admits
-    # that cancellation across items caps achievable accuracy at ~eps times
-    # the largest contributions.
-    level0, spread = np.zeros(n_int, dtype=complex), np.zeros(n_int)
-    np.add.at(level0, owner, coarse)
-    np.add.at(spread, owner, np.abs(coarse))
-    scale = np.maximum(np.abs(level0), 1e-12 * spread)
-    count = np.maximum(np.bincount(owner, minlength=n_int), 1)
-    tol = np.maximum(opts.abs_tol, opts.rel_tol * scale) / np.sqrt(count)
-    share = np.ones(len(items))
+    if not contour.is_finite:
+        raise GeometryError("integrate_single requires a truncated contour")
+    n = opts.nodes_per_panel
+    n_int = 1 if batch is None else batch
+    g = f if batch is not None else (lambda z, i: f(z))
+    xu, wu = gl_unit(n)
+    t = np.concatenate([xu, 0.5 * xu, 0.5 + 0.5 * xu])
+    w_halves = 0.5 * np.concatenate([wu, wu])
+    step = max(1, _CHUNK // t.size)
+    za = np.tile(np.array([p.za for p in contour.panels], dtype=complex), n_int)
+    zb = np.tile(np.array([p.zb for p in contour.panels], dtype=complex), n_int)
+    owner = np.repeat(np.arange(n_int), len(contour.panels))
+    share = np.ones(len(za))
     total = np.zeros(n_int, dtype=complex)
     err, floors, worst = np.zeros(n_int), np.zeros(n_int), np.zeros(n_int)
     missed = np.zeros(n_int, dtype=int)
     depth = 0
     while True:
+        d = zb - za
+        coarse = np.empty(len(za), dtype=complex)
+        fine = np.empty(len(za), dtype=complex)
+        mag = np.empty(len(za))
+        for k in range(0, len(za), step):
+            dk = d[k:k + step]
+            z = za[k:k + step, None] + t * dk[:, None]
+            # An overflowing integrand is reported below, not by numpy.
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = np.asarray(g(z, owner[k:k + step, None]))
+            if not np.isfinite(vals).all():
+                raise GeometryError("non-finite integrand value on a panel")
+            halves = vals[:, n:]
+            coarse[k:k + step] = dk * (vals[:, :n] @ wu)
+            fine[k:k + step] = dk * (halves @ w_halves)
+            mag[k:k + step] = np.abs(dk) * (np.abs(halves) @ w_halves)
+        if depth == 0:
+            # The signed total is what the caller receives; the floor term
+            # admits that cancellation across panels caps achievable
+            # accuracy at ~eps times the largest contributions.
+            level0, spread = np.zeros(n_int, dtype=complex), np.zeros(n_int)
+            np.add.at(level0, owner, coarse)
+            np.add.at(spread, owner, np.abs(coarse))
+            scale = np.maximum(np.abs(level0), 1e-12 * spread)
+            count = np.maximum(np.bincount(owner, minlength=n_int), 1)
+            tol = np.maximum(opts.abs_tol, opts.rel_tol * scale) / np.sqrt(count)
         floor = _ROUNDOFF * mag
         diff = np.abs(fine - coarse)
         ok = diff <= np.maximum(tol[owner] * share, floor)
@@ -379,141 +415,26 @@ def _refine(items, owner, n_int: int, measure, split, opts: QuadOptions,
         parents = np.flatnonzero(~ok)
         if parents.size == 0:
             break
-        items = [child for i in parents for child in split(items[i])]
-        fan = len(items) // parents.size
-        share = np.repeat(share[parents] / fan, fan)
-        owner = np.repeat(owner[parents], fan)
-        coarse, fine, mag = measure(items, owner)
+        a, b = za[parents], zb[parents]
+        mid = a + 0.5 * (b - a)
+        za, zb = np.stack([a, mid], axis=1).ravel(), np.stack([mid, b], axis=1).ravel()
+        share = np.repeat(share[parents] / 2, 2)
+        owner = np.repeat(owner[parents], 2)
         depth += 1
-    for b in np.flatnonzero(missed):
-        where = label if n_int == 1 else f"{label} (integral {b} of {n_int})"
+    for j in np.flatnonzero(missed):
+        where = "integrate_single" if n_int == 1 else f"integrate_single (integral {j} of {n_int})"
         warnings.warn(AccuracyWarning(
-            f"{where}: refinement depth exhausted on {missed[b]} panel(s); "
-            f"worst residual estimate {worst[b]:.3e}", float(worst[b]), int(b)),
-            stacklevel=3)
-    return total, err + floors
-
-
-# ---------------------------------------------------------------------------
-# Single contour integrals
-# ---------------------------------------------------------------------------
-
-
-def _nodes(panels, t):
-    """Rows of points ``za + t (zb - za)`` per panel, and the ``zb - za``."""
-    za = np.array([p.za for p in panels], dtype=complex)
-    d = np.array([p.zb - p.za for p in panels], dtype=complex)
-    return za[:, None] + t * d[:, None], d
-
-
-def _panel_rule(f, panels, owner, n: int):
-    """Per panel: the ``n``-node Gauss-Legendre value (coarse), the sum of
-    the same rule over its two halves (fine) and the halves' integral of
-    ``|f|``, from one integrand evaluation.  ``f(z, i)`` sees the points of
-    at most ``_CHUNK // (3 n)`` panels per call, with the integral index of
-    each panel's row of points."""
-    xu, wu = gl_unit(n)
-    t = np.concatenate([xu, 0.5 * xu, 0.5 + 0.5 * xu])
-    w_halves = 0.5 * np.concatenate([wu, wu])
-    coarse = np.empty(len(panels), dtype=complex)
-    fine = np.empty(len(panels), dtype=complex)
-    mag = np.empty(len(panels))
-    step = max(1, _CHUNK // t.size)
-    for k in range(0, len(panels), step):
-        z, d = _nodes(panels[k:k + step], t)
-        # An overflowing integrand is reported below, not by numpy.
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.asarray(f(z, owner[k:k + step, None]))
-        if not np.isfinite(vals).all():
-            raise GeometryError("non-finite integrand value on a panel")
-        halves = vals[:, n:]
-        coarse[k:k + step] = d * (vals[:, :n] @ wu)
-        fine[k:k + step] = d * (halves @ w_halves)
-        mag[k:k + step] = np.abs(d) * (np.abs(halves) @ w_halves)
-    return coarse, fine, mag
-
-
-def integrate_single(f, contour: Contour, opts: QuadOptions = QuadOptions(),
-                     batch: int | None = None):
-    """Integrate a vectorized integrand along a finite contour.
-
-    Returns ``(value, error_estimate)`` as Python ``complex`` and ``float``.
-    With ``batch=B`` it integrates B integrands on the one contour: ``f(z,
-    i)`` gets rows of points ``z`` and the index ``i`` (0 to B - 1, shape
-    ``(rows, 1)``) of the integral each row belongs to, and the result is
-    arrays ``(values, errors)`` of length B.  Every integral is refined and
-    estimated on its own (see :func:`_refine`); a single integral is the
-    batch of one.  The estimate sums the last two-rule differences per panel
-    plus the panels' round-off floors.  A non-finite integrand value raises
-    :class:`GeometryError` for the whole call.  Exhausted refinement issues
-    one :class:`AccuracyWarning` per integral, carrying its worst panel
-    estimate.
-    """
-    if not contour.is_finite:
-        raise GeometryError("integrate_single requires a truncated contour")
-    n = opts.nodes_per_panel
-    n_int = 1 if batch is None else batch
-    g = f if batch is not None else (lambda z, i: f(z))
-    owner = np.repeat(np.arange(n_int), len(contour.panels))
-    vals, errs = _refine(list(contour.panels) * n_int, owner, n_int,
-                         lambda items, own: _panel_rule(g, items, own, n),
-                         lambda p: p.split(0.5), opts, "integrate_single")
+            f"{where}: refinement depth exhausted on {missed[j]} panel(s); "
+            f"worst residual estimate {worst[j]:.3e}", float(worst[j]), int(j)),
+            stacklevel=2)
     if batch is not None:
-        return vals, errs
-    return complex(vals[0]), float(errs[0])
+        return total, err + floors
+    return complex(total[0]), float(err[0] + floors[0])
 
 
 # ---------------------------------------------------------------------------
-# Double contour integrals
+# Polar rules
 # ---------------------------------------------------------------------------
-
-
-def _check_explosion(mags: np.ndarray, za, zb, len_a, len_b) -> None:
-    """Reject a chunk of panel pairs (``mags[p]`` is ``|F|`` on the tensor
-    grid of pair ``p``) with a non-finite value, or whose peak on some pair
-    exceeds 1e8 times its median where the two panels nearly touch."""
-    if not np.isfinite(mags.max()):
-        raise GeometryError("non-finite integrand value on a panel pair")
-    flat = mags.reshape(len(mags), -1)
-    peak = flat.max(axis=1)
-    # The median is never below the minimum, so only pairs this wide can
-    # peak above 1e8 times their median.
-    wide = np.flatnonzero(peak > 1e8 * (flat.min(axis=1) + 1e-300))
-    for p in [p for p in wide if peak[p] > 1e8 * (np.median(flat[p]) + 1e-300)]:
-        # Large dynamic range alone is legitimate (steep exponentials); an
-        # undeclared singularity additionally peaks where the two contours
-        # nearly touch.
-        dist = np.abs(za[p][:, None] - zb[p][None, :])
-        i, j = np.unravel_index(np.argmax(flat[p]), dist.shape)
-        if (dist[i, j] < 1e-2 * max(len_a[p], len_b[p])
-                and dist[i, j] <= 2.0 * dist.min() + 1e-300):
-            raise GeometryError(
-                "integrand magnitude explosion near "
-                f"zeta={za[p][i]:.4g}, omega={zb[p][j]:.4g}; "
-                "likely an undeclared contour crossing"
-            )
-
-
-def _pair_rule(F, pairs, n: int, with_mag: bool):
-    """Per panel pair: the ``n``-node tensor Gauss-Legendre value of ``F``
-    and, if ``with_mag``, the same rule's integral of ``|F|`` (else None).
-    ``F`` sees at most ``_CHUNK`` points per call, and each chunk is checked
-    by :func:`_check_explosion`."""
-    xu, wu = gl_unit(n)
-    w2 = np.outer(wu, wu).ravel()
-    val = np.empty(len(pairs), dtype=complex)
-    mag = np.empty(len(pairs)) if with_mag else None
-    step = max(1, _CHUNK // (n * n))
-    for k in range(0, len(pairs), step):
-        za, da = _nodes([pa for pa, _ in pairs[k:k + step]], xu)
-        zb, db = _nodes([pb for _, pb in pairs[k:k + step]], xu)
-        vals = np.asarray(F(za[:, :, None], zb[:, None, :]))
-        mags = np.abs(vals)
-        _check_explosion(mags, za, zb, np.abs(da), np.abs(db))
-        val[k:k + step] = da * db * (vals.reshape(len(da), -1) @ w2)
-        if with_mag:
-            mag[k:k + step] = np.abs(da * db) * (mags.reshape(len(da), -1) @ w2)
-    return val, mag
 
 
 def polar_rule(r: float, n: int, radial=None):
@@ -562,34 +483,6 @@ def polar_cell(g, r: float, n: int, radial=None) -> complex:
     return complex(np.sum(W * np.asarray(g(*polar_images(p, q)))))
 
 
-def integrate_double(F, cA: Contour, cB: Contour,
-                     opts: QuadOptions = QuadOptions()):
-    """Tensor-product quadrature of ``F(zeta, omega)`` over two contours.
-
-    Every panel pair is adaptive tensor Gauss-Legendre, ``n`` against
-    ``n + n//2 + 1`` nodes (see :func:`_refine`).  The contours must not
-    meet; an integrand that explodes where they nearly touch raises
-    :class:`GeometryError` (see :func:`_check_explosion`).  Returns
-    ``(value, error_estimate)`` as Python ``complex`` and ``float``.
-    """
-    if not (cA.is_finite and cB.is_finite):
-        raise GeometryError("integrate_double requires truncated contours")
-    n = opts.nodes_per_panel
-    m = n + n // 2 + 1
-
-    def measure(pairs, owner):
-        coarse, _ = _pair_rule(F, pairs, n, with_mag=False)
-        return (coarse, *_pair_rule(F, pairs, m, with_mag=True))
-
-    def split(pair):
-        return [(qa, qb) for qa in pair[0].split(0.5) for qb in pair[1].split(0.5)]
-
-    pairs = [(pa, pb) for pa in cA.panels for pb in cB.panels]
-    vals, errs = _refine(pairs, np.zeros(len(pairs), dtype=int), 1, measure,
-                         split, opts, "integrate_double")
-    return complex(vals[0]), float(errs[0])
-
-
 # ---------------------------------------------------------------------------
 # Cauchy bilinear forms
 # ---------------------------------------------------------------------------
@@ -608,7 +501,8 @@ def _node_set(contours, g: int):
     first, and the Gauss weights of those leading points."""
     panels = [p for c in contours for p in c.panels]
     xu, wk, wg = _kronrod_unit(g)
-    z, d = _nodes(panels, xu)
+    d = np.array([p.zb - p.za for p in panels], dtype=complex)
+    z = np.array([p.za for p in panels], dtype=complex)[:, None] + xu * d[:, None]
     w = d[:, None] * wk
     gauss_first = lambda m: np.concatenate([m[:, :g].ravel(), m[:, g:].ravel()])
     return gauss_first(z), gauss_first(w), (d[:, None] * wg).ravel()

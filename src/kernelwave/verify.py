@@ -149,6 +149,8 @@ def fit_rate(a_values, residuals, oscillation) -> tuple[float, float]:
     ``y = residuals * a**-p``, over a coarse grid refined around its
     minimum.  Returns ``(p, stderr)``, the nonlinear least-squares standard
     error of ``p`` with the row weights ``a**-p`` frozen at the optimum.
+    Inputs that are not finite, and residuals that are all zero, raise
+    :class:`RateFitError`.
     """
     a = np.asarray(a_values, dtype=float)
     r = np.asarray(residuals, dtype=float)
@@ -157,6 +159,10 @@ def fit_rate(a_values, residuals, oscillation) -> tuple[float, float]:
         raise RateFitError("a_values, residuals and oscillation must be 1-d of equal length")
     if a.size < 3:
         raise RateFitError(f"need at least 3 points for a rate fit, got {a.size}")
+    if not (np.isfinite(a).all() and np.isfinite(r).all() and np.isfinite(osc).all()):
+        raise RateFitError("a_values, residuals and oscillation must be finite")
+    if not r.any():
+        raise RateFitError("residuals must not all be zero")
     if np.any(a <= 0) or np.ptp(a) == 0:
         raise RateFitError("a_values must be positive and not all equal")
     cols = [np.ones_like(a)] + ([osc.real, osc.imag] if a.size >= 5 else [])

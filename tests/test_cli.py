@@ -585,6 +585,17 @@ def test_trace_level_mode(capsys):
     assert len([l for l in out.splitlines() if l.strip()]) > 20
 
 
+def test_trace_level_mode_places_no_point_next_to_an_overflow(capsys):
+    # Only the grid's first row, at y = 1, is finite: f overflows on the
+    # next, at y = 2.5e297.  Points placed between the two would all sit at
+    # y = 1, where |Im f| = 0.67, far from the level 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "trace", "--phase", "airy", "--mode", "level",
+                             "--window", "0,1,1,1e300")
+    assert (code, out, err) == (0, "", "")
+
+
 def test_trace_rejects_unknown_saddle(capsys):
     code, _, err = run(capsys, "trace", "--phase", "airy", "--level", "real")
     assert code == 1 and "saddle" in err
@@ -625,9 +636,10 @@ def test_trace_rays_are_steepest_paths(capsys, phase, level):
     (["--mode", "level", "--window=nan,2,0,1"], "--window"),
     (["--mode", "level", "--window=2,-2,0,1"], "--window"),
     (["--mode", "level", "--window=1,2"], "--window"),
+    (["--mode", "level", "--window=-1e308,1e308,-1,1"], "--window"),
     (["--mode", "level", "--level-im", "nan"], "--level-im"),
 ], ids=["arclength-nan", "arclength-negative", "window-nan", "window-reversed",
-        "window-two-values", "level-im-nan"])
+        "window-two-values", "window-width-overflows", "level-im-nan"])
 def test_trace_rejects_bad_numbers(capsys, argv, flag):
     code, out, err = run(capsys, "trace", "--phase", "airy", *argv)
     assert code == 1 and out == "" and flag in err
@@ -883,6 +895,15 @@ def test_empty_lists_are_rejected_when_parsed(capsys, argv):
     code, out, err = run(capsys, *argv)
     flag = next(a for a in argv if a.startswith("--") and "=" in a).split("=")[0]
     assert code == 1 and out == "" and f"argument {flag}" in err
+
+
+@pytest.mark.parametrize("grid", ["-1e308:1e308:3", "0:inf:3", "nan:1:3"])
+def test_sweep_grid_bounds_and_width_must_be_finite(capsys, grid):
+    # before, linspace overflowed and a NaN coordinate was reported per row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sweep", "--kernel", "s1", f"--grid-u={grid}")
+    assert code == 1 and out == "" and "argument --grid-u" in err
 
 
 def test_config_value_after_the_subcommand_name_is_overridden_by_a_flag(capsys, tmp_path):

@@ -23,7 +23,6 @@ from kernelwave.quadrature import (
     StraightArc,
     gl_unit,
     integrate_cauchy,
-    integrate_double,
     integrate_single,
     polar_cell,
     refine_panels,
@@ -151,6 +150,13 @@ def test_quad_options_nodes_per_panel_must_be_an_integer(value):
         QuadOptions(nodes_per_panel=value)
 
 
+def test_quad_options_caps_nodes_per_panel():
+    # the rules' eigenproblems and the Kronrod recurrence grow with n
+    assert QuadOptions(nodes_per_panel=256).nodes_per_panel == 256
+    with pytest.raises(ValueError, match="QuadOptions.nodes_per_panel must be at most 256"):
+        QuadOptions(nodes_per_panel=257)
+
+
 def test_quad_options_accepts_numpy_integers():
     assert QuadOptions(nodes_per_panel=np.int64(16)).nodes_per_panel == 16
 
@@ -248,24 +254,20 @@ def test_error_estimate_honest_for_smooth_integrands():
     assert abs(val - exact) <= max(5 * err, 1e-13)
 
 
+def test_integrators_return_python_scalars():
+    val, err = integrate_single(np.exp, Contour.polyline([0.0, 1.0, 1.0 + 1j]))
+    assert type(val) is complex and type(err) is float
+
+
+@pytest.mark.parametrize("f", [np.ones_like, lambda z: z, lambda z: z * z])
+def test_nonzero_integrand_never_reports_zero_error(f):
+    c = Contour.polyline([0.0, 1.0])
+    assert integrate_single(f, c)[1] > 0
+
+
 # ---------------------------------------------------------------------------
-# double integrals
+# Cauchy bilinear forms
 # ---------------------------------------------------------------------------
-
-
-def test_double_separable_gaussian():
-    opts = QuadOptions()
-    env = lambda z: np.real(-(z ** 2))
-    c1 = _prep(_gaussian_line(0.0, 0.0), env)
-    c2 = _prep(_gaussian_line(0.0, 0.1), env)
-    val, err = integrate_double(
-        lambda z, w: np.exp(-(z ** 2) - w ** 2), c1, c2, opts
-    )
-    assert abs(val - np.pi) < 1e-10
-
-
-# 1/(z-w) on two lines kept apart, below and above the real axis
-_SEPARATED = lambda z, w: np.exp(-((z - 1j) ** 2) - (w + 1j) ** 2) / (z - w)
 
 
 def _offset_line(dz, ang=0.0):
@@ -274,87 +276,8 @@ def _offset_line(dz, ang=0.0):
     return _prep(Contour.vee(dz, -d, d), env)
 
 
-def test_double_with_separated_singularity():
-    # tilting either line inside the decay sector must not move the value
-    # (no pole is swept)
-    opts = QuadOptions()
-    F = _SEPARATED
-    va, _ = integrate_double(F, _offset_line(1j), _offset_line(-1j), opts)
-    vb, _ = integrate_double(F, _offset_line(1j, 0.2), _offset_line(-1j, -0.15), opts)
-    assert abs(va - vb) < 1e-10
-
-
-def test_double_refinement_converges_without_warning():
-    ca, cb = _offset_line(1j), _offset_line(-1j)
-    ref, ref_err = integrate_double(_SEPARATED, ca, cb)
-    points = []
-
-    def counted(z, w):
-        points.append(np.broadcast(z, w).size)
-        return _SEPARATED(z, w)
-
-    low = QuadOptions(nodes_per_panel=6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", AccuracyWarning)
-        val, err = integrate_double(counted, ca, cb, low)
-    # level 0 measures every pair on the 6- and 10-node grids; more means
-    # some pairs were split
-    assert sum(points) > len(ca.panels) * len(cb.panels) * (36 + 100)
-    assert abs(val - ref) <= err + ref_err
-
-
-def test_double_accuracy_warning_on_exhausted_refinement(monkeypatch):
-    monkeypatch.setattr(quadrature, "_MAX_REFINE_DEPTH", 1)
-    opts = QuadOptions(nodes_per_panel=6, rel_tol=1e-15)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        val, err = integrate_double(_SEPARATED, _offset_line(1j), _offset_line(-1j), opts)
-    acc = [w for w in caught if issubclass(w.category, AccuracyWarning)]
-    assert len(acc) == 1
-    assert 0 < acc[0].message.estimate <= err
-
-
-def test_undeclared_crossing_is_rejected():
-    # the vertical line meets the real segment at one of its 49 Gauss nodes
-    x = np.polynomial.legendre.leggauss(49)[0][30]
-    vert = Contour.polyline([x - 1j, x + 1j])
-    with pytest.raises(GeometryError, match="undeclared contour crossing"):
-        integrate_double(lambda z, w: 1.0 / (z - w), vert, Contour.polyline([-1.0, 1.0]))
-
-
-def test_steep_integrand_on_separated_panels_is_accepted():
-    # a dynamic range of e^80 alone is no crossing
-    val, err = integrate_double(lambda z, w: np.exp(40 * z) / (z - w),
-                                Contour.polyline([-1.0, 1.0]),
-                                Contour.polyline([-1.0 + 0.5j, 1.0 + 0.5j]))
-    assert np.isfinite(val) and err < 1e-10 * abs(val)
-
-
-def test_integrators_return_python_scalars():
-    c = Contour.polyline([0.0, 1.0, 1.0 + 1j])
-    for val, err in (integrate_single(np.exp, c),
-                     integrate_double(lambda z, w: np.exp(z - w), c, c)):
-        assert type(val) is complex and type(err) is float
-
-
-@pytest.mark.parametrize("f", [np.ones_like, lambda z: z, lambda z: z * z])
-def test_nonzero_integrand_never_reports_zero_error(f):
-    c = Contour.polyline([0.0, 1.0])
-    assert integrate_single(f, c)[1] > 0
-    assert integrate_double(lambda z, w: f(z) * f(w), c, c)[1] > 0
-
-
-def test_double_requires_finite_contours():
-    with pytest.raises(GeometryError):
-        integrate_double(lambda z, w: 1.0, _gaussian_line(), _gaussian_line())
-
-
-# ---------------------------------------------------------------------------
-# Cauchy bilinear forms
-# ---------------------------------------------------------------------------
-
-# Exponents of _SEPARATED-type integrands, one column per shift s:
-# exp(-(z - i)^2 + s z) exp(-(w + i)^2 - s w) / (z - w).
+# Exponents of integrands on two lines kept apart, through i and -i, one
+# column per shift s: exp(-(z - i)^2 + s z) exp(-(w + i)^2 - s w) / (z - w).
 _SHIFTS = np.array([0.0, 0.5, -0.3j, 1.0 + 0.4j])
 _EXP_A = lambda z: -((z - 1j) ** 2) + _SHIFTS * z
 _EXP_B = lambda w: -((w + 1j) ** 2) - _SHIFTS * w
@@ -368,7 +291,7 @@ def _cauchy_closed_form(s):
             * wofz(1j * (2 - 1j * s) / np.sqrt(2)))
 
 
-def test_cauchy_matches_double_integral():
+def test_cauchy_matches_closed_form():
     ca, cb = _offset_line(1j), _offset_line(-1j)
     vals, errs = integrate_cauchy(_EXP_A, _EXP_B, ca, cb)
     assert vals.shape == errs.shape == (len(_SHIFTS),)
@@ -376,10 +299,6 @@ def test_cauchy_matches_double_integral():
         exact = _cauchy_closed_form(s)
         assert abs(val - exact) <= err, s
         assert 0 < err < 1e-12
-        F = lambda z, w: np.exp(-((z - 1j) ** 2) + s * z - (w + 1j) ** 2 - s * w) / (z - w)
-        ref, ref_err = integrate_double(F, ca, cb)
-        assert abs(ref - exact) <= ref_err, s
-        assert abs(val - ref) <= min(err, ref_err), s
 
 
 def test_cauchy_doubles_the_rule_until_it_converges():

@@ -68,6 +68,18 @@ def test_fit_input_validation():
         fit_rate([-1.0, 2.0, 3.0], [1.0, 2.0, 3.0], osc)
 
 
+@pytest.mark.parametrize("a,r,osc", [
+    ([1.0, 2.0, 3.0, 4.0, 5.0], [0.0] * 5, [1.0] * 5),
+    ([1.0, 2.0, np.inf, 4.0, 5.0], [1.0, 0.5, 0.3, 0.2, 0.1], [1.0] * 5),
+    ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.5, np.nan, 0.2, 0.1], [1.0] * 5),
+    ([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.5, 0.3, 0.2, 0.1], [1.0, np.nan, 1.0, 1.0, 1.0]),
+], ids=["all-zero-residuals", "infinite-a", "nan-residual", "nan-oscillation"])
+def test_fit_rejects_degenerate_input(a, r, osc):
+    # each used to return the edge of the exponent grid with a NaN stderr
+    with pytest.raises(RateFitError):
+        fit_rate(a, r, osc)
+
+
 _C = (0.3, -1.1, 0.7)
 
 
